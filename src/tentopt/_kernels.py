@@ -5,7 +5,9 @@ Two interchangeable backends:
 * a numba ``@njit`` implementation (default when numba imports), and
 * a pure-numpy implementation, selected by setting ``TENTOPT_FORCE_NUMPY=1``.
 
-Both expose the same functions; ``benchmarks/bench_kernels.py`` compares them.
+Both expose the same functions; ``tests/test_kernels.py`` checks that they
+agree, and the benchmark's traced run (``perfbench/run.py --trace 1``) times
+them as the ``kernels.*`` layer.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ def _replicator_batch_np(edges, n, starts, iters, tol):
     m, r = edges.shape
     X = starts.copy()
     active = np.ones(R, dtype=bool)
-    rows = np.repeat(np.arange(R), m)
     for _ in range(iters):
         if not active.any():
             break

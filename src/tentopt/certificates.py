@@ -16,16 +16,20 @@ from fractions import Fraction
 import numpy as np
 
 from .region import (
-    check_feasible,
-    product_bound,
-    tight_constraints_at_linear_point,
     TOL_FEAS,
+    TOL_REL,
+    ceil_r_over_e,
+    check_feasible,
+    full_normal,
+    product_bound,
+    tent_constraints,
+    tight_constraints_at_linear_point,
 )
 
 # claim index: every certificate anchor must resolve to an entry here
 ANCHOR_INDEX = {
     "region-product-maximum": (
-        "For k = ceil(r/e), the maximum of prod x_i over the (r, k) region "
+        "For k >= ceil(r/e), the maximum of prod x_i over the (r, k) region "
         "is r!/r^r, attained exactly at x_i = i/r."
     ),
     "region-counterexample": (
@@ -33,8 +37,8 @@ ANCHOR_INDEX = {
         "prod x_i strictly greater than r!/r^r."
     ),
     "region-probe": (
-        "Exploratory comparison of the (r, floor(r/e)) region optimum "
-        "against r!/r^r; no general statement is asserted at this k."
+        "Exploratory comparison of the (r, k) region optimum against "
+        "r!/r^r for k < ceil(r/e); no general statement is asserted."
     ),
 }
 
@@ -59,24 +63,6 @@ class Certificate:
             raise ValueError(f"malformed certificate: missing {missing}") from None
 
 
-def _full_normal(label, r: int) -> np.ndarray:
-    """Constraint normal in R^r from its stored label."""
-    row = np.zeros(r)
-    kind = label[0]
-    if kind == "tent":
-        _, i, j, s = label
-        row[i - 1] += 1.0
-        row[j - 1] += 1.0
-        row[s - 1] -= 1.0
-    elif kind == "monotone":
-        _, i, j = label
-        row[i - 1] += 1.0
-        row[j - 1] -= 1.0
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return row
-
-
 def _constraint_value(label, x) -> float:
     """Slack of the labeled constraint at x (x_0 = 0, x indexed from 1)."""
     kind = label[0]
@@ -90,6 +76,12 @@ def _constraint_value(label, x) -> float:
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
+def _constraint_labels(r: int, k: int) -> set:
+    """Every constraint label of the (r, k) region, as tuples."""
+    return ({("tent", *t) for t in tent_constraints(r, k)}
+            | {("monotone", i, i + 1) for i in range(1, r)})
+
+
 def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
@@ -101,7 +93,7 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
 
     prod = float(np.prod(x))
     value = float(ev["value"])
-    ok = abs(prod - value) <= 1e-9 * max(1.0, abs(value))
+    ok = abs(prod - value) <= TOL_REL * prod
     checks.append(("value-matches-point", ok, f"prod={prod}, claimed={value}"))
 
     kkt = ev.get("kkt", {})
@@ -109,7 +101,10 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
         labels = kkt["active"]
         mus = np.asarray(kkt["multipliers"], dtype=float)
         nu = float(kkt["equality_multiplier"])
-        ok = bool((mus >= -1e-12).all())
+        valid = _constraint_labels(r, k)
+        ok = all(tuple(lab) in valid for lab in labels)
+        checks.append(("active-labels-valid", ok, ""))
+        ok = len(mus) == len(labels) and bool((mus >= -1e-12).all())
         checks.append(("multipliers-nonnegative", ok, f"min={mus.min(initial=0.0)}"))
         slacks = [abs(_constraint_value(lab, x)) for lab in labels]
         ok = all(s <= 1e-5 for s in slacks)
@@ -117,10 +112,12 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
         g = 1.0 / x
         recon = np.zeros(r)
         for lab, mu in zip(labels, mus):
-            recon += mu * _full_normal(lab, r)
+            recon += mu * full_normal(lab, r)
         recon[r - 1] += nu
         resid = float(np.linalg.norm(g - recon) / np.linalg.norm(g))
         checks.append(("stationarity", resid < 1e-6, f"residual={resid}"))
+        if "multipliers_exact" in kkt:
+            checks.extend(_check_exact_kkt(r, x, value, kkt))
     else:
         checks.append(("kkt-payload-present", False, "no optimality payload"))
 
@@ -129,10 +126,51 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
         ok = tight_constraints_at_linear_point(r, k) == bool(
             exact.get("linear_point_feasible_and_tight"))
         checks.append(("exact-tightness-flag", ok, ""))
-        bound = product_bound(r)
-        ok = abs(value - float(bound)) <= 1e-6 * float(bound)
-        checks.append(("value-equals-bound", ok,
-                       f"value={value}, bound={float(bound)}"))
+    return checks
+
+
+def _check_exact_kkt(r: int, x, value: float, kkt: dict) -> list[tuple[str, bool, str]]:
+    """Re-check exact multipliers at the exact linear point x_i = i/r, in
+    Fractions and with no tolerance; the float fields must be their
+    roundings."""
+    point = [Fraction(i, r) for i in range(1, r + 1)]
+    labels = kkt["active"]
+    mus = [Fraction(v) for v in kkt["multipliers_exact"]]
+    nu = Fraction(kkt["equality_multiplier_exact"])
+    checks = [
+        ("exact-linear-point", [float(v) for v in point] == list(x), ""),
+        ("exact-value", value == float(product_bound(r)), f"value={value}"),
+    ]
+    ok = len(mus) == len(labels) and all(mu >= 0 for mu in mus)
+    checks.append(("exact-multipliers-nonnegative", ok, ""))
+    ok = ([float(mu) for mu in mus] == list(kkt["multipliers"])
+          and float(nu) == kkt["equality_multiplier"])
+    checks.append(("multipliers-match-exact", ok, ""))
+    ok = all(_constraint_value(lab, point) == 0 for lab in labels)
+    checks.append(("exact-active-set-tight", ok, ""))
+    recon = [Fraction(0)] * r
+    for lab, mu in zip(labels, mus):
+        a = full_normal(lab, r)
+        for idx in np.flatnonzero(a):
+            recon[idx] += mu * int(a[idx])
+    recon[r - 1] += nu
+    ok = recon == [1 / v for v in point]
+    checks.append(("exact-stationarity", ok, ""))
+    return checks
+
+
+def _check_theorem_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
+    """The optimality checks plus the claim's hypotheses: k >= ceil(r/e)
+    and a value equal to r!/r^r."""
+    ev = cert.evidence
+    r, k = int(ev["r"]), int(ev["k"])
+    checks = _check_max_certificate(cert)
+    threshold = ceil_r_over_e(r)
+    checks.append(("k-at-least-threshold", k >= threshold,
+                   f"k={k}, ceil(r/e)={threshold}"))
+    value, bound = float(ev["value"]), float(product_bound(r))
+    checks.append(("value-equals-bound", abs(value - bound) <= TOL_REL * bound,
+                   f"value={value}, bound={bound}"))
     return checks
 
 
@@ -147,13 +185,13 @@ def _check_counterexample_certificate(cert: Certificate) -> list[tuple[str, bool
     bound = product_bound(r)
     checks.append(("product-exceeds-bound-exact", prod > bound,
                    f"prod={prod}, bound={bound}"))
-    ok = abs(float(prod) - float(ev["value"])) <= 1e-12
+    ok = abs(float(prod) - float(ev["value"])) <= TOL_REL * float(prod)
     checks.append(("value-matches-point", ok, ""))
     return checks
 
 
 _CHECKERS = {
-    "region-product-maximum": _check_max_certificate,
+    "region-product-maximum": _check_theorem_certificate,
     "region-counterexample": _check_counterexample_certificate,
     "region-probe": _check_max_certificate,
 }
@@ -162,7 +200,9 @@ _CHECKERS = {
 def verify_certificate(cert: Certificate) -> tuple[bool, list[tuple[str, bool, str]]]:
     """Re-check a certificate without re-optimizing.
 
-    Returns (passed, checks); each check is (name, ok, detail).
+    Returns (passed, checks); each check is (name, ok, detail).  Evidence
+    that cannot be read (a missing field, a label of the wrong shape, a
+    point of the wrong length) fails the check ``evidence-well-formed``.
     """
     checks = []
     anchored = cert.anchor in ANCHOR_INDEX
@@ -172,5 +212,15 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[tuple[str, bool, s
         checks.append(("claim-recognized", False, cert.claim))
         return False, checks
     if anchored:
-        checks.extend(checker(cert))
+        ev = cert.evidence
+        ok = all(cert.config.get(key) == ev.get(key) for key in ("r", "k"))
+        checks.append(("config-matches-evidence", ok,
+                       f"config r, k = {cert.config.get('r')}, {cert.config.get('k')}"))
+        try:
+            # tampered evidence may hold zeros or huge floats; the checks
+            # then fail, and numpy's overflow warnings add nothing
+            with np.errstate(all="ignore"):
+                checks.extend(checker(cert))
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            checks.append(("evidence-well-formed", False, f"{type(exc).__name__}: {exc}"))
     return all(ok for _, ok, _ in checks), checks

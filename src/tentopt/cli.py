@@ -32,6 +32,7 @@ from .hypergraphs import (
 )
 from .lagrangian import lagrangian
 from .region import (
+    TOL_REL,
     FeasiblePoint,
     ceil_r_over_e,
     check_feasible,
@@ -64,18 +65,17 @@ def _budget(ctx) -> SearchBudget:
 
 @click.group()
 @click.option("--seed", default=42, show_default=True, help="Seed for every randomized step.")
-@click.option("--tol", default=1e-9, show_default=True, help="Feasibility tolerance override.")
 @click.option("--timeout", default=60.0, show_default=True, help="Search budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
 @click.pass_context
-def cli(ctx, seed, tol, timeout, fmt):
+def cli(ctx, seed, timeout, fmt):
     ctx.ensure_object(dict)
-    ctx.obj.update(seed=seed, tol=tol, timeout=timeout, fmt=fmt)
+    ctx.obj.update(seed=seed, timeout=timeout, fmt=fmt)
 
 
 def _config(ctx) -> dict:
-    return {k: ctx.obj[k] for k in ("seed", "tol", "timeout", "fmt")}
+    return {k: ctx.obj[k] for k in ("seed", "timeout", "fmt")}
 
 
 # -- tent ------------------------------------------------------------------
@@ -208,9 +208,11 @@ def region_max(ctx, r, k, exact, certificate, output):
     payload = _report_payload(rep)
     _emit(payload, output)
     if certificate:
+        # below ceil(r/e) the theorem makes no claim, so the run is a probe
+        claim = "region-product-maximum" if k >= ceil_r_over_e(r) else "region-probe"
         cert = Certificate(
-            claim="region-product-maximum",
-            anchor="region-product-maximum",
+            claim=claim,
+            anchor=claim,
             config=_config(ctx) | {"r": r, "k": k},
             evidence={"r": r, "k": k, "x": payload["argmax"]["x"],
                       "value": rep.value, "kkt": rep.kkt, "exact": rep.exact},
@@ -279,7 +281,7 @@ def region_probe_floor(ctx, r, output):
     rep = probe_floor_case(r)
     payload = _report_payload(rep)
     payload["k"] = rep.argmax.k
-    payload["exceeds_bound"] = rep.value > rep.bound + 1e-8
+    payload["exceeds_bound"] = rep.value > rep.bound * (1 + TOL_REL)
     _emit(payload, output)
 
 

@@ -8,7 +8,8 @@ improving perturbation, and the below-threshold counterexample construction
 all live here.
 
 Closed-form points (the linear point x_i = i/r and counterexample points
-with rational epsilon) are re-checked in exact rational arithmetic.
+with rational epsilon) are re-checked in exact rational arithmetic; when
+the linear point is optimal its KKT multipliers are exact Fractions.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from scipy.optimize import linprog, minimize, nnls
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
 TOL_KKT = 1e-8
+TOL_REL = 1e-9  # relative tolerance for comparing products and values
 _SEED = 20240817
 
 
@@ -47,6 +49,25 @@ def tent_constraints(r: int, k: int):
     for i in range(1, k + 1):
         for j in range(i, r - i + 1):
             yield i, j, i + j
+
+
+def full_normal(label, r: int) -> np.ndarray:
+    """Integer normal in R^r of a labelled constraint a.x <= 0:
+    ("tent", i, j, s) is x_i + x_j - x_s, ("monotone", i, j) is x_i - x_j."""
+    row = np.zeros(r, dtype=np.int64)
+    kind = label[0]
+    if kind == "tent":
+        _, i, j, s = label
+        row[i - 1] += 1
+        row[j - 1] += 1
+        row[s - 1] -= 1
+    elif kind == "monotone":
+        _, i, j = label
+        row[i - 1] += 1
+        row[j - 1] -= 1
+    else:
+        raise ValueError(f"unknown constraint kind {kind!r}")
+    return row
 
 
 def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
@@ -187,13 +208,48 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
                      exact: bool = False) -> OptimizationReport:
     """Global maximum of prod x_i over the region.
 
-    Maximizes the strictly concave sum of logs, so any KKT point is the
-    unique global optimum; the report carries the KKT residual.  With
-    ``exact`` the linear point's feasibility/tightness and the product
-    comparison are re-checked in rational arithmetic.
+    When f'(0) <= 0 the linear point x_i = i/r is tried first, and if
+    ``exact_kkt_at_linear_point`` certifies it no nonlinear solve runs.
+    Otherwise (always when f'(0) > 0, where the bend of
+    ``counterexample_point`` improves on i/r) SLSQP maximizes the strictly
+    concave sum of logs from several starts, so any KKT point is the unique
+    global optimum.  ``status`` is "converged" exactly when the report's KKT
+    certificate is optimal with residual below TOL_KKT.  With ``exact`` the
+    linear point's feasibility/tightness and the product comparison are
+    re-checked in rational arithmetic.
     """
     if not 1 <= k <= r // 2:
         raise ValueError(f"k must lie in [1, {r // 2}]")
+    bound = product_bound(r)
+    cert = exact_kkt_at_linear_point(r, k) if fprime_zero(r, k) <= 0 else None
+    if cert is not None:
+        point, value = linear_point(r, k), float(bound)
+    else:
+        z, value = _slsqp_multistart(r, k, restarts, seed)
+        point = FeasiblePoint(r=r, k=k, x=tuple(np.append(z, 1.0)))
+        cert = kkt_certificate(point)
+    optimal = cert["optimal"] and cert["residual"] < TOL_KKT
+
+    report_exact = {}
+    if exact:
+        report_exact = {
+            "linear_point_feasible_and_tight": tight_constraints_at_linear_point(r, k),
+            "bound": str(bound),
+            "optimum_exceeds_bound": bool(value > float(bound) * (1 + TOL_REL)),
+        }
+    return OptimizationReport(
+        value=value,
+        argmax=point,
+        bound=float(bound),
+        kkt=cert,
+        status="converged" if optimal else "best-found",
+        exact=report_exact,
+    )
+
+
+def _slsqp_multistart(r: int, k: int, restarts: int, seed: int):
+    """Best feasible SLSQP solve of max sum(log x_i) over the free
+    coordinates x_1..x_{r-1}: (those coordinates, their product)."""
     A, b, _ = _constraint_matrix(r, k)
     m = r - 1
 
@@ -211,7 +267,7 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
     for _ in range(restarts):
         starts.append(random_feasible_point(r, k, rng).as_floats()[:-1])
 
-    best_z, best_val, converged = None, -np.inf, False
+    best_z, best_val = None, -np.inf
     for z0 in starts:
         with warnings.catch_warnings():
             # SLSQP probes slightly outside the box and clips; harmless here
@@ -226,33 +282,84 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
         val = math.exp(-objective(z))
         if val > best_val:
             best_val, best_z = val, z
-            converged = converged or res.success
     if best_z is None:
         raise RuntimeError("no feasible solve; region construction is broken")
+    return best_z, best_val
 
-    xs = np.append(best_z, 1.0)
-    point = FeasiblePoint(r=r, k=k, x=tuple(xs))
-    cert = kkt_certificate(point)
-    status = "converged" if cert.get("residual", np.inf) < TOL_KKT else "best-found"
-    if not converged and status == "converged":
-        status = "best-found"
 
-    report_exact = {}
-    if exact:
-        bound = product_bound(r)
-        report_exact = {
-            "linear_point_feasible_and_tight": tight_constraints_at_linear_point(r, k),
-            "bound": str(bound),
-            "optimum_exceeds_bound": bool(best_val > float(bound) + 1e-12),
-        }
-    return OptimizationReport(
-        value=best_val,
-        argmax=point,
-        bound=float(product_bound(r)),
-        kkt=cert,
-        status=status,
-        exact=report_exact,
-    )
+def _solve_rational(columns, rhs):
+    """A solution mu of sum_c mu_c * columns[c] = rhs in Fractions, with
+    every free unknown set to 0, or None when the system is inconsistent."""
+    m, n = len(rhs), len(columns)
+    M = [[Fraction(int(col[i])) for col in columns] + [rhs[i]] for i in range(m)]
+    pivots = []
+    for c in range(n):
+        row = len(pivots)
+        p = next((i for i in range(row, m) if M[i][c]), None)
+        if p is None:
+            continue
+        M[row], M[p] = M[p], M[row]
+        inv = 1 / M[row][c]
+        pr = M[row] = [v * inv for v in M[row]]
+        nonzero = [j for j in range(c, n + 1) if pr[j]]
+        for i in range(m):
+            f = M[i][c]
+            if i != row and f:
+                Mi = M[i]
+                for j in nonzero:
+                    Mi[j] -= f * pr[j]
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    if any(M[i][n] for i in range(len(pivots), m)):
+        return None
+    mu = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        mu[c] = M[i][n]
+    return mu
+
+
+def exact_kkt_at_linear_point(r: int, k: int) -> dict | None:
+    """Exact KKT certificate of the linear point x_i = i/r, or None.
+
+    At i/r every tent constraint is tight and no monotone one is, so the
+    point is optimal exactly when the log-product gradient (r/i)_{i<r} lies
+    in the cone of the tent normals (the x_r = 1 row absorbs coordinate r).
+    HiGHS finds a vertex of that cone; its support is solved again in
+    Fractions, and the multipliers are kept only if they are nonnegative
+    and satisfy every coordinate equation exactly.  The returned dict has
+    the format of ``kkt_certificate`` (residual 0, ``active`` the support)
+    plus the multipliers as exact strings.
+    """
+    labels = [("tent", i, j, s) for i, j, s in tent_constraints(r, k)]
+    normals = [full_normal(lab, r) for lab in labels]
+    N = np.array(normals)[:, : r - 1].T
+    res = linprog(np.ones(len(labels)), A_eq=N, b_eq=r / np.arange(1, r),
+                  bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        return None
+    support = np.flatnonzero(res.x > 0)
+    g = [Fraction(r, i) for i in range(1, r + 1)]
+    mus = _solve_rational([normals[t][: r - 1] for t in support], g[: r - 1])
+    if mus is None or any(mu < 0 for mu in mus):
+        return None
+    kept = [(t, mu) for t, mu in zip(support, mus) if mu]
+    lhs = [Fraction(0)] * r
+    for t, mu in kept:
+        for idx in np.flatnonzero(normals[t]):
+            lhs[idx] += mu * int(normals[t][idx])
+    if lhs[: r - 1] != g[: r - 1]:
+        return None
+    nu = g[r - 1] - lhs[r - 1]  # the x_r = 1 multiplier closes coordinate r
+    return {
+        "optimal": True,
+        "residual": 0.0,
+        "active": [list(labels[t]) for t, _ in kept],
+        "multipliers": [float(mu) for _, mu in kept],
+        "equality_multiplier": float(nu),
+        "multipliers_exact": [str(mu) for _, mu in kept],
+        "equality_multiplier_exact": str(nu),
+    }
 
 
 def kkt_certificate(point: FeasiblePoint, act_tol: float = 1e-6) -> dict:
@@ -269,19 +376,9 @@ def kkt_certificate(point: FeasiblePoint, act_tol: float = 1e-6) -> dict:
     g = 1.0 / x  # gradient of sum(log x_i), all r coordinates
 
     # full-dimensional normals (coordinate r included, equality x_r = 1 too)
-    full_rows = []
-    active_labels = []
     slack = b - A @ z
-    for row, lab, s in zip(A, labels, slack):
-        if s <= act_tol:
-            full = np.zeros(r)
-            full[: r - 1] = row
-            if lab[0] == "tent" and lab[3] == r:
-                full[r - 1] = -1.0
-            if lab[0] == "monotone" and lab[2] == r:
-                full[r - 1] = -1.0
-            full_rows.append(full)
-            active_labels.append(lab)
+    active_labels = [lab for lab, s in zip(labels, slack) if s <= act_tol]
+    full_rows = [full_normal(lab, r).astype(float) for lab in active_labels]
     eq = np.zeros(r)
     eq[r - 1] = 1.0
 

@@ -1,15 +1,19 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tentopt.certificates import (
     ANCHOR_INDEX,
     Certificate,
     verify_certificate,
 )
-from tentopt.region import counterexample_point, maximize_product
+from tentopt.region import ceil_r_over_e, counterexample_point, maximize_product
 
 
 def max_certificate(r=5, k=2):
@@ -17,7 +21,7 @@ def max_certificate(r=5, k=2):
     return Certificate(
         claim="region-product-maximum",
         anchor="region-product-maximum",
-        config={"seed": 42},
+        config={"seed": 42, "r": r, "k": k},
         evidence={"r": r, "k": k, "x": [float(v) for v in rep.argmax.x],
                   "value": rep.value, "kkt": rep.kkt, "exact": rep.exact},
     )
@@ -28,7 +32,7 @@ def counterexample_certificate(r=6, k=1):
     return Certificate(
         claim="region-counterexample",
         anchor="region-counterexample",
-        config={"seed": 42},
+        config={"seed": 42, "r": r, "k": k},
         evidence={"r": r, "k": k, "x_exact": [str(v) for v in p.x],
                   "value": float(math.prod(p.x))},
     )
@@ -46,6 +50,10 @@ def test_max_certificate_verifies():
     assert {"anchor-resolves", "point-feasible", "value-matches-point",
             "multipliers-nonnegative", "active-set-tight",
             "stationarity"} <= names
+    # (5, 2) is a theorem row, so its multipliers are exact
+    assert {"exact-linear-point", "exact-value", "exact-multipliers-nonnegative",
+            "multipliers-match-exact", "exact-active-set-tight",
+            "exact-stationarity", "k-at-least-threshold", "value-equals-bound"} <= names
 
 
 def test_counterexample_certificate_verifies():
@@ -130,3 +138,139 @@ def test_missing_kkt_payload_fails():
         Certificate(cert.claim, cert.anchor, cert.config, ev))
     assert not passed
     assert {n: ok for n, ok, _ in checks}["kkt-payload-present"] is False
+
+
+def verdicts(cert, evidence):
+    passed, checks = verify_certificate(
+        Certificate(cert.claim, cert.anchor, cert.config, evidence))
+    return passed, {n: ok for n, ok, _ in checks}
+
+
+def evidence_copy(cert):
+    return json.loads(cert.to_json())["evidence"]
+
+
+@lru_cache(maxsize=None)
+def theorem_certificate(r):
+    return max_certificate(r, ceil_r_over_e(r))
+
+
+def test_tampered_exact_multiplier_fails_named_check():
+    cert = theorem_certificate(9)
+    ev = evidence_copy(cert)
+    ev["kkt"]["multipliers_exact"][0] = str(Fraction(ev["kkt"]["multipliers_exact"][0]) + 1)
+    passed, v = verdicts(cert, ev)
+    assert not passed
+    assert v["exact-stationarity"] is False
+    assert v["multipliers-match-exact"] is False
+
+
+def test_value_matches_point_is_relative():
+    # r!/r^r is about 1.3e-12 at r = 30: an absolute 1e-9 accepted 0.0
+    cert = theorem_certificate(30)
+    for value in (0.0, 2 * cert.evidence["value"]):
+        ev = evidence_copy(cert)
+        ev["value"] = value
+        passed, v = verdicts(cert, ev)
+        assert not passed
+        assert v["value-matches-point"] is False
+
+
+def test_counterexample_value_is_relative():
+    # the product is about 1.2e-16 at r = 40: an absolute 1e-12 accepted 0.0
+    cert = counterexample_certificate(40, 1)
+    assert verify_certificate(cert)[0]
+    for value in (0.0, 2 * cert.evidence["value"]):
+        ev = evidence_copy(cert)
+        ev["value"] = value
+        passed, v = verdicts(cert, ev)
+        assert not passed
+        assert v["value-matches-point"] is False
+
+
+def test_theorem_hypotheses_checked_without_exact():
+    # the bound fails at (12, 2): k < ceil(12/e) = 5
+    r, k = 12, 2
+    rep = maximize_product(r, k, seed=42)
+    evidence = {"r": r, "k": k, "x": [float(v) for v in rep.argmax.x],
+                "value": rep.value, "kkt": rep.kkt}
+    config = {"seed": 42, "r": r, "k": k}
+    cert = Certificate("region-product-maximum", "region-product-maximum", config, evidence)
+    passed, v = verdicts(cert, evidence)
+    assert not passed
+    assert v["k-at-least-threshold"] is False
+    assert v["value-equals-bound"] is False
+    assert v["stationarity"] is True  # the point itself is a fine optimum
+    probe = Certificate("region-probe", "region-probe", config, evidence)
+    assert verify_certificate(probe)[0]
+
+
+def test_config_must_match_evidence():
+    cert = theorem_certificate(9)
+    for config in ({"seed": 42}, {"seed": 42, "r": 9, "k": 5}):
+        passed, checks = verify_certificate(
+            Certificate(cert.claim, cert.anchor, config, cert.evidence))
+        assert not passed
+        assert ("config-matches-evidence", False) in [(n, ok) for n, ok, _ in checks]
+
+
+def test_unreadable_evidence_fails_instead_of_raising():
+    cert = theorem_certificate(9)
+    ev = evidence_copy(cert)
+    ev["x"] = ev["x"][:-1]
+    passed, v = verdicts(cert, ev)
+    assert not passed and v["evidence-well-formed"] is False
+
+
+def other_float(v):
+    """A float different from v: one ulp away, slightly scaled, or arbitrary."""
+    near = [np.nextafter(v, np.inf), np.nextafter(v, -np.inf), v * (1 + 1e-12), -v]
+    return st.one_of(st.sampled_from([float(u) for u in near]),
+                     st.floats(allow_nan=False, allow_infinity=False)).filter(lambda u: u != v)
+
+
+def other_label(label, r):
+    tents = st.tuples(st.integers(1, r), st.integers(1, r)).map(
+        lambda t: ["tent", t[0], t[1], t[0] + t[1]])
+    monotone = st.integers(1, r - 1).map(lambda i: ["monotone", i, i + 1])
+    return st.one_of(tents, monotone).filter(lambda lab: lab != label)
+
+
+def other_fraction(text):
+    return st.fractions(-100, 100, max_denominator=10**6).filter(
+        lambda q: q != Fraction(text)).map(str)
+
+
+EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "equality_multiplier",
+                   "multipliers_exact", "equality_multiplier_exact", "active")
+
+
+@given(st.sampled_from([4, 9, 17, 30, 40]), st.sampled_from(EVIDENCE_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_tampering_any_evidence_field_fails(r, name, data):
+    cert = theorem_certificate(r)
+    ev = evidence_copy(cert)
+    kkt = ev["kkt"]
+    n = len(kkt["active"])
+    if name == "x":
+        i = data.draw(st.integers(0, r - 1))
+        ev["x"][i] = data.draw(other_float(ev["x"][i]))
+    elif name == "value":
+        ev["value"] = data.draw(other_float(ev["value"]))
+    elif name in ("r", "k"):
+        ev[name] = data.draw(st.integers(1, 60).filter(lambda v: v != ev[name]))
+    elif name == "equality_multiplier":
+        kkt[name] = data.draw(other_float(kkt[name]))
+    elif name == "equality_multiplier_exact":
+        kkt[name] = data.draw(other_fraction(kkt[name]))
+    else:
+        i = data.draw(st.integers(0, n - 1))
+        old = kkt[name][i]
+        if name == "multipliers":
+            kkt[name][i] = data.draw(other_float(old))
+        elif name == "multipliers_exact":
+            kkt[name][i] = data.draw(other_fraction(old))
+        else:
+            kkt[name][i] = data.draw(other_label(old, r))
+    passed, v = verdicts(cert, ev)
+    assert not passed, (name, v)

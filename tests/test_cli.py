@@ -172,6 +172,45 @@ def test_theorem_table_with_certs(tmp_path):
         assert json.loads(vres.output)["passed"] is True
 
 
+def test_theorem_table_certificates_are_exact(tmp_path):
+    from tentopt.certificates import Certificate, verify_certificate
+
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    res = invoke("report", "theorem-table", "--r-min", "4", "--r-max", "40",
+                 "--cert-dir", str(certs))
+    rows = json.loads(res.output)
+    assert [row["r"] for row in rows] == list(range(4, 41))
+    for row in rows:
+        r = row["r"]
+        assert row["relative_gap"] == 0.0 and row["kkt_residual"] == 0.0, r
+        cert = Certificate.from_json((certs / f"region-max-r{r}.json").read_text())
+        assert cert.evidence["kkt"]["multipliers_exact"], r
+        passed, checks = verify_certificate(cert)
+        assert passed, (r, checks)
+
+
+def test_region_max_below_threshold_writes_probe(tmp_path):
+    cert = tmp_path / "cert.json"
+    res = invoke("region", "max", "--r", "12", "--k", "2", "--certificate", str(cert))
+    assert res.exit_code == 0
+    d = json.loads(cert.read_text())
+    assert d["claim"] == d["anchor"] == "region-probe"
+    assert set(d["config"]) == {"seed", "timeout", "fmt", "r", "k"}
+
+
+def test_probe_floor_exceeds_bound_is_relative():
+    # at r = 31 the optimum beats r!/r^r ~ 5e-13 by 0.1%, far below 1e-8
+    d = json.loads(invoke("region", "probe-floor", "--r", "31").output)
+    assert d["k"] == 11 and d["exceeds_bound"] is True
+
+
+def test_tol_option_removed():
+    res = runner.invoke(cli, ["--tol", "1e-9", "tent", "make", "--r", "4", "--i", "1"],
+                        obj={})
+    assert res.exit_code != 0
+
+
 def test_counterexample_table_csv():
     res = invoke("--format", "csv", "report", "counterexample-table",
                  "--r-min", "6", "--r-max", "9")

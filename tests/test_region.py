@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tentopt.region as region
 from tentopt.region import (
+    TOL_KKT,
     FeasiblePoint,
     bisect_perturbation_eps,
     ceil_r_over_e,
     check_feasible,
     counterexample_point,
+    exact_kkt_at_linear_point,
     floor_r_over_e,
     fprime_zero,
+    full_normal,
     kkt_certificate,
     linear_point,
     maximize_product,
@@ -104,6 +108,100 @@ def test_below_threshold_value_exceeds_bound():
 def test_maximize_validates_k():
     with pytest.raises(ValueError):
         maximize_product(6, 4)
+
+
+def test_full_normal():
+    assert full_normal(("tent", 2, 2, 4), 5).tolist() == [0, 2, 0, -1, 0]
+    assert full_normal(("tent", 1, 3, 4), 4).tolist() == [1, 0, 1, -1]
+    assert full_normal(("monotone", 4, 5), 5).tolist() == [0, 0, 0, 1, -1]
+    with pytest.raises(ValueError):
+        full_normal(("sum", 1, 2), 4)
+
+
+def _exact_residual(r, kkt):
+    """Exact gradient minus the cone combination, coordinates 1..r."""
+    out = [Fraction(r, i) for i in range(1, r + 1)]
+    for label, mu in zip(kkt["active"], kkt["multipliers_exact"]):
+        out = [o - Fraction(mu) * int(a) for o, a in zip(out, full_normal(label, r))]
+    out[r - 1] -= Fraction(kkt["equality_multiplier_exact"])
+    return out
+
+
+def test_exact_kkt_certifies_every_theorem_row():
+    for r in range(4, 41):
+        k = ceil_r_over_e(r)
+        kkt = exact_kkt_at_linear_point(r, k)
+        assert kkt is not None, r
+        mus = [Fraction(v) for v in kkt["multipliers_exact"]]
+        assert all(mu > 0 for mu in mus), r
+        assert len(mus) == len(kkt["active"]) <= r - 1  # a vertex of the cone
+        assert all(lab[0] == "tent" and lab[1] <= k for lab in kkt["active"])
+        assert not any(_exact_residual(r, kkt)), r
+        assert kkt["multipliers"] == [float(mu) for mu in mus]
+        assert kkt["optimal"] and kkt["residual"] == 0.0
+
+
+@pytest.mark.parametrize("r", range(4, 41))
+def test_exact_kkt_at_floor_follows_fprime_sign(r):
+    k = floor_r_over_e(r)
+    assert (exact_kkt_at_linear_point(r, k) is not None) == (fprime_zero(r, k) < 0)
+
+
+def test_exact_kkt_fails_below_threshold():
+    for r, k in [(6, 1), (12, 2), (30, 5)]:
+        assert exact_kkt_at_linear_point(r, k) is None
+
+
+def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
+    def no_slsqp(*args, **kwargs):
+        raise AssertionError("SLSQP ran although the exact step certified i/r")
+
+    monkeypatch.setattr(region, "minimize", no_slsqp)
+    rep = maximize_product(9, 4, exact=True)
+    assert rep.status == "converged"
+    assert rep.value == float(product_bound(9))
+    assert rep.argmax.x == linear_point(9, 4).x
+    kkt = rep.kkt
+    assert kkt["residual"] == 0.0
+    top = sum(Fraction(mu) for lab, mu in zip(kkt["active"], kkt["multipliers_exact"])
+              if lab[3] == 9)
+    assert Fraction(kkt["equality_multiplier_exact"]) == 1 + top
+    assert kkt["equality_multiplier"] == float(1 + top)
+    assert rep.exact["optimum_exceeds_bound"] is False
+
+
+def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
+    def no_lp(r, k):
+        raise AssertionError("the linear-point LP ran although f'(0) > 0")
+
+    monkeypatch.setattr(region, "exact_kkt_at_linear_point", no_lp)
+    rep = maximize_product(6, 1)
+    assert rep.value > float(product_bound(6))
+
+
+def test_maximize_product_falls_back_to_slsqp(monkeypatch):
+    monkeypatch.setattr(region, "exact_kkt_at_linear_point", lambda r, k: None)
+    rep = maximize_product(9, 4)
+    assert "multipliers_exact" not in rep.kkt
+    assert rep.value == pytest.approx(float(product_bound(9)), rel=1e-9)
+    assert rep.status == "converged"
+
+
+@pytest.mark.parametrize("r", range(4, 17))
+def test_status_agrees_with_kkt(r):
+    for k in range(1, r // 2 + 1):
+        rep = maximize_product(r, k)
+        certified = rep.kkt["optimal"] and rep.kkt["residual"] < TOL_KKT
+        assert (rep.status == "converged") == certified, (r, k)
+
+
+def test_optimum_exceeds_bound_is_relative():
+    # r!/r^r is about 5e-13 at r = 31, so an absolute 1e-12 margin hid this
+    # 0.1% excess at k = floor(31/e), where f'(0) > 0
+    rep = maximize_product(31, 11, exact=True)
+    assert rep.value > rep.bound * (1 + 1e-6)
+    assert rep.exact["optimum_exceeds_bound"] is True
+    assert maximize_product(30, 11, exact=True).exact["optimum_exceeds_bound"] is False
 
 
 def test_kkt_certificate_at_optimum():
