@@ -1,150 +1,139 @@
 """Hot numeric kernels: replicator ascent and batch edge-polynomial evaluation.
 
-Two interchangeable backends:
+Pure numpy.  The edge polynomial's gradient is one matrix product: a 0/1
+matrix that maps each edge slot to its vertex (``slot_matrix``) times the
+leave-one-out products of every slot.  ``lagrangian._fixed_point_residual``
+uses the same gradient and residual, and the benchmark's traced run
+(``perfbench/run.py --trace 1``) times the kernels as the ``kernels.*``
+layer.
 
-* a numba ``@njit`` implementation (default when numba imports), and
-* a pure-numpy implementation, selected by setting ``TENTOPT_FORCE_NUMPY=1``.
+Replicator ascent stops each start on its own, for the first of four
+reasons (``STOP_REASONS``):
 
-Both expose the same functions; ``tests/test_kernels.py`` checks that they
-agree, and the benchmark's traced run (``perfbench/run.py --trace 1``) times
-them as the ``kernels.*`` layer.
+* ``certified``: the fixed-point (KKT) residual at the current point is
+  below ``CERTIFIED_RESIDUAL``;
+* ``delta``: the step moved no coordinate by ``tol`` or more;
+* ``reach``: every ``REACH_EVERY`` iterations, once some start has stopped
+  certified at value v*, a start whose value plus its mean gain over the
+  last ``REACH_EVERY`` iterations times the iterations left stays below
+  v* (1 - ``REACH_REL``) is dropped: it cannot catch up at its own pace;
+* ``cap``: it ran all ``iters`` iterations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("TENTOPT_FORCE_NUMPY", "") not in ("", "0")
+# a start stops when its fixed-point residual falls below this
+CERTIFIED_RESIDUAL = 1e-10
+# coordinates above this count as the support in the residual
+SUPPORT_TOL = 1e-9
+# the reach rule runs every REACH_EVERY iterations and keeps a start whose
+# projection comes within REACH_REL (relative) of the best certified value
+REACH_EVERY = 100
+REACH_REL = 1e-12
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+STOP_REASONS = ("certified", "delta", "reach", "cap")
+CERTIFIED, DELTA, REACH, CAP = range(len(STOP_REASONS))
 
 
 def backend_name() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-@njit(cache=True)
-def _replicator_batch_nb(edges, n, starts, iters, tol):
-    R = starts.shape[0]
+def slot_matrix(edges: np.ndarray, n: int) -> np.ndarray:
+    """0/1 matrix of shape (r m, n): row j m + e marks vertex edges[e, j]."""
     m, r = edges.shape
-    values = np.zeros(R)
-    xs = np.empty_like(starts)
-    for s in range(R):
-        x = starts[s].copy()
-        P = 0.0
-        for _ in range(iters):
-            P = 0.0
-            grad = np.zeros(n)
-            for e in range(m):
-                p = 1.0
-                for j in range(r):
-                    p *= x[edges[e, j]]
-                P += p
-                for j in range(r):
-                    xv = x[edges[e, j]]
-                    if xv > 0.0:
-                        grad[edges[e, j]] += p / xv
-            if P <= 1e-300:
-                # ascent direction vanished; restart from uniform
-                x = np.full(n, 1.0 / n)
-                continue
-            newx = x * grad / (r * P)
-            newx /= newx.sum()
-            delta = 0.0
-            for v in range(n):
-                d = abs(newx[v] - x[v])
-                if d > delta:
-                    delta = d
-            x = newx
-            if delta < tol:
-                break
-        # final objective at the fixed point reached
-        P = 0.0
-        for e in range(m):
-            p = 1.0
-            for j in range(r):
-                p *= x[edges[e, j]]
-            P += p
-        values[s] = P
-        xs[s] = x
-    return values, xs
+    S = np.zeros((r * m, n))
+    S[np.arange(r * m), edges.T.ravel()] = 1.0
+    return S
 
 
-def _leave_one_out(prods):
-    # prods: (..., r) factors; returns product over all but each position
-    r = prods.shape[-1]
-    left = np.ones_like(prods)
-    right = np.ones_like(prods)
+def _leave_one_out(f):
+    # f: (r, ...) factors; returns the product over all but each leading index
+    r = len(f)
+    out = np.empty_like(f)
+    out[0] = 1.0
     for j in range(1, r):
-        left[..., j] = left[..., j - 1] * prods[..., j - 1]
-        right[..., r - 1 - j] = right[..., r - j] * prods[..., r - j]
-    return left * right
+        np.multiply(out[j - 1], f[j - 1], out=out[j])
+    right = f[r - 1].copy()
+    for j in range(r - 2, -1, -1):
+        out[j] *= right
+        if j:
+            right *= f[j]
+    return out
+
+
+def edge_gradient(edges: np.ndarray, S: np.ndarray, Xt: np.ndarray):
+    """Edge polynomial and its gradient at each column of Xt, shape (n, R).
+
+    Points are columns so that each slot's factors, shape (m, R), are
+    contiguous.  Returns (P, shape (R,); grad, shape (n, R)).
+    """
+    factors = Xt[edges.T]  # (r, m, R)
+    loo = _leave_one_out(factors)
+    P = (factors[0] * loo[0]).sum(axis=0)
+    grad = S.T @ loo.reshape(-1, Xt.shape[1])
+    return P, grad
+
+
+def fixed_point_residual(Xt: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Per-column KKT violation of ``ratio = grad / (r P)``: it must be 1 on
+    the support (x > SUPPORT_TOL) and at most 1 off it."""
+    dev = ratio - 1.0
+    return np.where(Xt > SUPPORT_TOL, np.abs(dev), np.maximum(dev, 0.0)).max(axis=0)
 
 
 def _replicator_batch_np(edges, n, starts, iters, tol):
     R = starts.shape[0]
-    m, r = edges.shape
+    r = edges.shape[1]
+    S = slot_matrix(edges, n)
     X = starts.copy()
-    active = np.ones(R, dtype=bool)
-    for _ in range(iters):
-        if not active.any():
+    steps = np.full(R, iters, dtype=np.int64)
+    stop = np.full(R, CAP, dtype=np.int8)
+    # the running starts: their rows of X, their points as columns and, for
+    # the reach rule, their values at the last check
+    idx = np.arange(R)
+    Xt = X.T.copy()
+    checkpoint = np.empty(R)
+    best_certified = -np.inf
+    for it in range(iters):
+        if not len(idx):
             break
-        Xa = X[active]
-        factors = Xa[:, edges]  # (Ra, m, r)
-        loo = _leave_one_out(factors)
-        P = factors.prod(axis=2).sum(axis=1)
+        P, grad = edge_gradient(edges, S, Xt)
         dead = P <= 1e-300
         if dead.any():
-            Xa[dead] = 1.0 / n
-            factors = Xa[:, edges]
-            loo = _leave_one_out(factors)
-            P = factors.prod(axis=2).sum(axis=1)
-        grad = np.zeros((Xa.shape[0], n))
-        ra = np.repeat(np.arange(Xa.shape[0]), m)
-        for j in range(r):
-            np.add.at(grad, (ra, np.tile(edges[:, j], Xa.shape[0])), loo[..., j].ravel())
-        newX = Xa * grad / (r * P)[:, None]
-        newX /= newX.sum(axis=1, keepdims=True)
-        delta = np.abs(newX - Xa).max(axis=1)
-        idx = np.flatnonzero(active)
-        X[idx] = newX
-        active[idx[delta < tol]] = False
-    factors = X[:, edges]
-    values = factors.prod(axis=2).sum(axis=1)
-    return values, X
-
-
-@njit(cache=True)
-def _edge_poly_batch_nb(edges, points):
-    R = points.shape[0]
-    m, r = edges.shape
-    out = np.zeros(R)
-    for s in range(R):
-        total = 0.0
-        for e in range(m):
-            p = 1.0
-            for j in range(r):
-                p *= points[s, edges[e, j]]
-            total += p
-        out[s] = total
-    return out
+            # ascent direction vanished; restart from uniform
+            Xt[:, dead] = 1.0 / n
+            P, grad = edge_gradient(edges, S, Xt)
+        if it % REACH_EVERY == 0:
+            if it and best_certified > -np.inf:
+                gain = (P - checkpoint) / REACH_EVERY
+                behind = P + gain * (iters - it) < best_certified * (1 - REACH_REL)
+                if behind.any():
+                    X[idx[behind]] = Xt[:, behind].T
+                    steps[idx[behind]] = it
+                    stop[idx[behind]] = REACH
+                    keep = ~behind
+                    idx, Xt, P, grad = idx[keep], Xt[:, keep], P[keep], grad[:, keep]
+            checkpoint = P
+        ratio = grad / (r * P)
+        certified = fixed_point_residual(Xt, ratio) < CERTIFIED_RESIDUAL
+        newXt = Xt * ratio
+        newXt /= newXt.sum(axis=0)
+        done = certified | (np.abs(newXt - Xt).max(axis=0) < tol)
+        Xt = newXt
+        if done.any():
+            X[idx[done]] = Xt[:, done].T
+            steps[idx[done]] = it + 1
+            stop[idx[done]] = np.where(certified[done], CERTIFIED, DELTA)
+            if certified.any():
+                best_certified = max(best_certified, float(P[certified].max()))
+            keep = ~done
+            idx, Xt, checkpoint = idx[keep], Xt[:, keep], checkpoint[keep]
+    X[idx] = Xt.T
+    values = _edge_poly_batch_np(edges, X)
+    return values, X, steps, stop
 
 
 def _edge_poly_batch_np(edges, points):
@@ -153,11 +142,13 @@ def _edge_poly_batch_np(edges, points):
 
 def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
                      iters: int = 5000, tol: float = 1e-14):
-    """Run replicator ascent from each start; returns (values, end points)."""
+    """Run replicator ascent from each start.
+
+    Returns (values, end points, iterations run per start, stop reason per
+    start as an index into ``STOP_REASONS``).
+    """
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     starts = np.ascontiguousarray(starts, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _replicator_batch_nb(edges, n, starts, iters, tol)
     return _replicator_batch_np(edges, n, starts, iters, tol)
 
 
@@ -165,6 +156,4 @@ def edge_poly_batch(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the edge polynomial at each row of ``points``."""
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     points = np.ascontiguousarray(points, dtype=np.float64)
-    if _HAVE_NUMBA:
-        return _edge_poly_batch_nb(edges, points)
     return _edge_poly_batch_np(edges, points)

@@ -35,7 +35,6 @@ from .region import (
     TOL_REL,
     FeasiblePoint,
     ceil_r_over_e,
-    check_feasible,
     counterexample_point,
     floor_r_over_e,
     maximize_product,
@@ -173,6 +172,7 @@ def lagrangian_cmd(ctx, hypergraph, restarts):
         "witness": list(res.witness.weights),
         "status": res.status,
         "restarts_used": res.restarts_used,
+        "diagnostics": res.diagnostics,
     })
 
 
@@ -421,12 +421,11 @@ def report_counterexample_table(ctx, r_min, r_max, output):
             prod = math.prod(point.x)
             bound = product_bound(r)
             eps = 1 - r * point.x[0]  # x_1 = (1 - eps)/r
-            ok, _ = check_feasible(point.x, r, k, tol=0)
             rows.append({
                 "r": r,
                 "k": k,
                 "eps": str(eps),
-                "feasible_exact": ok,
+                "feasible_exact": point.is_exact,
                 "product": float(prod),
                 "bound": float(bound),
                 "margin": float(prod - bound),

@@ -10,17 +10,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import edge_poly_batch, replicator_batch
+from ._kernels import (
+    STOP_REASONS,
+    edge_gradient,
+    edge_poly_batch,
+    fixed_point_residual,
+    replicator_batch,
+    slot_matrix,
+)
 from .hypergraphs import Family, Hypergraph
 from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
 
 DEFAULT_RESTARTS = 200
 _SEED = 20240817
+# a start "reached the best" when its value is within this share of the best
+BEST_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +61,10 @@ class LagrangianResult:
     blowup_density: float
     status: str  # "converged" or "budget-limited"
     restarts_used: int
+    # how the starts ran: iterations per start (min, median, max), how many
+    # stopped for each reason in ``_kernels.STOP_REASONS``, and how many end
+    # within BEST_REL (relative) of the best value
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def _edge_array(H: Hypergraph) -> np.ndarray:
@@ -69,22 +82,23 @@ def edge_polynomial(H: Hypergraph, x: SimplexPoint) -> float:
 
 def _fixed_point_residual(edges: np.ndarray, r: int, x: np.ndarray) -> float:
     """Max KKT violation: derivative/(r P) must be 1 on the support, <= 1 off."""
-    factors = x[edges]
-    per_edge = factors.prod(axis=1)
-    P = per_edge.sum()
-    if P <= 0:
+    xt = x[:, None]
+    P, grad = edge_gradient(edges, slot_matrix(edges, len(x)), xt)
+    if P[0] <= 0:
         return math.inf
-    grad = np.zeros(len(x))
-    for j in range(edges.shape[1]):
-        others = per_edge / np.where(factors[:, j] > 0, factors[:, j], 1.0)
-        others = np.where(factors[:, j] > 0, others,
-                          np.prod(np.delete(factors, j, axis=1), axis=1))
-        np.add.at(grad, edges[:, j], others)
-    ratio = grad / (r * P)
-    support = x > 1e-9
-    res = max(np.abs(ratio[support] - 1.0).max(initial=0.0),
-              (ratio[~support] - 1.0).max(initial=0.0))
-    return float(res)
+    return float(fixed_point_residual(xt, grad / (r * P[0]))[0])
+
+
+def _diagnostics(values: np.ndarray, steps: np.ndarray, stops: np.ndarray) -> dict:
+    best = values.max()
+    counts = np.bincount(stops, minlength=len(STOP_REASONS))
+    return {
+        "iterations_min": int(steps.min()),
+        "iterations_median": float(np.median(steps)),
+        "iterations_max": int(steps.max()),
+        "stopped": {name: int(c) for name, c in zip(STOP_REASONS, counts)},
+        "reached_best": int((values >= best - BEST_REL * abs(best)).sum()),
+    }
 
 
 def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
@@ -93,7 +107,8 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
 
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
     point; deterministic for a fixed seed (restart results reduced by value,
-    then lexicographically smallest witness).
+    then lexicographically smallest witness).  Each start stops on its own
+    (see ``_kernels``); ``diagnostics`` says how.
     """
     if not H.edges:
         return LagrangianResult(0.0, SimplexPoint((1.0,) * max(H.n, 1)),
@@ -102,7 +117,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.full((1, H.n), 1.0 / H.n),
                         rng.dirichlet(np.ones(H.n), size=restarts)])
-    values, xs = replicator_batch(edges, H.n, starts, iters=20000, tol=tol)
+    values, xs, steps, stops = replicator_batch(edges, H.n, starts, iters=20000, tol=tol)
     order = np.argsort(-values)
     best = order[0]
     for idx in order:
@@ -120,6 +135,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
         blowup_density=math.factorial(H.r) * value,
         status=status,
         restarts_used=len(starts),
+        diagnostics=_diagnostics(values, steps, stops),
     )
 
 
@@ -156,7 +172,7 @@ def lagrangian_grid(H: Hypergraph, max_points: int = 200_000) -> float:
     edges = _edge_array(H)
     vals = edge_poly_batch(edges, grid)
     top = np.argsort(-vals)[:32]
-    values, _ = replicator_batch(edges, n, grid[top] + 1e-9, iters=20000, tol=1e-14)
+    values = replicator_batch(edges, n, grid[top] + 1e-9, iters=20000, tol=1e-14)[0]
     return float(max(vals.max(), values.max()))
 
 

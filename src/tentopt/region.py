@@ -101,7 +101,12 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
 
 @dataclass(frozen=True)
 class FeasiblePoint:
-    """A candidate region member; coordinates may be floats or Fractions."""
+    """A region member; coordinates may be floats or Fractions.
+
+    Construction checks feasibility and raises ValueError on a violation:
+    with no tolerance when every coordinate is rational (``is_exact``),
+    within TOL_FEAS otherwise.
+    """
 
     r: int
     k: int
@@ -110,12 +115,12 @@ class FeasiblePoint:
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
         ok, bad = check_feasible(self.x, self.r, self.k,
-                                 0 if self._exact else TOL_FEAS)
+                                 0 if self.is_exact else TOL_FEAS)
         if not ok:
             raise ValueError(f"point is not feasible: {bad}")
 
     @property
-    def _exact(self) -> bool:
+    def is_exact(self) -> bool:
         return all(isinstance(v, (Fraction, int)) for v in self.x)
 
     def as_floats(self) -> np.ndarray:
@@ -436,7 +441,8 @@ def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
 
     eps is halved until exact-rational feasibility and strict product
     improvement both hold; the positive linear coefficient guarantees
-    termination.
+    termination.  Each candidate is checked for feasibility once, exactly,
+    by constructing its FeasiblePoint.
     """
     if not 1 <= k < floor_r_over_e(r):
         raise ValueError(f"construction requires 1 <= k < {floor_r_over_e(r)} for r={r}")
@@ -451,9 +457,13 @@ def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
             else Fraction(i, r) + Fraction(r - i, r) * eps
             for i in range(1, r + 1)
         )
-        ok, _ = check_feasible(x, r, k, tol=0)
-        if ok and math.prod(x) > bound:
-            return FeasiblePoint(r=r, k=k, x=x)
+        try:
+            point = FeasiblePoint(r=r, k=k, x=x)
+        except ValueError:
+            pass  # infeasible: try a smaller bend
+        else:
+            if math.prod(x) > bound:
+                return point
         eps = eps / 2
 
 

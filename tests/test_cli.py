@@ -83,6 +83,9 @@ def test_lagrangian_command(tmp_path):
     d = json.loads(res.output)
     assert d["value"] == pytest.approx(1 / 3, abs=1e-8)
     assert d["status"] == "converged"
+    diag = d["diagnostics"]
+    assert sum(diag["stopped"].values()) == d["restarts_used"]
+    assert diag["reached_best"] >= 1 and diag["iterations_max"] >= diag["iterations_min"]
 
 
 def test_region_max_with_certificate(tmp_path):
@@ -219,6 +222,19 @@ def test_counterexample_table_csv():
     assert {"r", "k", "eps", "margin"} <= set(header)
     # rows exist exactly for k < floor(r/e): r=6,7,8 give k=1, r=9 gives k=1,2
     assert len(lines) - 1 == 5
+
+
+def test_counterexample_table_feasibility_checked_once(monkeypatch):
+    import tentopt.region as region
+    calls = []
+    real = region.check_feasible
+    monkeypatch.setattr(region, "check_feasible",
+                        lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    rows = json.loads(invoke("report", "counterexample-table",
+                             "--r-min", "6", "--r-max", "9").output)
+    assert all(row["feasible_exact"] is True for row in rows)
+    # one candidate per row: the default eps needs no halving here
+    assert len(calls) == len(rows) == 5
 
 
 def test_json_output_deterministic():

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -133,3 +134,46 @@ def test_density_monotone_hypothesis():
 
 def test_blowup_density_scale():
     assert blowup_density(K3) == pytest.approx(2 / 3, abs=1e-8)
+
+
+def _loop_residual(edges, r, x):
+    """Fixed-point residual with a per-slot gradient loop, independent of
+    the kernel's slot matrix."""
+    factors = x[edges]
+    P = factors.prod(axis=1).sum()
+    grad = np.zeros(len(x))
+    for j in range(edges.shape[1]):
+        np.add.at(grad, edges[:, j], np.prod(np.delete(factors, j, axis=1), axis=1))
+    ratio = grad / (r * P)
+    support = x > 1e-9
+    return max(np.abs(ratio[support] - 1.0).max(initial=0.0),
+               (ratio[~support] - 1.0).max(initial=0.0))
+
+
+@pytest.mark.parametrize("H", [K3, make_tent(3, 1), make_tent(4, 2), make_turan_graph(3, 6)],
+                         ids=lambda h: f"r{h.r}n{h.n}m{len(h.edges)}")
+def test_fixed_point_residual_agrees_with_loop(H):
+    lagmod = importlib.import_module("tentopt.lagrangian")
+    edges = lagmod._edge_array(H)
+    rng = np.random.default_rng(8)
+    points = list(rng.dirichlet(np.ones(H.n), size=10))
+    points.append(np.asarray(lagrangian(H, restarts=20).witness.weights))
+    zero = rng.dirichlet(np.ones(H.n))
+    zero[0] = 0.0
+    points.append(zero / zero.sum())
+    for x in points:
+        assert lagmod._fixed_point_residual(edges, H.r, x) == pytest.approx(
+            _loop_residual(edges, H.r, x), rel=1e-12, abs=1e-15)
+
+
+def test_lagrangian_diagnostics():
+    H = make_turan_graph(3, 6)
+    res = lagrangian(H, restarts=40)
+    d = res.diagnostics
+    assert sum(d["stopped"].values()) == res.restarts_used == 41
+    assert set(d["stopped"]) == {"certified", "delta", "reach", "cap"}
+    assert 1 <= d["iterations_min"] <= d["iterations_median"] <= d["iterations_max"] <= 20000
+    assert 1 <= d["reached_best"] <= res.restarts_used
+    # the diagnostics do not take part in equality
+    assert res == lagrangian(H, restarts=40)
+

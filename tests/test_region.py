@@ -367,3 +367,29 @@ def test_probe_floor_reports():
     assert rep.value >= float(product_bound(6)) - 1e-9
     rep3 = probe_floor_case(3)
     assert rep3.value == pytest.approx(6 / 27, abs=1e-6)
+
+
+def test_infeasible_exact_point_raises():
+    x = [Fraction(i, 6) for i in range(1, 7)]
+    x[0] += Fraction(1, 100)  # x_1 + x_1 > x_2
+    with pytest.raises(ValueError):
+        FeasiblePoint(r=6, k=1, x=tuple(x))
+    assert FeasiblePoint(r=6, k=1, x=tuple(Fraction(i, 6) for i in range(1, 7))).is_exact
+
+
+def test_counterexample_checks_each_candidate_once(monkeypatch):
+    """eps = 1 bends x_1 to 0, so halvings are needed; every candidate is
+    checked exactly once, with no tolerance."""
+    calls = []
+    real = region.check_feasible
+
+    def spy(x, r, k, tol=region.TOL_FEAS):
+        calls.append(tol)
+        return real(x, r, k, tol)
+
+    monkeypatch.setattr(region, "check_feasible", spy)
+    p = counterexample_point(9, 2, eps=1)
+    eps = 1 - 9 * p.x[0]
+    halvings = (Fraction(1) / eps).numerator.bit_length() - 1
+    assert Fraction(1, 2 ** halvings) == eps and halvings >= 1
+    assert calls == [0] * (halvings + 1)
