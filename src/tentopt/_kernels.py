@@ -16,7 +16,9 @@ reasons (``STOP_REASONS``):
 * ``reach``: every ``REACH_EVERY`` iterations, once some start has stopped
   certified at value v*, a start whose value plus its mean gain over the
   last ``REACH_EVERY`` iterations times the iterations left stays below
-  v* (1 - ``REACH_REL``) is dropped: it cannot catch up at its own pace;
+  v* (1 - ``REACH_REL``) is dropped: it cannot catch up at its own pace.
+  A start whose gain grew since the check before is kept, because it may
+  be leaving a saddle or a plateau and the projection underestimates it;
 * ``cap``: it ran all ``iters`` iterations.
 """
 
@@ -92,10 +94,12 @@ def _replicator_batch_np(edges, n, starts, iters, tol):
     steps = np.full(R, iters, dtype=np.int64)
     stop = np.full(R, CAP, dtype=np.int8)
     # the running starts: their rows of X, their points as columns and, for
-    # the reach rule, their values at the last check
+    # the reach rule, their values and gains at the last check (NaN until
+    # known, so no start is dropped before its gain was seen twice)
     idx = np.arange(R)
     Xt = X.T.copy()
-    checkpoint = np.empty(R)
+    checkpoint = np.full(R, np.nan)
+    last_gain = np.full(R, np.nan)
     best_certified = -np.inf
     for it in range(iters):
         if not len(idx):
@@ -107,16 +111,18 @@ def _replicator_batch_np(edges, n, starts, iters, tol):
             Xt[:, dead] = 1.0 / n
             P, grad = edge_gradient(edges, S, Xt)
         if it % REACH_EVERY == 0:
-            if it and best_certified > -np.inf:
-                gain = (P - checkpoint) / REACH_EVERY
-                behind = P + gain * (iters - it) < best_certified * (1 - REACH_REL)
+            gain = (P - checkpoint) / REACH_EVERY
+            if best_certified > -np.inf:
+                behind = ((gain <= last_gain)
+                          & (P + gain * (iters - it) < best_certified * (1 - REACH_REL)))
                 if behind.any():
                     X[idx[behind]] = Xt[:, behind].T
                     steps[idx[behind]] = it
                     stop[idx[behind]] = REACH
                     keep = ~behind
-                    idx, Xt, P, grad = idx[keep], Xt[:, keep], P[keep], grad[:, keep]
-            checkpoint = P
+                    idx, Xt, P, grad, gain = (idx[keep], Xt[:, keep], P[keep],
+                                              grad[:, keep], gain[keep])
+            checkpoint, last_gain = P, gain
         ratio = grad / (r * P)
         certified = fixed_point_residual(Xt, ratio) < CERTIFIED_RESIDUAL
         newXt = Xt * ratio
@@ -130,7 +136,8 @@ def _replicator_batch_np(edges, n, starts, iters, tol):
             if certified.any():
                 best_certified = max(best_certified, float(P[certified].max()))
             keep = ~done
-            idx, Xt, checkpoint = idx[keep], Xt[:, keep], checkpoint[keep]
+            idx, Xt = idx[keep], Xt[:, keep]
+            checkpoint, last_gain = checkpoint[keep], last_gain[keep]
     X[idx] = Xt.T
     values = _edge_poly_batch_np(edges, X)
     return values, X, steps, stop

@@ -16,7 +16,7 @@ import numpy as np
 
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
-from .lagrangian import LagrangianResult, lagrangian
+from .lagrangian import lagrangian
 from .region import check_feasible
 
 _SEED = 20240817
@@ -323,15 +323,15 @@ def _ascend(edges: np.ndarray, n: int, r: int, w0: np.ndarray,
     return val, w
 
 
-def entropic_density(H: Hypergraph, restarts: int = 100, seed: int = _SEED,
-                     lag: LagrangianResult | None = None) -> EntropicDensityResult:
+def entropic_density(H: Hypergraph, restarts: int = 100,
+                     seed: int = _SEED) -> EntropicDensityResult:
     """Maximum of 2^{H(X_1..X_r) - r H(X_1)} over edge distributions.
 
     The objective is a difference of concave terms, so ascent is multistart:
     Dirichlet starts plus a start seeded from the Lagrangian witness
     (w_e proportional to the product of witness weights on e, which is
-    optimal when the two densities coincide).  ``lag`` is H's Lagrangian
-    when the caller already has it; otherwise it is computed with ``seed``.
+    optimal when the two densities coincide).  ``seed`` drives both the
+    Dirichlet starts and the Lagrangian.
     """
     if not H.edges:
         raise ValueError("entropic density needs at least one edge")
@@ -339,10 +339,7 @@ def entropic_density(H: Hypergraph, restarts: int = 100, seed: int = _SEED,
     n, r = H.n, H.r
     m_edges = len(edges)
 
-    if lag is None:
-        lag = lagrangian(H, seed=seed)
-    elif len(lag.witness.weights) != n:
-        raise ValueError(f"lag has {len(lag.witness.weights)} weights, H has {n} vertices")
+    lag = lagrangian(H, seed=seed)
     xw = np.asarray(lag.witness.weights)
     seed_w = np.prod(np.clip(xw[edges], 1e-300, None), axis=1)
     seed_w /= seed_w.sum()

@@ -29,7 +29,7 @@ from tentopt.hypergraphs import (
     random_hypergraph,
     tent_family,
 )
-from tentopt.lagrangian import blowup_density, lagrangian
+from tentopt.lagrangian import blowup_density
 from tentopt.region import check_feasible
 
 K3 = make_tent(2, 1)
@@ -388,22 +388,6 @@ def test_hom_free_random_hosts_land_in_region():
         ok, bad = check_feasible(ratio_sequence(d).x, 3, 1, tol=1e-9)
         assert ok, bad
         done += 1
-
-
-def test_entropic_density_reuses_given_lagrangian(monkeypatch):
-    H = make_turan_graph(3, 6)
-    expect = entropic_density(H, restarts=10, seed=5)
-    lag = lagrangian(H, seed=5)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("lagrangian called although lag= was given")
-
-    monkeypatch.setattr(ent, "lagrangian", fail)
-    got = entropic_density(H, restarts=10, seed=5, lag=lag)
-    assert got.value == expect.value
-    assert got.witness.w == expect.witness.w
-    with pytest.raises(ValueError):
-        entropic_density(H, restarts=10, lag=lagrangian(K3))
 
 
 def test_entropic_density_passes_seed_to_lagrangian(monkeypatch):

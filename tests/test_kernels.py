@@ -137,17 +137,34 @@ def random_hosts(count, seed):
     return hosts
 
 
+# A 3-graph with a plateau: PLATEAU_STARTS[1] sits by the K4^(3) on
+# {2, 4, 5, 6} (value 1/16), where vertex 3 has ratio about 1.012, so its
+# weight of 1e-9 grows by about 1.2% a step and the start leaves for the
+# global maximum (0.0672760) only after some 1 500 iterations of tiny but
+# growing gain.  PLATEAU_STARTS[0] certifies at a lower local maximum
+# (0.0626175) after about 400 iterations.
+PLATEAU_HOST = [(0, 1, 4), (0, 1, 6), (0, 2, 3), (0, 2, 6), (0, 3, 5), (0, 3, 6),
+                (0, 4, 6), (0, 5, 6), (1, 3, 6), (1, 4, 6), (1, 5, 6), (2, 3, 4),
+                (2, 3, 6), (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
+PLATEAU_STARTS = [[0.216, 0.213, 0.0, 0.039, 0.213, 0.039, 0.279],
+                  [0.005, 0.0, 0.2475, 1e-9, 0.2475, 0.2475, 0.2525]]
+
+
 def test_early_stop_keeps_best_value():
-    """On 50 seeded random hosts the best value of the early-stopping kernel
-    is within 1e-9 (relative) of the ascent that stops only on delta."""
+    """On 50 seeded random hosts and on a host with a plateau the best value
+    of the early-stopping kernel is within 1e-9 (relative) of the ascent
+    that stops only on delta."""
     rng = np.random.default_rng(11)
+    cases = []
     for H in random_hosts(50, 10):
-        edges = _edge_array(H)
-        starts = np.vstack([np.full((1, H.n), 1.0 / H.n),
-                            rng.dirichlet(np.ones(H.n), size=20)])
-        values = _kernels.replicator_batch(edges, H.n, starts, iters=20000, tol=1e-12)[0]
-        ref = full_ascent(edges, H.n, starts, 20000, 1e-12)
-        assert values.max() == pytest.approx(ref.max(), rel=1e-9), H.sorted_edges
+        cases.append((_edge_array(H), H.n, np.vstack([
+            np.full((1, H.n), 1.0 / H.n), rng.dirichlet(np.ones(H.n), size=20)])))
+    starts = np.array(PLATEAU_STARTS)
+    cases.append((np.array(PLATEAU_HOST, dtype=np.int64), 7, starts / starts.sum(axis=1)[:, None]))
+    for edges, n, starts in cases:
+        values = _kernels.replicator_batch(edges, n, starts, iters=20000, tol=1e-12)[0]
+        ref = full_ascent(edges, n, starts, 20000, 1e-12)
+        assert values.max() == pytest.approx(ref.max(), rel=1e-9), edges.tolist()
 
 
 # a random 3-graph on which some starts crawl toward a worse local maximum
