@@ -35,6 +35,7 @@ from .lagrangian import (
 from .region import (
     FeasiblePoint,
     OptimizationReport,
+    RegionConstraints,
     SegmentDecomposition,
     check_feasible,
     counterexample_point,

@@ -18,11 +18,10 @@ import numpy as np
 from .region import (
     TOL_FEAS,
     TOL_REL,
+    RegionConstraints,
     ceil_r_over_e,
     check_feasible,
-    full_normal,
     product_bound,
-    tent_constraints,
     tight_constraints_at_linear_point,
 )
 
@@ -63,25 +62,6 @@ class Certificate:
             raise ValueError(f"malformed certificate: missing {missing}") from None
 
 
-def _constraint_value(label, x) -> float:
-    """Slack of the labeled constraint at x (x_0 = 0, x indexed from 1)."""
-    kind = label[0]
-    if kind == "tent":
-        _, i, j, s = label
-        return x[s - 1] - x[i - 1] - x[j - 1]
-    if kind == "monotone":
-        _, i, j = label
-        hi = 1.0 if j == len(x) + 1 else x[j - 1]
-        return hi - x[i - 1]
-    raise ValueError(f"unknown constraint kind {kind!r}")
-
-
-def _constraint_labels(r: int, k: int) -> set:
-    """Every constraint label of the (r, k) region, as tuples."""
-    return ({("tent", *t) for t in tent_constraints(r, k)}
-            | {("monotone", i, i + 1) for i in range(1, r)})
-
-
 def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
@@ -98,26 +78,7 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
 
     kkt = ev.get("kkt", {})
     if kkt.get("optimal"):
-        labels = kkt["active"]
-        mus = np.asarray(kkt["multipliers"], dtype=float)
-        nu = float(kkt["equality_multiplier"])
-        valid = _constraint_labels(r, k)
-        ok = all(tuple(lab) in valid for lab in labels)
-        checks.append(("active-labels-valid", ok, ""))
-        ok = len(mus) == len(labels) and bool((mus >= -1e-12).all())
-        checks.append(("multipliers-nonnegative", ok, f"min={mus.min(initial=0.0)}"))
-        slacks = [abs(_constraint_value(lab, x)) for lab in labels]
-        ok = all(s <= 1e-5 for s in slacks)
-        checks.append(("active-set-tight", ok, f"max slack={max(slacks, default=0.0)}"))
-        g = 1.0 / x
-        recon = np.zeros(r)
-        for lab, mu in zip(labels, mus):
-            recon += mu * full_normal(lab, r)
-        recon[r - 1] += nu
-        resid = float(np.linalg.norm(g - recon) / np.linalg.norm(g))
-        checks.append(("stationarity", resid < 1e-6, f"residual={resid}"))
-        if "multipliers_exact" in kkt:
-            checks.extend(_check_exact_kkt(r, x, value, kkt))
+        checks.extend(_check_kkt(RegionConstraints(r, k), x, value, kkt))
     else:
         checks.append(("kkt-payload-present", False, "no optimality payload"))
 
@@ -129,31 +90,56 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _check_exact_kkt(r: int, x, value: float, kkt: dict) -> list[tuple[str, bool, str]]:
+def _check_kkt(model: RegionConstraints, x, value: float,
+               kkt: dict) -> list[tuple[str, bool, str]]:
+    """Stationarity of the stored multipliers at x; a label outside the
+    region fails ``active-labels-valid`` and ends the checks, since its
+    row has no normal."""
+    labels = kkt["active"]
+    mus = np.asarray(kkt["multipliers"], dtype=float)
+    nu = float(kkt["equality_multiplier"])
+    try:
+        rows = [model.index(lab) for lab in labels]
+    except ValueError as exc:
+        return [("active-labels-valid", False, str(exc))]
+    checks = [("active-labels-valid", True, "")]
+    ok = len(mus) == len(labels) and bool((mus >= -1e-12).all())
+    checks.append(("multipliers-nonnegative", ok, f"min={mus.min(initial=0.0)}"))
+    slacks = np.abs(model.slack(x)[rows])
+    ok = bool((slacks <= 1e-5).all())
+    checks.append(("active-set-tight", ok, f"max slack={slacks.max(initial=0.0)}"))
+    g = 1.0 / x
+    recon = np.array(model.combine(rows, mus), dtype=float)
+    recon[-1] += nu
+    resid = float(np.linalg.norm(g - recon) / np.linalg.norm(g))
+    checks.append(("stationarity", resid < 1e-6, f"residual={resid}"))
+    if "multipliers_exact" in kkt:
+        checks.extend(_check_exact_kkt(model, rows, x, value, kkt))
+    return checks
+
+
+def _check_exact_kkt(model: RegionConstraints, rows, x, value: float,
+                     kkt: dict) -> list[tuple[str, bool, str]]:
     """Re-check exact multipliers at the exact linear point x_i = i/r, in
     Fractions and with no tolerance; the float fields must be their
     roundings."""
+    r = model.r
     point = [Fraction(i, r) for i in range(1, r + 1)]
-    labels = kkt["active"]
     mus = [Fraction(v) for v in kkt["multipliers_exact"]]
     nu = Fraction(kkt["equality_multiplier_exact"])
     checks = [
         ("exact-linear-point", [float(v) for v in point] == list(x), ""),
         ("exact-value", value == float(product_bound(r)), f"value={value}"),
     ]
-    ok = len(mus) == len(labels) and all(mu >= 0 for mu in mus)
+    ok = len(mus) == len(rows) and all(mu >= 0 for mu in mus)
     checks.append(("exact-multipliers-nonnegative", ok, ""))
     ok = ([float(mu) for mu in mus] == list(kkt["multipliers"])
           and float(nu) == kkt["equality_multiplier"])
     checks.append(("multipliers-match-exact", ok, ""))
-    ok = all(_constraint_value(lab, point) == 0 for lab in labels)
+    ok = bool((model.slack(point)[rows] == 0).all())
     checks.append(("exact-active-set-tight", ok, ""))
-    recon = [Fraction(0)] * r
-    for lab, mu in zip(labels, mus):
-        a = full_normal(lab, r)
-        for idx in np.flatnonzero(a):
-            recon[idx] += mu * int(a[idx])
-    recon[r - 1] += nu
+    recon = model.combine(rows, mus)
+    recon[-1] += nu
     ok = recon == [1 / v for v in point]
     checks.append(("exact-stationarity", ok, ""))
     return checks

@@ -17,7 +17,7 @@ import numpy as np
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
 from .lagrangian import lagrangian
-from .region import check_feasible
+from .region import RegionConstraints, check_feasible
 
 _SEED = 20240817
 
@@ -499,15 +499,12 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     dists.extend(EdgeDistribution(H, tuple(rng.dirichlet(np.ones(m))))
                  for _ in range(trials))
     dists.append(entropic_density(H, restarts=20, seed=seed).witness)
+    model = RegionConstraints(H.r, k)
     for d in dists:
         rs = ratio_sequence(d)
         ok, violations = check_feasible(rs.x, H.r, k, tol=1e-9)
-        slack = min((s for _, s in violations), default=math.inf)
-        x = list(rs.x)
-        for i in range(1, k + 1):
-            for j in range(i, H.r - i + 1):
-                slack = min(slack, x[i + j - 1] - x[i - 1] - x[j - 1])
-        worst = min(worst, slack)
+        tent_slack = model.slack(rs.x)[: model.n_tent].min()
+        worst = min(worst, tent_slack, *(s for _, s in violations))
         failures += 0 if ok else 1
         checked += 1
     return {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from scipy.optimize import linprog, minimize, nnls
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
 TOL_KKT = 1e-8
+TOL_ACT = 1e-6  # slack at or below which kkt_certificate treats a row as active
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 _SEED = 20240817
 
@@ -44,30 +46,79 @@ def floor_r_over_e(r: int) -> int:
     return math.floor(q)
 
 
-def tent_constraints(r: int, k: int):
-    """Index triples (i, j, i+j) of the pairwise sum constraints."""
-    for i in range(1, k + 1):
-        for j in range(i, r - i + 1):
-            yield i, j, i + j
+def tent_constraints(r: int, k: int) -> np.ndarray:
+    """Index triples (i, j, i+j) of the pairwise sum constraints, one row
+    each: i in [k] ascending, then j from i to r - i."""
+    return np.array([(i, j, i + j) for i in range(1, k + 1)
+                     for j in range(i, r - i + 1)]).reshape(-1, 3)
 
 
-def full_normal(label, r: int) -> np.ndarray:
-    """Integer normal in R^r of a labelled constraint a.x <= 0:
-    ("tent", i, j, s) is x_i + x_j - x_s, ("monotone", i, j) is x_i - x_j."""
-    row = np.zeros(r, dtype=np.int64)
-    kind = label[0]
-    if kind == "tent":
-        _, i, j, s = label
-        row[i - 1] += 1
-        row[j - 1] += 1
-        row[s - 1] -= 1
-    elif kind == "monotone":
-        _, i, j = label
-        row[i - 1] += 1
-        row[j - 1] -= 1
-    else:
-        raise ValueError(f"unknown constraint kind {kind!r}")
-    return row
+class RegionConstraints:
+    """The inequality rows A @ x <= 0 of the (r, k) region, over all r
+    coordinates.  ``labels`` lists the tent rows ("tent", i, j, i+j), that
+    is x_i + x_j - x_{i+j}, in ``tent_constraints`` order (the first
+    ``n_tent`` rows), then the monotone rows ("monotone", i, i+1), that is
+    x_i - x_{i+1}; ``A`` holds their integer normals.  x_r = 1 is the one
+    equality row, with normal e_r; x_1 > 0 is left to ``check_feasible``.
+    ``slack`` and ``combine`` read the two or three coordinates of each
+    row, so they work unchanged, and exactly, on Fractions.
+    """
+
+    def __init__(self, r: int, k: int):
+        if not 1 <= k <= r // 2:
+            raise ValueError(f"k must lie in [1, {r // 2}]")
+        self.r, self.k = r, k
+        # 0-based coordinates of the tent rows, one array per column
+        self._i, self._j, self._s = tent_constraints(r, k).T - 1
+        self.n_tent = len(self._i)
+
+    @cached_property
+    def labels(self) -> list:
+        tents = zip(self._i.tolist(), self._j.tolist(), self._s.tolist())
+        return ([("tent", i + 1, j + 1, s + 1) for i, j, s in tents]
+                + [("monotone", i, i + 1) for i in range(1, self.r)])
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        E = np.eye(self.r, dtype=np.int64)
+        return np.vstack([E[self._i] + E[self._j] - E[self._s], E[:-1] - E[1:]])
+
+    @cached_property
+    def _row_of(self) -> dict:
+        return {label: t for t, label in enumerate(self.labels)}
+
+    def index(self, label) -> int:
+        """Row of a label; ValueError if it is not a row of this region."""
+        try:
+            return self._row_of[tuple(label)]
+        except KeyError:
+            raise ValueError(
+                f"{label!r} is not a constraint of the ({self.r}, {self.k}) region") from None
+
+    def slack(self, x) -> np.ndarray:
+        """-A @ x for every row, nonnegative on the region: a float array for
+        float x, an object array of exact values for Fractions."""
+        x = np.asarray(x)
+        return np.concatenate([x[self._s] - x[self._i] - x[self._j], x[1:] - x[:-1]])
+
+    def combine(self, rows, weights) -> list:
+        """sum_t weights[t] * A[rows[t]] as a list of r coordinates."""
+        out = [0] * self.r
+        for t, w in zip(rows, weights):
+            if t < self.n_tent:
+                out[self._i[t]] += w
+                out[self._j[t]] += w
+                out[self._s[t]] -= w
+            else:
+                out[t - self.n_tent] += w
+                out[t - self.n_tent + 1] -= w
+        return out
+
+
+def _describe(label) -> str:
+    if label[0] == "tent":
+        return "x_{} + x_{} <= x_{}".format(*label[1:])
+    return "x_{} <= x_{}".format(*label[1:])
 
 
 def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
@@ -78,24 +129,15 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
     """
     if len(x) != r:
         raise ValueError(f"expected {r} coordinates, got {len(x)}")
-    if not 1 <= k <= r // 2:
-        raise ValueError(f"k must lie in [1, {r // 2}]")
-    x = list(x)
+    model = RegionConstraints(r, k)
     violations = []
     if x[0] <= 0:
         violations.append(("x_1 > 0", x[0]))
-    last = x[r - 1]
-    if abs(last - 1) > tol:
-        violations.append(("x_r = 1", -abs(last - 1)))
-    for i in range(r - 1):
-        slack = x[i + 1] - x[i]
-        if slack < -tol:
-            violations.append((f"x_{i + 1} <= x_{i + 2}", slack))
-    for i, j, s in tent_constraints(r, k):
-        xs = 1 if s == r else x[s - 1]
-        slack = xs - x[i - 1] - x[j - 1]
-        if slack < -tol:
-            violations.append((f"x_{i} + x_{j} <= x_{s}", slack))
+    if abs(x[r - 1] - 1) > tol:
+        violations.append(("x_r = 1", -abs(x[r - 1] - 1)))
+    slack = model.slack(x)
+    for t in np.flatnonzero(slack < -tol):
+        violations.append((_describe(model.labels[t]), slack[t]))
     return not violations, violations
 
 
@@ -149,45 +191,13 @@ def product_bound(r: int) -> Fraction:
 def tight_constraints_at_linear_point(r: int, k: int) -> bool:
     """Exact-rational check that x_i = i/r is feasible with every pairwise
     sum constraint tight."""
-    x = [Fraction(i, r) for i in range(1, r + 1)]
-    ok, _ = check_feasible(x, r, k, tol=0)
-    if not ok:
-        return False
-    return all(x[i - 1] + x[j - 1] == (1 if s == r else x[s - 1])
-               for i, j, s in tent_constraints(r, k))
+    model = RegionConstraints(r, k)
+    slack = model.slack([Fraction(i, r) for i in range(1, r + 1)])
+    return bool((slack[: model.n_tent] == 0).all() and (slack >= 0).all())
 
 
 # ---------------------------------------------------------------------------
 # product maximization
-
-
-def _constraint_matrix(r: int, k: int):
-    """Rows A, b with A @ x[:r-1] <= b over free coordinates x_1..x_{r-1}."""
-    m = r - 1
-    rows, rhs, labels = [], [], []
-    for i, j, s in tent_constraints(r, k):
-        row = np.zeros(m)
-        b = 0.0
-        for idx, c in ((i, 1.0), (j, 1.0), (s, -1.0)):
-            if idx <= m:
-                row[idx - 1] += c
-            else:
-                b -= c
-        rows.append(row)
-        rhs.append(b)
-        labels.append(("tent", i, j, s))
-    for i in range(1, r):
-        row = np.zeros(m)
-        row[i - 1] = 1.0
-        if i < m:
-            row[i] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        else:
-            rows.append(row)
-            rhs.append(1.0)
-        labels.append(("monotone", i, i + 1))
-    return np.array(rows), np.array(rhs), labels
 
 
 def random_feasible_point(r: int, k: int, rng) -> FeasiblePoint:
@@ -223,14 +233,13 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
     linear point's feasibility/tightness and the product comparison are
     re-checked in rational arithmetic.
     """
-    if not 1 <= k <= r // 2:
-        raise ValueError(f"k must lie in [1, {r // 2}]")
+    model = RegionConstraints(r, k)
     bound = product_bound(r)
     cert = exact_kkt_at_linear_point(r, k) if fprime_zero(r, k) <= 0 else None
     if cert is not None:
         point, value = linear_point(r, k), float(bound)
     else:
-        z, value = _slsqp_multistart(r, k, restarts, seed)
+        z, value = _slsqp_multistart(model, restarts, seed)
         point = FeasiblePoint(r=r, k=k, x=tuple(np.append(z, 1.0)))
         cert = kkt_certificate(point)
     optimal = cert["optimal"] and cert["residual"] < TOL_KKT
@@ -252,11 +261,15 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
     )
 
 
-def _slsqp_multistart(r: int, k: int, restarts: int, seed: int):
-    """Best feasible SLSQP solve of max sum(log x_i) over the free
-    coordinates x_1..x_{r-1}: (those coordinates, their product)."""
-    A, b, _ = _constraint_matrix(r, k)
+def _slsqp_multistart(model: RegionConstraints, restarts: int, seed: int):
+    """Best SLSQP solve of max sum(log x_i) over the free coordinates
+    x_1..x_{r-1}: (those coordinates, their product).  A solve is kept only
+    if no slack is below -TOL_FEAS, the test ``FeasiblePoint`` applies."""
+    r, k = model.r, model.k
     m = r - 1
+    # x_r = 1 moves the last column of A @ x <= 0 to the right-hand side
+    A = model.A[:, :m].astype(float)
+    b = -model.A[:, m].astype(float)
 
     def objective(z):
         return -np.sum(np.log(z))
@@ -282,7 +295,7 @@ def _slsqp_multistart(r: int, k: int, restarts: int, seed: int):
                            constraints=cons,
                            options={"maxiter": 500, "ftol": 1e-14})
         z = np.clip(res.x, 1e-12, 1.0)
-        if (A @ z - b).max() > 1e-7:
+        if model.slack(np.append(z, 1.0)).min() < -TOL_FEAS:
             continue
         val = math.exp(-objective(z))
         if val > best_val:
@@ -336,30 +349,26 @@ def exact_kkt_at_linear_point(r: int, k: int) -> dict | None:
     the format of ``kkt_certificate`` (residual 0, ``active`` the support)
     plus the multipliers as exact strings.
     """
-    labels = [("tent", i, j, s) for i, j, s in tent_constraints(r, k)]
-    normals = [full_normal(lab, r) for lab in labels]
-    N = np.array(normals)[:, : r - 1].T
-    res = linprog(np.ones(len(labels)), A_eq=N, b_eq=r / np.arange(1, r),
-                  bounds=(0, None), method="highs-ds")
+    model = RegionConstraints(r, k)
+    tents = model.A[: model.n_tent]
+    res = linprog(np.ones(model.n_tent), A_eq=tents[:, : r - 1].T,
+                  b_eq=r / np.arange(1, r), bounds=(0, None), method="highs-ds")
     if res.status != 0:
         return None
     support = np.flatnonzero(res.x > 0)
     g = [Fraction(r, i) for i in range(1, r + 1)]
-    mus = _solve_rational([normals[t][: r - 1] for t in support], g[: r - 1])
+    mus = _solve_rational([tents[t, : r - 1] for t in support], g[: r - 1])
     if mus is None or any(mu < 0 for mu in mus):
         return None
     kept = [(t, mu) for t, mu in zip(support, mus) if mu]
-    lhs = [Fraction(0)] * r
-    for t, mu in kept:
-        for idx in np.flatnonzero(normals[t]):
-            lhs[idx] += mu * int(normals[t][idx])
+    lhs = model.combine([t for t, _ in kept], [mu for _, mu in kept])
     if lhs[: r - 1] != g[: r - 1]:
         return None
     nu = g[r - 1] - lhs[r - 1]  # the x_r = 1 multiplier closes coordinate r
     return {
         "optimal": True,
         "residual": 0.0,
-        "active": [list(labels[t]) for t, _ in kept],
+        "active": [list(model.labels[t]) for t, _ in kept],
         "multipliers": [float(mu) for _, mu in kept],
         "equality_multiplier": float(nu),
         "multipliers_exact": [str(mu) for _, mu in kept],
@@ -367,50 +376,46 @@ def exact_kkt_at_linear_point(r: int, k: int) -> dict | None:
     }
 
 
-def kkt_certificate(point: FeasiblePoint, act_tol: float = 1e-6) -> dict:
-    """Express the log-product gradient in the active normal cone.
+def kkt_certificate(point: FeasiblePoint) -> dict:
+    """Express the log-product gradient in the cone of the constraints
+    active at the point (slack at most TOL_ACT) and the x_r = 1 row.
 
     Returns multipliers and the stationarity residual when the point is
     optimal; otherwise a feasible improving direction with positive
     directional derivative.
     """
-    r, k = point.r, point.k
+    r = point.r
+    model = RegionConstraints(r, point.k)
     x = point.as_floats()
-    A, b, labels = _constraint_matrix(r, k)
-    z = x[: r - 1]
     g = 1.0 / x  # gradient of sum(log x_i), all r coordinates
-
-    # full-dimensional normals (coordinate r included, equality x_r = 1 too)
-    slack = b - A @ z
-    active_labels = [lab for lab, s in zip(labels, slack) if s <= act_tol]
-    full_rows = [full_normal(lab, r).astype(float) for lab in active_labels]
+    active = np.flatnonzero(model.slack(x) <= TOL_ACT)
+    labels = [list(model.labels[t]) for t in active]
+    normals = model.A[active].astype(float)
+    n_ineq = len(active)
     eq = np.zeros(r)
     eq[r - 1] = 1.0
 
     # nnls over inequality multipliers; equality multiplier is free (split)
-    basis = np.column_stack(full_rows + [eq, -eq]) if full_rows else np.column_stack([eq, -eq])
-    mu, resid = nnls(basis, g)
+    mu, resid = nnls(np.column_stack([normals.T, eq, -eq]), g)
     residual = resid / max(np.linalg.norm(g), 1.0)
     if residual < TOL_KKT:
-        n_ineq = len(full_rows)
         return {
             "optimal": True,
             "residual": float(residual),
-            "active": [list(lab) for lab in active_labels],
+            "active": labels,
             "multipliers": [float(v) for v in mu[:n_ineq]],
             "equality_multiplier": float(mu[n_ineq] - mu[n_ineq + 1]),
         }
 
     # improving direction: max g.d subject to active normals, |d| <= 1
-    A_ub = np.array(full_rows) if full_rows else np.zeros((0, r))
-    res = linprog(-g, A_ub=A_ub if len(A_ub) else None,
-                  b_ub=np.zeros(len(A_ub)) if len(A_ub) else None,
+    res = linprog(-g, A_ub=normals if n_ineq else None,
+                  b_ub=np.zeros(n_ineq) if n_ineq else None,
                   A_eq=eq[None, :], b_eq=[0.0], bounds=[(-1, 1)] * r)
     direction = res.x if res.status == 0 else None
     return {
         "optimal": False,
         "residual": float(residual),
-        "active": [list(lab) for lab in active_labels],
+        "active": labels,
         "improving_direction": None if direction is None else [float(v) for v in direction],
         "directional_derivative": float(g @ direction) if direction is not None else None,
     }
@@ -665,5 +670,4 @@ def probe_floor_case(r: int) -> OptimizationReport:
     k = floor_r_over_e(r)
     if k < 1:
         raise ValueError(f"floor(r/e) < 1 for r={r}")
-    k = min(k, r // 2)
     return maximize_product(r, k)

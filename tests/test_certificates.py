@@ -165,6 +165,17 @@ def test_tampered_exact_multiplier_fails_named_check():
     assert v["multipliers-match-exact"] is False
 
 
+@pytest.mark.parametrize("label", [["tent", 1, 1, 99], ["tent", 9, 9, 18], ["sum", 1, 2],
+                                   ["monotone", 1, 3]])
+def test_label_outside_region_fails_named_check(label):
+    cert = theorem_certificate(9)
+    ev = evidence_copy(cert)
+    ev["kkt"]["active"][0] = label
+    passed, v = verdicts(cert, ev)
+    assert not passed
+    assert v.get("active-labels-valid") is False or v.get("evidence-well-formed") is False
+
+
 def test_value_matches_point_is_relative():
     # r!/r^r is about 1.3e-12 at r = 30: an absolute 1e-9 accepted 0.0
     cert = theorem_certificate(30)

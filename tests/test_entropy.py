@@ -30,7 +30,7 @@ from tentopt.hypergraphs import (
     tent_family,
 )
 from tentopt.lagrangian import blowup_density
-from tentopt.region import check_feasible
+from tentopt.region import RegionConstraints, check_feasible
 
 K3 = make_tent(2, 1)
 
@@ -373,6 +373,26 @@ def test_verify_ratio_constraints_turan_host():
 def test_verify_ratio_constraints_rejects_tent_hosts():
     with pytest.raises(ValueError):
         verify_ratio_constraints(make_tent(4, 1), tent_family(4, 1), trials=1)
+
+
+@pytest.mark.parametrize("host, k", [(single_edge(5), 2), (make_turan_graph(4, 8), 2),
+                                     (make_turan_graph(3, 6), 1)])
+def test_worst_slack_is_min_of_model_tent_slacks(monkeypatch, host, k):
+    checked = []
+    real = ent.check_feasible
+
+    def spy(x, r, k, tol):
+        checked.append(list(x))
+        return real(x, r, k, tol)
+
+    monkeypatch.setattr(ent, "check_feasible", spy)
+    rep = verify_ratio_constraints(host, tent_family(host.r, k), trials=10,
+                                   assume_hom_free=True)
+    assert rep["checked"] == len(checked) == 12
+    model = RegionConstraints(host.r, k)
+    tents = model.A[: model.n_tent].astype(float)
+    expected = min((-tents @ np.array(x)).min() for x in checked)
+    assert rep["worst_slack"] == pytest.approx(expected, rel=0, abs=1e-15)
 
 
 def test_hom_free_random_hosts_land_in_region():

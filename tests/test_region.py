@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 import tentopt.region as region
 from tentopt.region import (
+    TOL_FEAS,
     TOL_KKT,
+    TOL_REL,
     FeasiblePoint,
+    RegionConstraints,
     bisect_perturbation_eps,
     ceil_r_over_e,
     check_feasible,
@@ -17,7 +20,6 @@ from tentopt.region import (
     exact_kkt_at_linear_point,
     floor_r_over_e,
     fprime_zero,
-    full_normal,
     kkt_certificate,
     linear_point,
     maximize_product,
@@ -110,19 +112,50 @@ def test_maximize_validates_k():
         maximize_product(6, 4)
 
 
-def test_full_normal():
-    assert full_normal(("tent", 2, 2, 4), 5).tolist() == [0, 2, 0, -1, 0]
-    assert full_normal(("tent", 1, 3, 4), 4).tolist() == [1, 0, 1, -1]
-    assert full_normal(("monotone", 4, 5), 5).tolist() == [0, 0, 0, 1, -1]
-    with pytest.raises(ValueError):
-        full_normal(("sum", 1, 2), 4)
+@pytest.mark.parametrize("r", [4, 9, 40])
+def test_region_constraints_model(r):
+    for k in range(1, r // 2 + 1):
+        model = RegionConstraints(r, k)
+        n_tent = sum(r - 2 * i + 1 for i in range(1, k + 1))
+        assert model.n_tent == n_tent
+        assert len(model.labels) == model.A.shape[0] == n_tent + r - 1
+        assert model.A.shape[1] == r
+        assert model.A[:n_tent].sum(axis=1).tolist() == [1] * n_tent
+        assert model.A[n_tent:].sum(axis=1).tolist() == [0] * (r - 1)
+        assert all(lab[0] == "tent" for lab in model.labels[:n_tent])
+        x = linear_point(r, k, exact=True).x
+        slack = model.slack(x)
+        assert list(slack[:n_tent]) == [0] * n_tent
+        assert list(slack[n_tent:]) == [Fraction(1, r)] * (r - 1)
+        # slack is -A @ x, in exact arithmetic
+        assert [-sum(int(a) * v for a, v in zip(row, x)) for row in model.A] == list(slack)
+        assert all(model.index(lab) == t for t, lab in enumerate(model.labels))
 
 
-def _exact_residual(r, kkt):
+def test_region_constraints_lookup():
+    def normal(label, r, k):
+        model = RegionConstraints(r, k)
+        return model.A[model.index(label)].tolist()
+
+    assert normal(("tent", 2, 2, 4), 5, 2) == [0, 2, 0, -1, 0]
+    assert normal(["tent", 1, 3, 4], 4, 1) == [1, 0, 1, -1]
+    assert normal(("monotone", 4, 5), 5, 2) == [0, 0, 0, 1, -1]
+    model = RegionConstraints(4, 1)
+    for label in [("sum", 1, 2), ("tent", 2, 2, 4), ("tent", 1, 1, 99), ("monotone", 1, 3)]:
+        with pytest.raises(ValueError):
+            model.index(label)
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            RegionConstraints(6, k)
+
+
+def _exact_residual(r, k, kkt):
     """Exact gradient minus the cone combination, coordinates 1..r."""
+    model = RegionConstraints(r, k)
     out = [Fraction(r, i) for i in range(1, r + 1)]
     for label, mu in zip(kkt["active"], kkt["multipliers_exact"]):
-        out = [o - Fraction(mu) * int(a) for o, a in zip(out, full_normal(label, r))]
+        row = model.A[model.index(label)]
+        out = [o - Fraction(mu) * int(a) for o, a in zip(out, row)]
     out[r - 1] -= Fraction(kkt["equality_multiplier_exact"])
     return out
 
@@ -136,7 +169,7 @@ def test_exact_kkt_certifies_every_theorem_row():
         assert all(mu > 0 for mu in mus), r
         assert len(mus) == len(kkt["active"]) <= r - 1  # a vertex of the cone
         assert all(lab[0] == "tent" and lab[1] <= k for lab in kkt["active"])
-        assert not any(_exact_residual(r, kkt)), r
+        assert not any(_exact_residual(r, k, kkt)), r
         assert kkt["multipliers"] == [float(mu) for mu in mus]
         assert kkt["optimal"] and kkt["residual"] == 0.0
 
@@ -193,6 +226,18 @@ def test_status_agrees_with_kkt(r):
         rep = maximize_product(r, k)
         certified = rep.kkt["optimal"] and rep.kkt["residual"] < TOL_KKT
         assert (rep.status == "converged") == certified, (r, k)
+
+
+@pytest.mark.parametrize("r, k", [(23, 1), (34, 10), (40, 4)])
+def test_slsqp_solves_accepted_at_tol_feas(r, k):
+    # SLSQP solves here violate a tent row by more than TOL_FEAS (but less
+    # than 1e-7); they used to be kept and then rejected by FeasiblePoint
+    rep = maximize_product(r, k, seed=1)
+    ok, bad = check_feasible(rep.argmax.x, r, k, TOL_FEAS)
+    assert ok, bad
+    assert rep.value >= (1 - TOL_REL) * float(math.prod(counterexample_point(r, k).x))
+    certified = rep.kkt["optimal"] and rep.kkt["residual"] < TOL_KKT
+    assert (rep.status == "converged") == certified
 
 
 def test_optimum_exceeds_bound_is_relative():
@@ -393,3 +438,43 @@ def test_counterexample_checks_each_candidate_once(monkeypatch):
     halvings = (Fraction(1) / eps).numerator.bit_length() - 1
     assert Fraction(1, 2 ** halvings) == eps and halvings >= 1
     assert calls == [0] * (halvings + 1)
+
+
+# -- every consumer reads the same constraint rows ---------------------------
+
+
+def _expected_violations(model, x, tol):
+    """(description, slack) of every row with -A @ x < -tol, from the dense
+    normals and plain Python sums."""
+    out = []
+    for label, row in zip(model.labels, model.A):
+        slack = -sum(int(a) * v for a, v in zip(row, x))
+        if slack < -tol:
+            if label[0] == "tent":
+                out.append((f"x_{label[1]} + x_{label[2]} <= x_{label[3]}", slack))
+            else:
+                out.append((f"x_{label[1]} <= x_{label[2]}", slack))
+    return out
+
+
+@pytest.mark.parametrize("r, k", [(5, 2), (9, 3), (12, 1), (12, 6)])
+def test_check_feasible_reports_model_rows(r, k):
+    rng = np.random.default_rng(r * 100 + k)
+    model = RegionConstraints(r, k)
+    base = np.arange(1, r + 1) / r
+    for trial in range(40):
+        x = base + rng.normal(scale=[0.0, 1e-9, 1e-3, 1e-1][trial % 4], size=r)
+        if trial % 8 < 4:
+            x = np.sort(x)  # only tent rows can fail
+        x[0] = abs(x[0])
+        x[-1] = 1.0
+        if trial % 3 == 0:
+            x = [Fraction(v).limit_denominator(10**6) for v in x[:-1]] + [Fraction(1)]
+            tol = 0
+        else:
+            tol = TOL_FEAS
+        ok, bad = check_feasible(x, r, k, tol)
+        want = _expected_violations(model, x, tol)
+        assert [name for name, _ in bad] == [name for name, _ in want]
+        assert all(abs(got - exp) <= 1e-15 for (_, got), (_, exp) in zip(bad, want))
+        assert ok == (not want)
