@@ -30,7 +30,7 @@ from .hypergraphs import (
     make_tent,
     tent_family,
 )
-from .lagrangian import lagrangian
+from .lagrangian import _SEED, lagrangian
 from .region import (
     TOL_REL,
     FeasiblePoint,
@@ -63,7 +63,8 @@ def _budget(ctx) -> SearchBudget:
 
 
 @click.group()
-@click.option("--seed", default=42, show_default=True, help="Seed for every randomized step.")
+@click.option("--seed", default=_SEED, show_default=True,
+              help="Seed of the Lagrangian starts, entropic ascent and ratio-constraint sampler.")
 @click.option("--timeout", default=60.0, show_default=True, help="Search budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
@@ -193,6 +194,8 @@ def _report_payload(rep) -> dict:
         "kkt": rep.kkt,
         "status": rep.status,
         "exact": rep.exact,
+        # wall seconds would make the output differ from run to run
+        "diagnostics": {k: v for k, v in rep.diagnostics.items() if k != "seconds"},
     }
 
 
@@ -204,7 +207,7 @@ def _report_payload(rep) -> dict:
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def region_max(ctx, r, k, exact, certificate, output):
-    rep = maximize_product(r, k, seed=ctx.obj["seed"], exact=exact)
+    rep = maximize_product(r, k, exact=exact)
     payload = _report_payload(rep)
     _emit(payload, output)
     if certificate:
@@ -377,7 +380,7 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
         if k > r // 2:
             rows.append({"r": r, "note": f"skipped: ceil(r/e)={k} exceeds floor(r/2)"})
             continue
-        rep = maximize_product(r, k, seed=ctx.obj["seed"], exact=True)
+        rep = maximize_product(r, k, exact=True)
         bound = product_bound(r)
         dev = float(np.abs(rep.argmax.as_floats()
                            - np.arange(1, r + 1) / r).max())

@@ -16,10 +16,8 @@ import numpy as np
 
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
-from .lagrangian import lagrangian
+from .lagrangian import _SEED, lagrangian
 from .region import RegionConstraints, check_feasible
-
-_SEED = 20240817
 
 
 def _canon_law(outcomes, probs):

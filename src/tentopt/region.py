@@ -2,10 +2,11 @@
 
 The region for parameters (r, k) consists of vectors 0 < x_1 <= ... <= x_r = 1
 with x_i + x_j <= x_{i+j} for every i in [k] and i <= j <= r - i (x_0 = 0
-implicitly).  The product of coordinates is maximized by solving the concave
-program max sum(log x_i); segment structure, KKT certificates, the
-improving perturbation, and the below-threshold counterexample construction
-all live here.
+implicitly).  The product of coordinates is maximized by solving the strictly
+concave program max sum(log x_i) once: SLSQP, then Newton's method on the
+face it ends on.  Segment structure, KKT certificates, the improving
+perturbation and the below-threshold counterexample construction also live
+here.
 
 Closed-form points (the linear point x_i = i/r and counterexample points
 with rational epsilon) are re-checked in exact rational arithmetic; when
@@ -15,13 +16,14 @@ the linear point is optimal its KKT multipliers are exact Fractions.
 from __future__ import annotations
 
 import math
-import warnings
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize, nnls
 
 TOL_FEAS = 1e-9
@@ -29,7 +31,6 @@ TOL_SEG = 1e-7
 TOL_KKT = 1e-8
 TOL_ACT = 1e-6  # slack at or below which kkt_certificate treats a row as active
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
-_SEED = 20240817
 
 
 def ceil_r_over_e(r: int) -> int:
@@ -200,15 +201,6 @@ def tight_constraints_at_linear_point(r: int, k: int) -> bool:
 # product maximization
 
 
-def random_feasible_point(r: int, k: int, rng) -> FeasiblePoint:
-    """Random region member from sorted-increment sampling: nondecreasing
-    coordinate gaps make every pairwise sum constraint hold."""
-    gaps = np.sort(rng.exponential(size=r) + 1e-3)
-    x = np.cumsum(gaps)
-    x /= x[-1]
-    return FeasiblePoint(r=r, k=k, x=tuple(x))
-
-
 @dataclass(frozen=True)
 class OptimizationReport:
     value: float
@@ -217,31 +209,40 @@ class OptimizationReport:
     kkt: dict
     status: str
     exact: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
-                     exact: bool = False) -> OptimizationReport:
+def maximize_product(r: int, k: int, seed=None, exact: bool = False) -> OptimizationReport:
     """Global maximum of prod x_i over the region.
 
     When f'(0) <= 0 the linear point x_i = i/r is tried first, and if
     ``exact_kkt_at_linear_point`` certifies it no nonlinear solve runs.
-    Otherwise (always when f'(0) > 0, where the bend of
-    ``counterexample_point`` improves on i/r) SLSQP maximizes the strictly
-    concave sum of logs from several starts, so any KKT point is the unique
-    global optimum.  ``status`` is "converged" exactly when the report's KKT
-    certificate is optimal with residual below TOL_KKT.  With ``exact`` the
-    linear point's feasibility/tightness and the product comparison are
-    re-checked in rational arithmetic.
+    Otherwise ``_solve_on_face`` solves the strictly concave program
+    max sum(log x_i) once; a KKT point is its unique global optimum.
+    ``status`` is "converged" exactly when the report's KKT certificate is
+    optimal with residual below TOL_KKT.  With ``exact`` the linear point's
+    feasibility/tightness and the product comparison are re-checked in
+    rational arithmetic.  ``diagnostics``: the path taken, solver counts,
+    wall seconds per phase.  ``seed`` has no effect; nothing is random.
     """
     model = RegionConstraints(r, k)
     bound = product_bound(r)
+    seconds, clock = {}, [time.perf_counter()]
+
+    def lap(phase):  # wall seconds since the previous lap
+        clock.append(time.perf_counter())
+        seconds[phase] = clock[-1] - clock[-2]
+
     cert = exact_kkt_at_linear_point(r, k) if fprime_zero(r, k) <= 0 else None
+    lap("exact")
     if cert is not None:
         point, value = linear_point(r, k), float(bound)
+        diagnostics = {"path": "exact-linear-point"}
     else:
-        z, value = _slsqp_multistart(model, restarts, seed)
+        z, diagnostics = _solve_on_face(model, lap)
         point = FeasiblePoint(r=r, k=k, x=tuple(np.append(z, 1.0)))
-        cert = kkt_certificate(point)
+        value, cert = float(np.prod(z)), kkt_certificate(point)
+        lap("kkt")
     optimal = cert["optimal"] and cert["residual"] < TOL_KKT
 
     report_exact = {}
@@ -258,51 +259,49 @@ def maximize_product(r: int, k: int, restarts: int = 8, seed: int = _SEED,
         kkt=cert,
         status="converged" if optimal else "best-found",
         exact=report_exact,
+        diagnostics=diagnostics | {"seconds": seconds},
     )
 
 
-def _slsqp_multistart(model: RegionConstraints, restarts: int, seed: int):
-    """Best SLSQP solve of max sum(log x_i) over the free coordinates
-    x_1..x_{r-1}: (those coordinates, their product).  A solve is kept only
-    if no slack is below -TOL_FEAS, the test ``FeasiblePoint`` applies."""
+def _solve_on_face(model: RegionConstraints, lap):
+    """max sum(log x_i) over x_1..x_{r-1} (x_r = 1): (those coordinates,
+    diagnostics).  One SLSQP solve from the counterexample point below
+    floor(r/e), else the linear point; its point is projected onto its face
+    (rows with slack <= TOL_ACT, as equalities) and polished there by
+    Newton's method with equality constraints (Boyd & Vandenberghe 10.2),
+    each step damped by 1/(1 + decrement) to keep x > 0 (Nesterov 4.1)."""
     r, k = model.r, model.k
     m = r - 1
     # x_r = 1 moves the last column of A @ x <= 0 to the right-hand side
     A = model.A[:, :m].astype(float)
     b = -model.A[:, m].astype(float)
+    start = counterexample_point(r, k) if k < floor_r_over_e(r) else linear_point(r, k)
+    res = minimize(lambda z: -np.sum(np.log(z)), start.as_floats()[:m],
+                   jac=lambda z: -1.0 / z, method="SLSQP", bounds=[(1e-9, 1.0)] * m,
+                   constraints=[{"type": "ineq", "fun": lambda z: b - A @ z,
+                                 "jac": lambda z: -A}],
+                   options={"maxiter": 500, "ftol": 1e-14})
+    lap("slsqp")
 
-    def objective(z):
-        return -np.sum(np.log(z))
-
-    def grad(z):
-        return -1.0 / z
-
-    cons = [{"type": "ineq", "fun": lambda z: b - A @ z, "jac": lambda z: -A}]
-    rng = np.random.default_rng(seed)
-    starts = [np.arange(1, r) / r]
-    if k < floor_r_over_e(r):
-        starts.append(counterexample_point(r, k).as_floats()[:-1])
-    for _ in range(restarts):
-        starts.append(random_feasible_point(r, k, rng).as_floats()[:-1])
-
-    best_z, best_val = None, -np.inf
-    for z0 in starts:
-        with warnings.catch_warnings():
-            # SLSQP probes slightly outside the box and clips; harmless here
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(objective, np.clip(z0, 1e-8, 1.0), jac=grad,
-                           method="SLSQP", bounds=[(1e-9, 1.0)] * m,
-                           constraints=cons,
-                           options={"maxiter": 500, "ftol": 1e-14})
-        z = np.clip(res.x, 1e-12, 1.0)
-        if model.slack(np.append(z, 1.0)).min() < -TOL_FEAS:
-            continue
-        val = math.exp(-objective(z))
-        if val > best_val:
-            best_val, best_z = val, z
-    if best_z is None:
-        raise RuntimeError("no feasible solve; region construction is broken")
-    return best_z, best_val
+    face = np.flatnonzero(model.slack(np.append(res.x, 1.0)) <= TOL_ACT)
+    C, d = A[face], b[face]
+    z = res.x - np.linalg.lstsq(C, C @ res.x - d, rcond=None)[0]
+    N = null_space(C)  # the face's directions
+    steps = 0
+    while N.shape[1] and steps < 50:
+        dz = N @ np.linalg.solve((N.T / z**2) @ N, N.T @ (1.0 / z))
+        decrement = math.sqrt(np.sum((dz / z) ** 2))
+        if decrement < 1e-13:
+            break
+        z = z + dz / (1 + decrement)
+        steps += 1
+    lap("polish")
+    return z, {
+        "path": "slsqp+polish",
+        "slsqp": {"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)},
+        "newton_steps": steps,
+        "face_rows": len(face),
+    }
 
 
 def _solve_rational(columns, rhs):

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from tentopt.lagrangian import _SEED
 from tentopt.cli import cli
 from tentopt.hypergraphs import make_tent, make_turan_graph
 
@@ -96,6 +97,7 @@ def test_region_max_with_certificate(tmp_path):
     d = json.loads(res.output)
     assert d["status"] == "converged"
     assert d["value"] == pytest.approx(120 / 5 ** 5, rel=1e-6)
+    assert d["diagnostics"] == {"path": "exact-linear-point"}
 
     vres = invoke("verify", str(cert))
     assert vres.exit_code == 0
@@ -197,9 +199,14 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     cert = tmp_path / "cert.json"
     res = invoke("region", "max", "--r", "12", "--k", "2", "--certificate", str(cert))
     assert res.exit_code == 0
+    diag = json.loads(res.output)["diagnostics"]
+    assert diag["path"] == "slsqp+polish" and diag["slsqp"]["nit"] > 0
+    assert diag["newton_steps"] >= 0 and diag["face_rows"] > 0
     d = json.loads(cert.read_text())
     assert d["claim"] == d["anchor"] == "region-probe"
     assert set(d["config"]) == {"seed", "timeout", "fmt", "r", "k"}
+    assert d["config"]["seed"] == _SEED  # the library's default seed
+    assert "diagnostics" not in d["evidence"]
 
 
 def test_probe_floor_exceeds_bound_is_relative():
