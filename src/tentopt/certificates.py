@@ -2,8 +2,8 @@
 
 A certificate records a machine-readable claim, an anchor into the claim
 index below, the run configuration, and enough evidence (point, value,
-active set, multipliers, exact-arithmetic flags) to be re-checked without
-re-running any optimizer.
+active set, multipliers, and whether they are exact) to be re-checked
+without re-running any optimizer.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .region import (
     TOL_FEAS,
     TOL_REL,
@@ -22,7 +20,6 @@ from .region import (
     ceil_r_over_e,
     check_feasible,
     product_bound,
-    tight_constraints_at_linear_point,
 )
 
 # claim index: every certificate anchor must resolve to an entry here
@@ -63,94 +60,66 @@ class Certificate:
 
 
 def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
+    """Feasibility of the point, its product against the claimed value, and
+    the KKT evidence; all in Fractions, with no tolerance when the KKT
+    evidence is ``exact``."""
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
-    x = np.asarray(ev["x"], dtype=float)
+    kkt = ev.get("kkt", {})
+    exact = kkt.get("exact") is True
+    x = [Fraction(v) for v in ev["x"]]
     checks = []
 
-    ok, bad = check_feasible(x, r, k, TOL_FEAS)
+    ok, bad = check_feasible(x, r, k, 0 if exact else TOL_FEAS)
     checks.append(("point-feasible", ok, str(bad[:3]) if bad else ""))
 
-    prod = float(np.prod(x))
+    prod = float(math.prod(x))
     value = float(ev["value"])
-    ok = abs(prod - value) <= TOL_REL * prod
+    ok = prod == value if exact else abs(prod - value) <= TOL_REL * prod
     checks.append(("value-matches-point", ok, f"prod={prod}, claimed={value}"))
 
-    kkt = ev.get("kkt", {})
-    if kkt.get("optimal"):
-        checks.extend(_check_kkt(RegionConstraints(r, k), x, value, kkt))
+    if kkt.get("optimal") is True:
+        checks.extend(_check_kkt(RegionConstraints(r, k), x, kkt, exact))
     else:
         checks.append(("kkt-payload-present", False, "no optimality payload"))
-
-    exact = ev.get("exact", {})
-    if exact:
-        ok = tight_constraints_at_linear_point(r, k) == bool(
-            exact.get("linear_point_feasible_and_tight"))
-        checks.append(("exact-tightness-flag", ok, ""))
     return checks
 
 
-def _check_kkt(model: RegionConstraints, x, value: float,
-               kkt: dict) -> list[tuple[str, bool, str]]:
-    """Stationarity of the stored multipliers at x; a label outside the
-    region fails ``active-labels-valid`` and ends the checks, since its
-    row has no normal."""
-    labels = kkt["active"]
-    mus = np.asarray(kkt["multipliers"], dtype=float)
-    nu = float(kkt["equality_multiplier"])
+def _check_kkt(model: RegionConstraints, x: list, kkt: dict,
+               exact: bool) -> list[tuple[str, bool, str]]:
+    """Stationarity of the stored multipliers at x, in Fractions: exactly
+    when ``exact``, else within float tolerances.  A label outside the
+    region fails ``active-labels-valid`` and ends the checks, since its row
+    has no normal."""
     try:
-        rows = [model.index(lab) for lab in labels]
+        rows = [model.index(lab) for lab in kkt["active"]]
     except ValueError as exc:
         return [("active-labels-valid", False, str(exc))]
+    mus = [Fraction(v) for v in kkt["multipliers"]]
+    nu = Fraction(kkt["equality_multiplier"])
+    tol_mu, tol_slack = (0, 0) if exact else (Fraction(1e-12), Fraction(1e-5))
     checks = [("active-labels-valid", True, "")]
-    ok = len(mus) == len(labels) and bool((mus >= -1e-12).all())
-    checks.append(("multipliers-nonnegative", ok, f"min={mus.min(initial=0.0)}"))
-    slacks = np.abs(model.slack(x)[rows])
-    ok = bool((slacks <= 1e-5).all())
-    checks.append(("active-set-tight", ok, f"max slack={slacks.max(initial=0.0)}"))
-    g = 1.0 / x
-    recon = np.array(model.combine(rows, mus), dtype=float)
-    recon[-1] += nu
-    resid = float(np.linalg.norm(g - recon) / np.linalg.norm(g))
-    checks.append(("stationarity", resid < 1e-6, f"residual={resid}"))
-    if "multipliers_exact" in kkt:
-        checks.extend(_check_exact_kkt(model, rows, x, value, kkt))
-    return checks
-
-
-def _check_exact_kkt(model: RegionConstraints, rows, x, value: float,
-                     kkt: dict) -> list[tuple[str, bool, str]]:
-    """Re-check exact multipliers at the exact linear point x_i = i/r, in
-    Fractions and with no tolerance; the float fields must be their
-    roundings."""
-    r = model.r
-    point = [Fraction(i, r) for i in range(1, r + 1)]
-    mus = [Fraction(v) for v in kkt["multipliers_exact"]]
-    nu = Fraction(kkt["equality_multiplier_exact"])
-    checks = [
-        ("exact-linear-point", [float(v) for v in point] == list(x), ""),
-        ("exact-value", value == float(product_bound(r)), f"value={value}"),
-    ]
-    ok = len(mus) == len(rows) and all(mu >= 0 for mu in mus)
-    checks.append(("exact-multipliers-nonnegative", ok, ""))
-    ok = ([float(mu) for mu in mus] == list(kkt["multipliers"])
-          and float(nu) == kkt["equality_multiplier"])
-    checks.append(("multipliers-match-exact", ok, ""))
-    ok = bool((model.slack(point)[rows] == 0).all())
-    checks.append(("exact-active-set-tight", ok, ""))
+    ok = len(mus) == len(rows) and all(mu >= -tol_mu for mu in mus)
+    checks.append(("multipliers-nonnegative", ok, f"min={float(min(mus, default=0))}"))
+    slacks = [abs(s) for s in model.slack(x)[rows]]
+    ok = all(s <= tol_slack for s in slacks)
+    checks.append(("active-set-tight", ok, f"max slack={float(max(slacks, default=0))}"))
     recon = model.combine(rows, mus)
     recon[-1] += nu
-    ok = recon == [1 / v for v in point]
-    checks.append(("exact-stationarity", ok, ""))
+    diff = [1 / v - c for v, c in zip(x, recon)]
+    resid = math.hypot(*map(float, diff)) / math.hypot(*(float(1 / v) for v in x))
+    ok = not any(diff) if exact else resid < 1e-6
+    checks.append(("stationarity", ok, f"residual={resid}"))
     return checks
 
 
 def _check_theorem_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
-    """The optimality checks plus the claim's hypotheses: k >= ceil(r/e)
-    and a value equal to r!/r^r."""
+    """The optimality checks plus the claim's hypotheses: k >= ceil(r/e),
+    a value equal to r!/r^r, and exact KKT evidence."""
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
     checks = _check_max_certificate(cert)
+    checks.append(("kkt-exact", ev.get("kkt", {}).get("exact") is True, ""))
     threshold = ceil_r_over_e(r)
     checks.append(("k-at-least-threshold", k >= threshold,
                    f"k={k}, ceil(r/e)={threshold}"))
@@ -203,10 +172,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[tuple[str, bool, s
         checks.append(("config-matches-evidence", ok,
                        f"config r, k = {cert.config.get('r')}, {cert.config.get('k')}"))
         try:
-            # tampered evidence may hold zeros or huge floats; the checks
-            # then fail, and numpy's overflow warnings add nothing
-            with np.errstate(all="ignore"):
-                checks.extend(checker(cert))
-        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            checks.extend(checker(cert))
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
             checks.append(("evidence-well-formed", False, f"{type(exc).__name__}: {exc}"))
     return all(ok for _, ok, _ in checks), checks

@@ -193,21 +193,27 @@ def _report_payload(rep) -> dict:
                    "x": [float(v) for v in rep.argmax.x]},
         "kkt": rep.kkt,
         "status": rep.status,
-        "exact": rep.exact,
         # wall seconds would make the output differ from run to run
         "diagnostics": {k: v for k, v in rep.diagnostics.items() if k != "seconds"},
     }
 
 
+def _max_evidence(rep) -> dict:
+    """Certificate evidence of a report; an exact argmax is stored as
+    Fraction strings."""
+    p = rep.argmax
+    x = [str(v) for v in p.x] if p.is_exact else [float(v) for v in p.x]
+    return {"r": p.r, "k": p.k, "x": x, "value": rep.value, "kkt": rep.kkt}
+
+
 @region.command("max")
 @click.option("--r", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--exact", is_flag=True, help="Re-check closed-form claims in rationals.")
 @click.option("--certificate", default=None, help="Write a verifiable certificate here.")
 @click.option("-o", "--output", default=None)
 @click.pass_context
-def region_max(ctx, r, k, exact, certificate, output):
-    rep = maximize_product(r, k, exact=exact)
+def region_max(ctx, r, k, certificate, output):
+    rep = maximize_product(r, k)
     payload = _report_payload(rep)
     _emit(payload, output)
     if certificate:
@@ -217,8 +223,7 @@ def region_max(ctx, r, k, exact, certificate, output):
             claim=claim,
             anchor=claim,
             config=_config(ctx) | {"r": r, "k": k},
-            evidence={"r": r, "k": k, "x": payload["argmax"]["x"],
-                      "value": rep.value, "kkt": rep.kkt, "exact": rep.exact},
+            evidence=_max_evidence(rep),
         )
         with open(certificate, "w") as fh:
             fh.write(cert.to_json() + "\n")
@@ -380,7 +385,7 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
         if k > r // 2:
             rows.append({"r": r, "note": f"skipped: ceil(r/e)={k} exceeds floor(r/2)"})
             continue
-        rep = maximize_product(r, k, exact=True)
+        rep = maximize_product(r, k)
         bound = product_bound(r)
         dev = float(np.abs(rep.argmax.as_floats()
                            - np.arange(1, r + 1) / r).max())
@@ -392,17 +397,14 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
             "relative_gap": abs(rep.value - float(bound)) / float(bound),
             "argmax_max_deviation": dev,
             "kkt_residual": rep.kkt.get("residual"),
-            "exact_tight": rep.exact["linear_point_feasible_and_tight"],
+            "exact_tight": rep.kkt["exact"],
         })
         if cert_dir:
             cert = Certificate(
                 claim="region-product-maximum",
                 anchor="region-product-maximum",
                 config=_config(ctx) | {"r": r, "k": k},
-                evidence={"r": r, "k": k,
-                          "x": [float(v) for v in rep.argmax.x],
-                          "value": rep.value, "kkt": rep.kkt,
-                          "exact": rep.exact},
+                evidence=_max_evidence(rep),
             )
             with open(f"{cert_dir}/region-max-r{r}.json", "w") as fh:
                 fh.write(cert.to_json() + "\n")

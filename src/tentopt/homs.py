@@ -14,10 +14,16 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp
 
 from .hypergraphs import Family, Hypergraph, PartialHypergraph, extend
 from .isomorphism import is_isomorphic
+
+
+# scipy.optimize is most of the import time of tentopt, so it is imported on
+# first call; the benchmark's tracer patches this module-level name
+def milp(*args, **kwargs):
+    from scipy.optimize import milp
+    return milp(*args, **kwargs)
 
 
 class BudgetExceededError(RuntimeError):
@@ -227,6 +233,8 @@ def brute_force_ex(n: int, family: Family,
     Freeness here is subgraph containment (injective on vertices), the
     notion behind ex(n, .); hom-freeness is a separate predicate.
     """
+    from scipy.optimize import LinearConstraint
+
     r = family.r
     if r == 2:
         if n > 8:

@@ -9,8 +9,10 @@ perturbation and the below-threshold counterexample construction also live
 here.
 
 Closed-form points (the linear point x_i = i/r and counterexample points
-with rational epsilon) are re-checked in exact rational arithmetic; when
-the linear point is optimal its KKT multipliers are exact Fractions.
+with rational epsilon) are checked in exact rational arithmetic, and
+``kkt_certificate`` at such a point fits its multipliers as exact Fractions.
+scipy is imported on first use: the verifier and the counterexample
+construction never need it.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize, nnls
 
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
 TOL_KKT = 1e-8
-TOL_ACT = 1e-6  # slack at or below which kkt_certificate treats a row as active
+# slack at or below which a row is active at a float point: it joins the
+# face that _solve_on_face polishes on and the rows kkt_certificate fits
+TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
 
@@ -189,16 +191,25 @@ def product_bound(r: int) -> Fraction:
     return Fraction(math.factorial(r), r**r)
 
 
-def tight_constraints_at_linear_point(r: int, k: int) -> bool:
-    """Exact-rational check that x_i = i/r is feasible with every pairwise
-    sum constraint tight."""
-    model = RegionConstraints(r, k)
-    slack = model.slack([Fraction(i, r) for i in range(1, r + 1)])
-    return bool((slack[: model.n_tent] == 0).all() and (slack >= 0).all())
-
-
 # ---------------------------------------------------------------------------
 # product maximization
+
+
+# scipy.optimize is most of the import time of tentopt, so it is imported on
+# first call; tests and the benchmark's tracer patch these module-level names
+def minimize(*args, **kwargs):
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    from scipy.optimize import nnls
+    return nnls(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -208,22 +219,21 @@ class OptimizationReport:
     bound: float
     kkt: dict
     status: str
-    exact: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def maximize_product(r: int, k: int, seed=None, exact: bool = False) -> OptimizationReport:
+def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     """Global maximum of prod x_i over the region.
 
-    When f'(0) <= 0 the linear point x_i = i/r is tried first, and if
-    ``exact_kkt_at_linear_point`` certifies it no nonlinear solve runs.
-    Otherwise ``_solve_on_face`` solves the strictly concave program
-    max sum(log x_i) once; a KKT point is its unique global optimum.
-    ``status`` is "converged" exactly when the report's KKT certificate is
-    optimal with residual below TOL_KKT.  With ``exact`` the linear point's
-    feasibility/tightness and the product comparison are re-checked in
-    rational arithmetic.  ``diagnostics``: the path taken, solver counts,
-    wall seconds per phase.  ``seed`` has no effect; nothing is random.
+    When f'(0) <= 0 the exact linear point x_i = i/r is tried first, and if
+    ``kkt_certificate`` certifies it no nonlinear solve runs: the argmax is
+    that exact point and the multipliers are exact.  Otherwise
+    ``_solve_on_face`` solves the strictly concave program max sum(log x_i)
+    once; a KKT point is its unique global optimum.  ``status`` is
+    "converged" exactly when the report's KKT certificate is optimal with
+    residual below TOL_KKT.  ``diagnostics``: the path taken, solver
+    counts, wall seconds per phase.  ``seed`` has no effect; nothing is
+    random.
     """
     model = RegionConstraints(r, k)
     bound = product_bound(r)
@@ -233,10 +243,13 @@ def maximize_product(r: int, k: int, seed=None, exact: bool = False) -> Optimiza
         clock.append(time.perf_counter())
         seconds[phase] = clock[-1] - clock[-2]
 
-    cert = exact_kkt_at_linear_point(r, k) if fprime_zero(r, k) <= 0 else None
+    cert = None
+    if fprime_zero(r, k) <= 0:
+        point = linear_point(r, k, exact=True)
+        cert = kkt_certificate(point)
     lap("exact")
-    if cert is not None:
-        point, value = linear_point(r, k), float(bound)
+    if cert is not None and cert["optimal"]:
+        value = float(bound)
         diagnostics = {"path": "exact-linear-point"}
     else:
         z, diagnostics = _solve_on_face(model, lap)
@@ -244,21 +257,12 @@ def maximize_product(r: int, k: int, seed=None, exact: bool = False) -> Optimiza
         value, cert = float(np.prod(z)), kkt_certificate(point)
         lap("kkt")
     optimal = cert["optimal"] and cert["residual"] < TOL_KKT
-
-    report_exact = {}
-    if exact:
-        report_exact = {
-            "linear_point_feasible_and_tight": tight_constraints_at_linear_point(r, k),
-            "bound": str(bound),
-            "optimum_exceeds_bound": bool(value > float(bound) * (1 + TOL_REL)),
-        }
     return OptimizationReport(
         value=value,
         argmax=point,
         bound=float(bound),
         kkt=cert,
         status="converged" if optimal else "best-found",
-        exact=report_exact,
         diagnostics=diagnostics | {"seconds": seconds},
     )
 
@@ -270,6 +274,8 @@ def _solve_on_face(model: RegionConstraints, lap):
     (rows with slack <= TOL_ACT, as equalities) and polished there by
     Newton's method with equality constraints (Boyd & Vandenberghe 10.2),
     each step damped by 1/(1 + decrement) to keep x > 0 (Nesterov 4.1)."""
+    from scipy.linalg import null_space
+
     r, k = model.r, model.k
     m = r - 1
     # x_r = 1 moves the last column of A @ x <= 0 to the right-hand side
@@ -336,87 +342,72 @@ def _solve_rational(columns, rhs):
     return mu
 
 
-def exact_kkt_at_linear_point(r: int, k: int) -> dict | None:
-    """Exact KKT certificate of the linear point x_i = i/r, or None.
-
-    At i/r every tent constraint is tight and no monotone one is, so the
-    point is optimal exactly when the log-product gradient (r/i)_{i<r} lies
-    in the cone of the tent normals (the x_r = 1 row absorbs coordinate r).
-    HiGHS finds a vertex of that cone; its support is solved again in
-    Fractions, and the multipliers are kept only if they are nonnegative
-    and satisfy every coordinate equation exactly.  The returned dict has
-    the format of ``kkt_certificate`` (residual 0, ``active`` the support)
-    plus the multipliers as exact strings.
-    """
-    model = RegionConstraints(r, k)
-    tents = model.A[: model.n_tent]
-    res = linprog(np.ones(model.n_tent), A_eq=tents[:, : r - 1].T,
-                  b_eq=r / np.arange(1, r), bounds=(0, None), method="highs-ds")
+def _exact_cone_fit(model: RegionConstraints, rows, g):
+    """(support, mu): mu > 0 on a subset of ``rows`` with
+    sum_t mu_t A[t]_i = g_i exactly for every i < r, or None.  HiGHS finds
+    a vertex of that cone; its support is solved again in Fractions, and
+    the multipliers are kept only if they are nonnegative and satisfy
+    every coordinate equation exactly."""
+    m = model.r - 1
+    if not len(rows):
+        return None
+    res = linprog(np.ones(len(rows)), A_eq=model.A[rows, :m].T,
+                  b_eq=[float(v) for v in g[:m]], bounds=(0, None), method="highs-ds")
     if res.status != 0:
         return None
-    support = np.flatnonzero(res.x > 0)
-    g = [Fraction(r, i) for i in range(1, r + 1)]
-    mus = _solve_rational([tents[t, : r - 1] for t in support], g[: r - 1])
+    support = rows[res.x > 0]
+    mus = _solve_rational([model.A[t, :m] for t in support], g[:m])
     if mus is None or any(mu < 0 for mu in mus):
         return None
     kept = [(t, mu) for t, mu in zip(support, mus) if mu]
-    lhs = model.combine([t for t, _ in kept], [mu for _, mu in kept])
-    if lhs[: r - 1] != g[: r - 1]:
+    support, mus = [t for t, _ in kept], [mu for _, mu in kept]
+    if model.combine(support, mus)[:m] != g[:m]:
         return None
-    nu = g[r - 1] - lhs[r - 1]  # the x_r = 1 multiplier closes coordinate r
-    return {
-        "optimal": True,
-        "residual": 0.0,
-        "active": [list(model.labels[t]) for t, _ in kept],
-        "multipliers": [float(mu) for _, mu in kept],
-        "equality_multiplier": float(nu),
-        "multipliers_exact": [str(mu) for _, mu in kept],
-        "equality_multiplier_exact": str(nu),
-    }
+    return support, mus
 
 
 def kkt_certificate(point: FeasiblePoint) -> dict:
-    """Express the log-product gradient in the cone of the constraints
-    active at the point (slack at most TOL_ACT) and the x_r = 1 row.
+    """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
+    with mu >= 0 on the rows active at the point and nu on x_r = 1.
 
-    Returns multipliers and the stationarity residual when the point is
-    optimal; otherwise a feasible improving direction with positive
-    directional derivative.
+    A row is active when its slack is at most TOL_ACT, or exactly 0 at an
+    exact point.  mu is fitted on coordinates 1..r-1 and nu closes
+    coordinate r.  At a float point nnls fits mu over every active row:
+    ``residual`` is the stationarity residual relative to |1/x|, and the
+    point is ``optimal`` when it is below TOL_KKT.  At an exact point
+    (``exact``) the fit is ``_exact_cone_fit``: ``active`` is its support,
+    ``residual`` 0.0, and the multipliers are Fraction strings; when it
+    fails the point is not optimal, ``residual`` is None and nothing is
+    fitted in floats instead.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
-    x = point.as_floats()
-    g = 1.0 / x  # gradient of sum(log x_i), all r coordinates
-    active = np.flatnonzero(model.slack(x) <= TOL_ACT)
-    labels = [list(model.labels[t]) for t in active]
-    normals = model.A[active].astype(float)
-    n_ineq = len(active)
-    eq = np.zeros(r)
-    eq[r - 1] = 1.0
-
-    # nnls over inequality multipliers; equality multiplier is free (split)
-    mu, resid = nnls(np.column_stack([normals.T, eq, -eq]), g)
-    residual = resid / max(np.linalg.norm(g), 1.0)
-    if residual < TOL_KKT:
-        return {
-            "optimal": True,
-            "residual": float(residual),
-            "active": labels,
-            "multipliers": [float(v) for v in mu[:n_ineq]],
-            "equality_multiplier": float(mu[n_ineq] - mu[n_ineq + 1]),
-        }
-
-    # improving direction: max g.d subject to active normals, |d| <= 1
-    res = linprog(-g, A_ub=normals if n_ineq else None,
-                  b_ub=np.zeros(n_ineq) if n_ineq else None,
-                  A_eq=eq[None, :], b_eq=[0.0], bounds=[(-1, 1)] * r)
-    direction = res.x if res.status == 0 else None
+    exact = point.is_exact
+    if exact:
+        g = [1 / Fraction(v) for v in point.x]
+        fit = _exact_cone_fit(model, np.flatnonzero(model.slack(point.x) == 0), g)
+        optimal = fit is not None
+        rows, mus = fit if optimal else ([], [])
+        residual = 0.0 if optimal else None
+    else:
+        x = point.as_floats()
+        g = 1.0 / x
+        rows = np.flatnonzero(model.slack(x) <= TOL_ACT)
+        if len(rows):
+            mus, resid = nnls(model.A[rows, : r - 1].T.astype(float), g[: r - 1])
+        else:  # nnls needs a column
+            mus, resid = np.zeros(0), np.linalg.norm(g[: r - 1])
+        residual = float(resid / max(np.linalg.norm(g), 1.0))
+        optimal = residual < TOL_KKT
+    nu = g[r - 1] - model.combine(rows, mus)[r - 1]
+    fmt = str if exact else float
     return {
-        "optimal": False,
-        "residual": float(residual),
-        "active": labels,
-        "improving_direction": None if direction is None else [float(v) for v in direction],
-        "directional_derivative": float(g @ direction) if direction is not None else None,
+        "optimal": optimal,
+        "residual": residual,
+        "active": [list(model.labels[t]) for t in rows],
+        "multipliers": [fmt(mu) for mu in mus],
+        "equality_multiplier": fmt(nu),
+        "exact": exact,
     }
 
 

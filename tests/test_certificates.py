@@ -17,13 +17,13 @@ from tentopt.region import ceil_r_over_e, counterexample_point, maximize_product
 
 
 def max_certificate(r=5, k=2):
-    rep = maximize_product(r, k, exact=True)
+    rep = maximize_product(r, k)
     return Certificate(
         claim="region-product-maximum",
         anchor="region-product-maximum",
         config={"seed": 42, "r": r, "k": k},
-        evidence={"r": r, "k": k, "x": [float(v) for v in rep.argmax.x],
-                  "value": rep.value, "kkt": rep.kkt, "exact": rep.exact},
+        evidence={"r": r, "k": k, "x": [str(v) for v in rep.argmax.x],
+                  "value": rep.value, "kkt": rep.kkt},
     )
 
 
@@ -44,16 +44,16 @@ def test_anchor_index_is_plain_prose():
 
 
 def test_max_certificate_verifies():
-    passed, checks = verify_certificate(max_certificate())
+    cert = max_certificate()
+    passed, checks = verify_certificate(cert)
     assert passed, checks
     names = {n for n, _, _ in checks}
     assert {"anchor-resolves", "point-feasible", "value-matches-point",
-            "multipliers-nonnegative", "active-set-tight",
-            "stationarity"} <= names
-    # (5, 2) is a theorem row, so its multipliers are exact
-    assert {"exact-linear-point", "exact-value", "exact-multipliers-nonnegative",
-            "multipliers-match-exact", "exact-active-set-tight",
-            "exact-stationarity", "k-at-least-threshold", "value-equals-bound"} <= names
+            "multipliers-nonnegative", "active-set-tight", "stationarity",
+            "kkt-exact", "k-at-least-threshold", "value-equals-bound"} <= names
+    # (5, 2) is a theorem row, so its point and multipliers are exact
+    assert cert.evidence["kkt"]["exact"] is True
+    assert cert.evidence["x"] == ["1/5", "2/5", "3/5", "4/5", "1"]
 
 
 def test_counterexample_certificate_verifies():
@@ -82,7 +82,7 @@ def test_tampered_multiplier_fails_named_check():
     mus = ev["kkt"]["multipliers"]
     if not mus:
         pytest.skip("no inequality multipliers to tamper with")
-    mus[0] = -abs(mus[0]) - 1.0
+    mus[0] = str(-abs(Fraction(mus[0])) - 1)
     bad = Certificate(cert.claim, cert.anchor, cert.config, ev)
     passed, checks = verify_certificate(bad)
     assert not passed
@@ -158,11 +158,11 @@ def theorem_certificate(r):
 def test_tampered_exact_multiplier_fails_named_check():
     cert = theorem_certificate(9)
     ev = evidence_copy(cert)
-    ev["kkt"]["multipliers_exact"][0] = str(Fraction(ev["kkt"]["multipliers_exact"][0]) + 1)
+    ev["kkt"]["multipliers"][0] = str(Fraction(ev["kkt"]["multipliers"][0]) + 1)
     passed, v = verdicts(cert, ev)
     assert not passed
-    assert v["exact-stationarity"] is False
-    assert v["multipliers-match-exact"] is False
+    assert v["stationarity"] is False
+    assert v["multipliers-nonnegative"] is True
 
 
 @pytest.mark.parametrize("label", [["tent", 1, 1, 99], ["tent", 9, 9, 18], ["sum", 1, 2],
@@ -211,6 +211,7 @@ def test_theorem_hypotheses_checked_without_exact():
     assert not passed
     assert v["k-at-least-threshold"] is False
     assert v["value-equals-bound"] is False
+    assert v["kkt-exact"] is False
     assert v["stationarity"] is True  # the point itself is a fine optimum
     probe = Certificate("region-probe", "region-probe", config, evidence)
     assert verify_certificate(probe)[0]
@@ -247,13 +248,16 @@ def other_label(label, r):
     return st.one_of(tents, monotone).filter(lambda lab: lab != label)
 
 
-def other_fraction(text):
-    return st.fractions(-100, 100, max_denominator=10**6).filter(
-        lambda q: q != Fraction(text)).map(str)
+def other_exact(text):
+    """A Fraction string or a float with a value other than the string's."""
+    q = Fraction(text)
+    return st.one_of(
+        st.fractions(-100, 100, max_denominator=10**6).filter(lambda u: u != q).map(str),
+        other_float(float(q)).filter(lambda u: Fraction(u) != q))
 
 
-EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "equality_multiplier",
-                   "multipliers_exact", "equality_multiplier_exact", "active")
+EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "equality_multiplier", "active",
+                   "exact", "optimal")
 
 
 @given(st.sampled_from([4, 9, 17, 30, 40]), st.sampled_from(EVIDENCE_FIELDS), st.data())
@@ -265,22 +269,20 @@ def test_tampering_any_evidence_field_fails(r, name, data):
     n = len(kkt["active"])
     if name == "x":
         i = data.draw(st.integers(0, r - 1))
-        ev["x"][i] = data.draw(other_float(ev["x"][i]))
+        ev["x"][i] = data.draw(other_exact(ev["x"][i]))
     elif name == "value":
         ev["value"] = data.draw(other_float(ev["value"]))
     elif name in ("r", "k"):
         ev[name] = data.draw(st.integers(1, 60).filter(lambda v: v != ev[name]))
     elif name == "equality_multiplier":
-        kkt[name] = data.draw(other_float(kkt[name]))
-    elif name == "equality_multiplier_exact":
-        kkt[name] = data.draw(other_fraction(kkt[name]))
+        kkt[name] = data.draw(other_exact(kkt[name]))
+    elif name in ("exact", "optimal"):
+        kkt[name] = data.draw(st.sampled_from([False, None, 1, "true"]))
     else:
         i = data.draw(st.integers(0, n - 1))
         old = kkt[name][i]
         if name == "multipliers":
-            kkt[name][i] = data.draw(other_float(old))
-        elif name == "multipliers_exact":
-            kkt[name][i] = data.draw(other_fraction(old))
+            kkt[name][i] = data.draw(other_exact(old))
         else:
             kkt[name][i] = data.draw(other_label(old, r))
     passed, v = verdicts(cert, ev)

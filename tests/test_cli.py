@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -91,8 +92,7 @@ def test_lagrangian_command(tmp_path):
 
 def test_region_max_with_certificate(tmp_path):
     cert = tmp_path / "cert.json"
-    res = invoke("region", "max", "--r", "5", "--k", "2", "--exact",
-                 "--certificate", str(cert))
+    res = invoke("region", "max", "--r", "5", "--k", "2", "--certificate", str(cert))
     assert res.exit_code == 0
     d = json.loads(res.output)
     assert d["status"] == "converged"
@@ -190,7 +190,8 @@ def test_theorem_table_certificates_are_exact(tmp_path):
         r = row["r"]
         assert row["relative_gap"] == 0.0 and row["kkt_residual"] == 0.0, r
         cert = Certificate.from_json((certs / f"region-max-r{r}.json").read_text())
-        assert cert.evidence["kkt"]["multipliers_exact"], r
+        assert row["exact_tight"] is True and cert.evidence["kkt"]["exact"] is True, r
+        assert cert.evidence["x"] == [str(Fraction(i, r)) for i in range(1, r + 1)]
         passed, checks = verify_certificate(cert)
         assert passed, (r, checks)
 
@@ -258,6 +259,24 @@ def test_output_files(tmp_path):
 
 
 # -- exit codes through the real entry point -------------------------------
+
+
+def test_verify_does_not_import_scipy_optimizers(tmp_path):
+    # scipy.optimize is most of the start-up time, and only solvers need it
+    cert = tmp_path / "cert.json"
+    invoke("region", "max", "--r", "9", "--k", "4", "--certificate", str(cert))
+    code = ("import sys\n"
+            "import tentopt.cli\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            f"sys.argv = ['tentopt', 'verify', {str(cert)!r}]\n"
+            "tentopt.cli.main()\n"
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False False"
+    assert json.loads("\n".join(lines[1:-1]))["passed"] is True
 
 
 def test_exit_code_success():

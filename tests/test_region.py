@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from tentopt.region import (
     ceil_r_over_e,
     check_feasible,
     counterexample_point,
-    exact_kkt_at_linear_point,
     floor_r_over_e,
     fprime_zero,
     kkt_certificate,
@@ -30,7 +30,6 @@ from tentopt.region import (
     quartic_inequality,
     random_symmetric_point,
     segments,
-    tight_constraints_at_linear_point,
     upper_bound_gap,
 )
 
@@ -45,7 +44,6 @@ def test_linear_point_feasible_and_tight():
         for k in range(1, r // 2 + 1):
             ok, _ = check_feasible([i / r for i in range(1, r + 1)], r, k)
             assert ok
-            assert tight_constraints_at_linear_point(r, k)
 
 
 def test_all_ones_infeasible():
@@ -149,40 +147,54 @@ def test_region_constraints_lookup():
             RegionConstraints(6, k)
 
 
+def exact_kkt(r, k):
+    return kkt_certificate(linear_point(r, k, exact=True))
+
+
 def _exact_residual(r, k, kkt):
     """Exact gradient minus the cone combination, coordinates 1..r."""
     model = RegionConstraints(r, k)
     out = [Fraction(r, i) for i in range(1, r + 1)]
-    for label, mu in zip(kkt["active"], kkt["multipliers_exact"]):
+    for label, mu in zip(kkt["active"], kkt["multipliers"]):
         row = model.A[model.index(label)]
         out = [o - Fraction(mu) * int(a) for o, a in zip(out, row)]
-    out[r - 1] -= Fraction(kkt["equality_multiplier_exact"])
+    out[r - 1] -= Fraction(kkt["equality_multiplier"])
     return out
 
 
 def test_exact_kkt_certifies_every_theorem_row():
     for r in range(4, 41):
         k = ceil_r_over_e(r)
-        kkt = exact_kkt_at_linear_point(r, k)
-        assert kkt is not None, r
-        mus = [Fraction(v) for v in kkt["multipliers_exact"]]
+        kkt = exact_kkt(r, k)
+        assert kkt["optimal"] and kkt["exact"], r
+        mus = [Fraction(v) for v in kkt["multipliers"]]
         assert all(mu > 0 for mu in mus), r
         assert len(mus) == len(kkt["active"]) <= r - 1  # a vertex of the cone
         assert all(lab[0] == "tent" and lab[1] <= k for lab in kkt["active"])
         assert not any(_exact_residual(r, k, kkt)), r
-        assert kkt["multipliers"] == [float(mu) for mu in mus]
-        assert kkt["optimal"] and kkt["residual"] == 0.0
+        assert kkt["residual"] == 0.0
 
 
 @pytest.mark.parametrize("r", range(4, 41))
 def test_exact_kkt_at_floor_follows_fprime_sign(r):
     k = floor_r_over_e(r)
-    assert (exact_kkt_at_linear_point(r, k) is not None) == (fprime_zero(r, k) < 0)
+    assert exact_kkt(r, k)["optimal"] == (fprime_zero(r, k) < 0)
 
 
 def test_exact_kkt_fails_below_threshold():
     for r, k in [(6, 1), (12, 2), (30, 5)]:
-        assert exact_kkt_at_linear_point(r, k) is None
+        kkt = exact_kkt(r, k)
+        assert kkt["exact"] and not kkt["optimal"] and kkt["residual"] is None
+
+
+def test_exact_kkt_at_non_optimal_point_has_no_float_fallback(monkeypatch):
+    def no_nnls(*args, **kwargs):
+        raise AssertionError("an exact point was fitted in floats")
+
+    monkeypatch.setattr(region, "nnls", no_nnls)
+    kkt = kkt_certificate(counterexample_point(6, 1))
+    assert kkt == {"optimal": False, "residual": None, "active": [], "multipliers": [],
+                   "equality_multiplier": "1", "exact": True}
 
 
 def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
@@ -190,32 +202,31 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
         raise AssertionError("SLSQP ran although the exact step certified i/r")
 
     monkeypatch.setattr(region, "minimize", no_slsqp)
-    rep = maximize_product(9, 4, exact=True)
+    rep = maximize_product(9, 4)
     assert rep.status == "converged"
     assert rep.value == float(product_bound(9))
-    assert rep.argmax.x == linear_point(9, 4).x
+    assert rep.argmax.x == linear_point(9, 4, exact=True).x
     kkt = rep.kkt
-    assert kkt["residual"] == 0.0
-    top = sum(Fraction(mu) for lab, mu in zip(kkt["active"], kkt["multipliers_exact"])
+    assert kkt["residual"] == 0.0 and kkt["exact"] is True
+    top = sum(Fraction(mu) for lab, mu in zip(kkt["active"], kkt["multipliers"])
               if lab[3] == 9)
-    assert Fraction(kkt["equality_multiplier_exact"]) == 1 + top
-    assert kkt["equality_multiplier"] == float(1 + top)
-    assert rep.exact["optimum_exceeds_bound"] is False
+    assert Fraction(kkt["equality_multiplier"]) == 1 + top
 
 
 def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
-    def no_lp(r, k):
+    def no_lp(*args, **kwargs):
         raise AssertionError("the linear-point LP ran although f'(0) > 0")
 
-    monkeypatch.setattr(region, "exact_kkt_at_linear_point", no_lp)
+    monkeypatch.setattr(region, "linprog", no_lp)
     rep = maximize_product(6, 1)
     assert rep.value > float(product_bound(6))
 
 
 def test_maximize_product_falls_back_to_slsqp(monkeypatch):
-    monkeypatch.setattr(region, "exact_kkt_at_linear_point", lambda r, k: None)
+    # an LP that finds no vertex leaves the linear point uncertified
+    monkeypatch.setattr(region, "linprog", lambda *a, **kw: SimpleNamespace(status=2))
     rep = maximize_product(9, 4)
-    assert "multipliers_exact" not in rep.kkt
+    assert rep.kkt["exact"] is False and rep.diagnostics["path"] == "slsqp+polish"
     assert rep.value == pytest.approx(float(product_bound(9)), rel=1e-9)
     assert rep.status == "converged"
 
@@ -244,10 +255,10 @@ def test_single_solve_certifies(r, k):
 def test_optimum_exceeds_bound_is_relative():
     # r!/r^r is about 5e-13 at r = 31, so an absolute 1e-12 margin hid this
     # 0.1% excess at k = floor(31/e), where f'(0) > 0
-    rep = maximize_product(31, 11, exact=True)
+    rep = maximize_product(31, 11)
     assert rep.value > rep.bound * (1 + 1e-6)
-    assert rep.exact["optimum_exceeds_bound"] is True
-    assert maximize_product(30, 11, exact=True).exact["optimum_exceeds_bound"] is False
+    rep = maximize_product(30, 11)
+    assert rep.value <= rep.bound * (1 + TOL_REL)
 
 
 def test_kkt_certificate_at_optimum():
@@ -256,21 +267,19 @@ def test_kkt_certificate_at_optimum():
     assert all(m >= -1e-12 for m in cert["multipliers"])
 
 
-def test_kkt_improving_direction_below_threshold():
-    cert = kkt_certificate(linear_point(6, 1))
-    assert not cert["optimal"]
-    d = np.asarray(cert["improving_direction"])
-    assert cert["directional_derivative"] > 1e-6
-    assert abs(d[-1]) < 1e-9  # stays on the x_r = 1 face
-
-
 def test_kkt_interior_point_improves_by_gradient():
     # strictly increasing gaps leave every tent constraint slack, so only
     # the x_r = 1 face is active and the gradient itself improves
     x = tuple(np.cumsum(np.arange(1, 7)) / 21)
     p = FeasiblePoint(r=6, k=1, x=x)
     cert = kkt_certificate(p)
-    assert not cert["optimal"] and cert["directional_derivative"] > 0
+    assert not cert["optimal"] and cert["active"] == [] and cert["multipliers"] == []
+    # nothing can absorb the gradient off coordinate r
+    g = 1 / p.as_floats()
+    assert cert["residual"] == pytest.approx(np.linalg.norm(g[:-1]) / np.linalg.norm(g))
+    exact = FeasiblePoint(r=6, k=1, x=tuple(Fraction(v, 21) for v in (1, 3, 6, 10, 15, 21)))
+    cert = kkt_certificate(exact)
+    assert cert["exact"] and not cert["optimal"] and cert["active"] == []
 
 
 @pytest.mark.parametrize("r,k", [(6, 1), (9, 1), (9, 2), (12, 3), (15, 4)])
