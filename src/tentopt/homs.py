@@ -1,10 +1,13 @@
 """Homomorphism search and tiny-scale exact Turan numbers.
 
-Homomorphism existence is decided by backtracking with a
-most-constrained-vertex heuristic; edge-image feasibility is pruned with
-bitmask intersections.  The exact Turan search is an integer program over
-edge slots with forbidden-subgraph cover constraints, followed by optimal
-solution enumeration.
+Homomorphism existence is decided by backtracking over a static vertex
+order (decreasing edge-degree, then along edges), with twins forced to
+increasing images.  Each F-edge keeps the bitmask of H-edges containing its
+mapped part and the bitmask of its image vertices; both are narrowed as its
+vertices are mapped, so a candidate image is checked with one AND per
+incident edge.  The exact Turan search is an integer program over edge
+slots with forbidden-subgraph cover rows; extremal graphs are enumerated one
+isomorphism class per solve, by cutting every relabelling of each optimum.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypergraphs import Family, Hypergraph, PartialHypergraph, extend
-from .isomorphism import is_isomorphic
 
 
 # scipy.optimize is most of the import time of tentopt, so it is imported on
@@ -46,19 +48,19 @@ DEFAULT_BUDGET = SearchBudget()
 class _Backtracker:
     """Shared machinery for uniform and partial homomorphism search.
 
-    F-edges are mapped so that every edge's image has distinct vertices and,
-    at all times, the mapped part of each edge fits inside a common H-edge.
-    In the uniform case a fully mapped edge must be exactly an H-edge.
+    One rule serves both: the mapped part of every F-edge lands injectively
+    inside some H-edge.  For a uniform F (F.r == H.r) a fully mapped edge then
+    *is* that H-edge.  Each F-edge carries ``emask``, the H-edges containing
+    its mapped part, and ``ebits``, the bitmask of its image vertices; both
+    are narrowed when one of its vertices is mapped and restored on
+    backtracking, so a candidate costs one AND per incident edge.
     """
 
-    def __init__(self, f_edges, n_f, H: Hypergraph, uniform: bool,
-                 budget: SearchBudget):
+    def __init__(self, f_edges, n_f, H: Hypergraph, budget: SearchBudget):
         self.f_edges = [tuple(e) for e in f_edges]
         self.n_f = n_f
         self.H = H
-        self.uniform = uniform
         self.budget = budget
-        self.h_edge_set = H.edges
         h_edges = H.sorted_edges
         # bitmask of H-edges through each H-vertex
         self.vmask = [0] * H.n
@@ -80,13 +82,17 @@ class _Backtracker:
                       for grp in groups.values() if len(grp) > 1 for v in grp}
 
     def search(self):
-        n_f, H = self.n_f, self.H
+        n_f, n_h = self.n_f, self.H.n
+        incident, vmask, twins = self.incident, self.vmask, self.twins
+        max_nodes = self.budget.max_nodes
         mapping = [-1] * n_f
+        emask = [self.full_mask] * len(self.f_edges)
+        ebits = [0] * len(self.f_edges)
         nodes = 0
         deadline = time.monotonic() + self.budget.timeout
 
         # static order: decreasing edge-degree, ties toward connectivity
-        order = sorted(range(n_f), key=lambda v: -len(self.incident[v]))
+        order = sorted(range(n_f), key=lambda v: -len(incident[v]))
         placed = []
         seen = set()
         for v in order:
@@ -99,31 +105,8 @@ class _Backtracker:
                     continue
                 seen.add(u)
                 placed.append(u)
-                nbrs = {w for i in self.incident[u] for w in self.f_edges[i]}
-                stack.extend(sorted(nbrs - seen, key=lambda w: -len(self.incident[w])))
-
-        def feasible(v: int) -> bool:
-            for i in self.incident[v]:
-                e = self.f_edges[i]
-                img = [mapping[u] for u in e]
-                if all(w >= 0 for w in img):
-                    if len(set(img)) != len(e):
-                        return False
-                    if self.uniform:
-                        if tuple(sorted(img)) not in self.h_edge_set:
-                            return False
-                        continue
-                else:
-                    done = [w for w in img if w >= 0]
-                    if len(set(done)) != len(done):
-                        return False
-                    img = done
-                mask = self.full_mask
-                for w in img:
-                    mask &= self.vmask[w]
-                    if not mask:
-                        return False
-            return True
+                nbrs = {w for i in incident[u] for w in self.f_edges[i]}
+                stack.extend(sorted(nbrs - seen, key=lambda w: -len(incident[w])))
 
         rank = {v: d for d, v in enumerate(placed)}
 
@@ -132,23 +115,34 @@ class _Backtracker:
             if depth == len(placed):
                 return list(mapping)
             v = placed[depth]
+            inc = incident[v]
             lo = 0
-            for u in self.twins.get(v, ()):
+            for u in twins.get(v, ()):
                 if rank[u] < depth and mapping[u] >= lo:
                     lo = mapping[u] + 1
-            for w in range(lo, H.n):
+            saved = [(emask[i], ebits[i]) for i in inc]
+            for w in range(lo, n_h):
                 nodes += 1
-                if nodes > self.budget.max_nodes:
-                    raise BudgetExceededError(
-                        f"node budget {self.budget.max_nodes} exhausted")
+                if nodes > max_nodes:
+                    raise BudgetExceededError(f"node budget {max_nodes} exhausted")
                 if nodes % 256 == 1 and time.monotonic() > deadline:
                     raise BudgetExceededError("search timed out")
-                mapping[v] = w
-                if feasible(v):
+                bit, vm = 1 << w, vmask[w]
+                for m, b in saved:
+                    if b & bit or not m & vm:
+                        break
+                else:
+                    for i in inc:
+                        emask[i] &= vm
+                        ebits[i] |= bit
+                    mapping[v] = w
                     found = backtrack(depth + 1)
                     if found is not None:
                         return found
-                mapping[v] = -1
+                    mapping[v] = -1
+                    for i, (m, b) in zip(inc, saved):
+                        emask[i] = m
+                        ebits[i] = b
             return None
 
         # vertices in no edge map anywhere; send them to vertex 0
@@ -168,7 +162,7 @@ def find_homomorphism(F: Hypergraph, H: Hypergraph,
         raise ValueError(f"uniformity mismatch: {F.r} != {H.r}")
     if not H.edges:
         return None if F.edges else [0] * F.n if H.n else None
-    return _Backtracker(F.sorted_edges, F.n, H, uniform=True, budget=budget).search()
+    return _Backtracker(F.sorted_edges, F.n, H, budget).search()
 
 
 def find_partial_homomorphism(F: PartialHypergraph, H: Hypergraph,
@@ -179,7 +173,7 @@ def find_partial_homomorphism(F: PartialHypergraph, H: Hypergraph,
         raise ValueError(f"partial edge-size cap {F.r} exceeds host uniformity {H.r}")
     if not H.edges:
         return None if F.maximal_edges else [0] * F.n if H.n else None
-    return _Backtracker(F.sorted_edges, F.n, H, uniform=False, budget=budget).search()
+    return _Backtracker(F.sorted_edges, F.n, H, budget).search()
 
 
 def is_hom_free(H: Hypergraph, family: Family,
@@ -210,28 +204,61 @@ def check_map(F: Hypergraph, H: Hypergraph, mapping) -> bool:
 # exact Turan search
 
 
-def _embedding_constraints(n: int, family: Family, slot_index) -> list[frozenset]:
-    """Edge-slot sets that are images of injective embeddings of a member."""
-    images = set()
-    for F in family.members:
-        if F.n > n:
-            continue
-        f_edges = F.sorted_edges
-        for perm in itertools.permutations(range(n), F.n):
-            img = frozenset(
-                slot_index[tuple(sorted(perm[v] for v in e))] for e in f_edges
-            )
-            images.add(img)
-    return sorted(images, key=sorted)
+def _slot_actions(n: int, slots, slot_index) -> list[list[int]]:
+    """How each adjacent transposition (i, i+1) of the vertices permutes the
+    edge slots; together they generate every relabelling of [n]."""
+    actions = []
+    for i in range(n - 1):
+        swap = {i: i + 1, i + 1: i}
+        actions.append([slot_index[tuple(sorted(swap.get(v, v) for v in e))]
+                        for e in slots])
+    return actions
+
+
+def _relabellings(slot_set, actions) -> set[tuple[int, ...]]:
+    """Distinct images of a set of edge slots under every relabelling of the
+    vertices, as sorted slot tuples.
+
+    For an edge list on vertices 0..k-1 these are its images under every
+    injection into [n].  The orbit is closed breadth first under the
+    generators, so the cost follows the orbit's size, never n!.
+    """
+    start = tuple(sorted(slot_set))
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for act in actions:
+                t = tuple(sorted([act[i] for i in s]))
+                if t not in orbit:
+                    orbit.add(t)
+                    grown.append(t)
+        frontier = grown
+    return orbit
+
+
+def _rows(slot_sets, m: int):
+    """0/1 sparse matrix with one row per slot set."""
+    from scipy.sparse import csr_array
+
+    indptr = np.cumsum([0] + [len(s) for s in slot_sets])
+    indices = np.fromiter(itertools.chain.from_iterable(slot_sets), dtype=np.int64,
+                          count=indptr[-1])
+    return csr_array((np.ones(len(indices)), indices, indptr), shape=(len(slot_sets), m))
 
 
 def brute_force_ex(n: int, family: Family,
                    budget: SearchBudget = DEFAULT_BUDGET) -> tuple[int, list[Hypergraph]]:
-    """Exact Turan number at tiny scale plus all extremal graphs up to
-    isomorphism.
+    """Exact Turan number at tiny scale plus one representative of every
+    extremal isomorphism class.
 
     Freeness here is subgraph containment (injective on vertices), the
-    notion behind ex(n, .); hom-freeness is a separate predicate.
+    notion behind ex(n, .); hom-freeness is a separate predicate.  Cover rows
+    forbid every injective image of every member.  Each optimum found adds
+    one cut row per distinct relabelling of it, so the next solve can only
+    return a new class: the search makes (classes + 1) MILP solves, and at
+    the end the cut rows are exactly the labelled optima.
     """
     from scipy.optimize import LinearConstraint
 
@@ -246,49 +273,45 @@ def brute_force_ex(n: int, family: Family,
 
     slots = list(itertools.combinations(range(n), r))
     slot_index = {e: i for i, e in enumerate(slots)}
-    forbidden = _embedding_constraints(n, family, slot_index)
+    actions = _slot_actions(n, slots, slot_index)
+    forbidden = set()
+    for F in family.members:
+        if F.n <= n:
+            forbidden |= _relabellings([slot_index[e] for e in F.sorted_edges], actions)
+    forbidden = sorted(forbidden)
 
     m = len(slots)
-    constraints = []
-    for img in forbidden:
-        row = np.zeros(m)
-        row[list(img)] = 1.0
-        constraints.append(LinearConstraint(row, -np.inf, len(img) - 1))
+    cover = []
+    if forbidden:
+        cover.append(LinearConstraint(_rows(forbidden, m), -np.inf,
+                                      [len(s) - 1 for s in forbidden]))
 
     deadline = time.monotonic() + budget.timeout
-
-    def solve(extra):
+    opt = None
+    cuts: list[tuple[int, ...]] = []
+    reps: list[Hypergraph] = []
+    while True:
+        constraints = cover + ([LinearConstraint(_rows(cuts, m), -np.inf, opt - 1)]
+                               if cuts else [])
         res = milp(
             c=-np.ones(m),
-            constraints=constraints + extra,
+            constraints=constraints,
             integrality=np.ones(m),
             bounds=(0, 1),
             options={"time_limit": max(deadline - time.monotonic(), 0.1)},
         )
-        return res
-
-    res = solve([])
-    if res.status != 0:
-        raise BudgetExceededError(f"integer program did not solve: {res.message}")
-    opt = round(-res.fun)
-
-    # enumerate every optimal labeled solution via exclusion cuts
-    maximizers = []
-    cuts = []
-    while True:
-        res = solve(cuts)
-        if res.status != 0 or round(-res.fun) < opt:
+        if res.status == 2 and reps:
+            break  # the cuts exclude every graph: ex is 0
+        if res.status != 0:
+            raise BudgetExceededError(f"integer program did not solve: {res.message}")
+        value = round(-res.fun)
+        if opt is None:
+            opt = value
+        elif value < opt:
             break
-        chosen = [slots[i] for i in range(m) if res.x[i] > 0.5]
-        maximizers.append(Hypergraph(r=r, n=n, edges=chosen))
-        row = np.zeros(m)
-        row[[slot_index[e] for e in chosen]] = 1.0
-        cuts.append(LinearConstraint(row, -np.inf, opt - 1))
+        chosen = np.flatnonzero(res.x > 0.5)
+        reps.append(Hypergraph(r=r, n=n, edges=[slots[i] for i in chosen]))
+        cuts.extend(sorted(_relabellings(chosen.tolist(), actions)))
         if time.monotonic() > deadline:
             raise BudgetExceededError("maximizer enumeration timed out")
-
-    reps: list[Hypergraph] = []
-    for G in maximizers:
-        if not any(is_isomorphic(G, R) for R in reps):
-            reps.append(G)
     return opt, reps

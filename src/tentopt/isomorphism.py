@@ -33,6 +33,7 @@ def find_isomorphism(G: Hypergraph, H: Hypergraph) -> list[int] | None:
         return None
 
     h_edges = H.edges
+    h_sets = [frozenset(f) for f in h_edges]
     g_edges = G.sorted_edges
     incident = [[] for _ in range(G.n)]
     for idx, e in enumerate(g_edges):
@@ -43,7 +44,7 @@ def find_isomorphism(G: Hypergraph, H: Hypergraph) -> list[int] | None:
     mapping = [-1] * G.n
     used = [False] * H.n
 
-    def order_next(assigned: set[int]) -> int | None:
+    def order_next() -> int | None:
         best, best_score = None, (-1, -1)
         for v in range(G.n):
             if mapping[v] >= 0:
@@ -66,14 +67,14 @@ def find_isomorphism(G: Hypergraph, H: Hypergraph) -> list[int] | None:
                     return False
             else:
                 part = {w for w in img if w >= 0}
-                if not any(part <= set(f) for f in h_edges):
+                if not any(part <= f for f in h_sets):
                     return False
         return True
 
     def backtrack(depth: int) -> bool:
         if depth == G.n:
             return True
-        v = order_next(set())
+        v = order_next()
         for w in range(H.n):
             if used[w] or inv_g[v] != inv_h[w]:
                 continue

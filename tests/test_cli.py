@@ -279,6 +279,24 @@ def test_verify_does_not_import_scipy_optimizers(tmp_path):
     assert json.loads("\n".join(lines[1:-1]))["passed"] is True
 
 
+def test_hom_check_loads_no_scipy(tmp_path):
+    # the backtracker needs no scipy; scipy.sparse is for brute_force_ex only
+    src = write_host(tmp_path, make_tent(3, 1), "src.json")
+    host = write_host(tmp_path, make_turan_graph(3, 6), "host.json")
+    code = ("import sys\n"
+            "import tentopt.cli\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            f"sys.argv = ['tentopt', 'hom', 'check', {src!r}, {host!r}]\n"
+            "tentopt.cli.main()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "[]"
+    assert json.loads("\n".join(lines[1:-1]))["found"] is False
+
+
 def test_exit_code_success():
     proc = run_main("tent", "make", "--r", "4", "--i", "1")
     assert proc.returncode == 0

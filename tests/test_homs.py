@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from tentopt import homs
 from tentopt.homs import (
     BudgetExceededError,
     SearchBudget,
@@ -116,6 +119,64 @@ def test_extension_equivalence_on_random_corpus():
     assert cases >= 20
 
 
+def _reference_found(f_edges, n_f: int, H: Hypergraph, partial: bool) -> bool:
+    """Plain enumeration of every map V(F) -> V(H): each edge's image must be
+    injective and be an H-edge (or, when partial, lie inside one)."""
+    maps = np.indices((H.n,) * n_f).reshape(n_f, -1).T
+    bits = np.left_shift(1, maps)
+    hmasks = np.array([sum(1 << w for w in e) for e in H.edges], dtype=np.int64)
+    ok = np.ones(len(maps), dtype=bool)
+    for e in f_edges:
+        img = np.bitwise_or.reduce(bits[:, list(e)], axis=1)
+        ok &= bits[:, list(e)].sum(axis=1) == img  # distinct images
+        if partial:
+            ok &= ((img[:, None] & ~hmasks[None, :]) == 0).any(axis=1)
+        else:
+            ok &= np.isin(img, hmasks)
+    return bool(ok.any())
+
+
+def _reference_cases():
+    rng = np.random.default_rng(5)
+    for r in (2, 3, 4):
+        sources = [(F, False) for F in tent_family(r, max(1, r // 2)).members]
+        sources += [(make_partial_tent(r, i), True) for i in range(1, r // 2 + 1)]
+        if r == 3:  # a cap below the host's uniformity
+            sources.append((PartialHypergraph(r=2, n=3, maximal_edges=[(0, 1), (1, 2), (0, 2)]),
+                            True))
+        hosts = [Hypergraph(r=r, n=r + 1, edges=[])]
+        while len(hosts) < 12:
+            n = int(rng.integers(r, r + 3))
+            hosts.append(random_hypergraph(r, n, float(rng.uniform(0.1, 0.8)), rng))
+        for F, partial in sources:
+            for H in hosts:
+                yield F, partial, H
+
+
+def test_search_matches_plain_enumeration():
+    found = absent = 0
+    for F, partial, H in _reference_cases():
+        if partial:
+            f = find_partial_homomorphism(F, H)
+        else:
+            f = find_homomorphism(F, H)
+        expect = _reference_found(F.sorted_edges, F.n, H, partial)
+        assert (f is not None) == expect, (F.sorted_edges, H.to_json())
+        if f is None:
+            absent += 1
+            continue
+        found += 1
+        assert len(f) == F.n
+        if partial:
+            for e in F.sorted_edges:
+                img = {f[v] for v in e}
+                assert len(img) == len(e)
+                assert any(img <= set(h) for h in H.edges)
+        else:
+            assert check_map(F, H, f)
+    assert found >= 20 and absent >= 20
+
+
 def test_budget_is_enforced():
     big = make_turan_graph(3, 12)
     F = make_tent(3, 1)
@@ -141,6 +202,41 @@ def test_single_edge_extremal_at_n_equals_r():
     for r, k in [(4, 2), (5, 2)]:
         value, extremal = brute_force_ex(r, tent_family(r, k))
         assert value == 1 and len(extremal) == 1
+
+
+STAR = Hypergraph(r=2, n=4, edges=[(0, 1), (0, 2), (0, 3)])
+
+
+def _cycles(*lengths):
+    edges, start = [], 0
+    for ell in lengths:
+        edges += [(start + i, start + (i + 1) % ell) for i in range(ell)]
+        start += ell
+    return Hypergraph(r=2, n=start, edges=edges)
+
+
+@pytest.mark.parametrize("n,family,expect,classes", [
+    (5, Family((K3,)), 6, [make_turan_graph(2, 5)]),
+    (6, Family((STAR,)), 6, [_cycles(6), _cycles(3, 3)]),
+    (7, Family((STAR,)), 7, [_cycles(7), _cycles(3, 4)]),
+    (4, Family((Hypergraph(r=2, n=2, edges=[(0, 1)]),)), 0, [Hypergraph(r=2, n=4, edges=[])]),
+])
+def test_extremal_classes_one_solve_each(monkeypatch, n, family, expect, classes):
+    solves = []
+    real = homs.milp
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "milp", spy)
+    value, extremal = brute_force_ex(n, family)
+    assert value == expect
+    assert len(solves) == len(extremal) + 1
+    assert len(extremal) == len(classes)
+    assert not any(is_isomorphic(A, B) for A, B in itertools.combinations(extremal, 2))
+    for C in classes:
+        assert sum(is_isomorphic(G, C) for G in extremal) == 1
 
 
 def test_brute_force_size_guards():
