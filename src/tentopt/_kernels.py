@@ -86,11 +86,18 @@ def fixed_point_residual(Xt: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     return np.where(Xt > SUPPORT_TOL, np.abs(dev), np.maximum(dev, 0.0)).max(axis=0)
 
 
-def _replicator_batch_np(edges, n, starts, iters, tol):
-    R = starts.shape[0]
+def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
+                     iters: int = 5000, tol: float = 1e-14):
+    """Run replicator ascent from each start.
+
+    Returns (values, end points, iterations run per start, stop reason per
+    start as an index into ``STOP_REASONS``).
+    """
+    edges = np.ascontiguousarray(edges, dtype=np.int64)
+    X = np.array(starts, dtype=np.float64)
+    R = X.shape[0]
     r = edges.shape[1]
     S = slot_matrix(edges, n)
-    X = starts.copy()
     steps = np.full(R, iters, dtype=np.int64)
     stop = np.full(R, CAP, dtype=np.int8)
     # the running starts: their rows of X, their points as columns and, for
@@ -139,28 +146,11 @@ def _replicator_batch_np(edges, n, starts, iters, tol):
             idx, Xt = idx[keep], Xt[:, keep]
             checkpoint, last_gain = checkpoint[keep], last_gain[keep]
     X[idx] = Xt.T
-    values = _edge_poly_batch_np(edges, X)
+    values = edge_poly_batch(edges, X)
     return values, X, steps, stop
-
-
-def _edge_poly_batch_np(edges, points):
-    return points[:, edges].prod(axis=2).sum(axis=1)
-
-
-def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
-                     iters: int = 5000, tol: float = 1e-14):
-    """Run replicator ascent from each start.
-
-    Returns (values, end points, iterations run per start, stop reason per
-    start as an index into ``STOP_REASONS``).
-    """
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
-    return _replicator_batch_np(edges, n, starts, iters, tol)
 
 
 def edge_poly_batch(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the edge polynomial at each row of ``points``."""
-    edges = np.ascontiguousarray(edges, dtype=np.int64)
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    return _edge_poly_batch_np(edges, points)
+    points = np.asarray(points, dtype=np.float64)
+    return points[:, np.asarray(edges, dtype=np.int64)].prod(axis=2).sum(axis=1)

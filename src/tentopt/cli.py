@@ -312,6 +312,7 @@ def entropy_density(ctx, hypergraph, restarts):
         "value": res.value,
         "witness": list(res.witness.w),
         "status": res.status,
+        "diagnostics": res.diagnostics,
     })
 
 

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import slot_matrix
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
 from .lagrangian import _SEED, lagrangian
@@ -267,136 +268,130 @@ def ratio_sequence(d: EdgeDistribution) -> RatioSequence:
 # entropic density
 
 
+# the batched ascent stops when no weight moved by STEP_TOL, or after MAX_STEPS
+STEP_TOL = 1e-14
+MAX_STEPS = 2000
+
+
 @dataclass(frozen=True)
 class EntropicDensityResult:
     value: float
     witness: EdgeDistribution
     status: str  # "converged" (Lagrangian cross-check agrees) or "best-found"
+    # steps the batched ascent ran and whether it stopped on STEP_TOL ("tol")
+    # or on MAX_STEPS ("cap")
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):
         return iter((self.value, self.witness))
 
 
-def _edge_objective(edges: np.ndarray, n: int, r: int, w: np.ndarray) -> float:
-    """ln r! + H(w) - r H(m(w)) in nats; the entropic density is exp of it."""
-    m = np.zeros(n)
-    np.add.at(m, edges.ravel(), np.repeat(w, r) / r)
-    pos_w = w[w > 0]
-    pos_m = m[m > 0]
-    return (math.lgamma(r + 1) - float(pos_w @ np.log(pos_w))
-            - r * (-float(pos_m @ np.log(pos_m))))
+def _plogp(P: np.ndarray) -> np.ndarray:
+    """Column sums of p ln p, with 0 ln 0 = 0."""
+    return (P * np.log(P, out=np.zeros_like(P), where=P > 0)).sum(axis=0)
 
 
-def _ascend(edges: np.ndarray, n: int, r: int, w0: np.ndarray,
-            iters: int = 2000, tol: float = 1e-14) -> tuple[float, np.ndarray]:
-    """Exponentiated-gradient ascent with backtracking on the edge simplex."""
-    w = np.clip(w0, 1e-300, None)
-    w = w / w.sum()
-    val = _edge_objective(edges, n, r, w)
-    eta = 0.5
-    for _ in range(iters):
-        m = np.zeros(n)
-        np.add.at(m, edges.ravel(), np.repeat(w, r) / r)
-        # weights can underflow to exact zero mid-ascent; clip before the logs
-        # so the gradient stays finite
-        g = (-np.log(np.clip(w, 1e-300, None))
-             + np.log(np.clip(m, 1e-300, None))[edges].sum(axis=1))
-        g -= g.max()
-        stepped = False
-        while eta > 1e-12:
-            cand = w * np.exp(eta * g)
-            cand /= cand.sum()
-            cand_val = _edge_objective(edges, n, r, cand)
-            if np.isfinite(cand_val) and cand_val >= val - 1e-15:
-                stepped = True
-                break
-            eta /= 2
-        if not stepped:
-            break
-        delta = np.abs(cand - w).max()
-        w, val = cand, cand_val
-        eta = min(eta * 1.5, 2.0)
-        if delta < tol:
-            break
-    return val, w
+def _log_density(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
+    """ln r! + H(w) - r H(m(w)) in nats for each column w of W, where B is
+    the (n, m) vertex-edge incidence matrix and m(w) = B w / r; the
+    entropic density is exp of it."""
+    return math.lgamma(r + 1) - _plogp(W) + r * _plogp(B @ W / r)
+
+
+def _cccp_step(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
+    """One concave-convex step from each column of W: w_e proportional to
+    the product of the vertex marginals m_v(w) over v in e.
+
+    The objective is H(w) plus the convex r sum_v m_v ln m_v.  Replacing the
+    convex term by its tangent at w gives a lower bound that is tight at w,
+    and the step maximizes that bound over the simplex, so the objective
+    never decreases (Yuille & Rangarajan, Neural Computation 2003).
+    """
+    # a marginal can underflow to exact zero; clipping keeps the logs finite
+    G = B.T @ np.log(np.clip(B @ W / r, 1e-300, None))
+    W = np.exp(G - G.max(axis=0))
+    return W / W.sum(axis=0)
 
 
 def entropic_density(H: Hypergraph, restarts: int = 100,
                      seed: int = _SEED) -> EntropicDensityResult:
     """Maximum of 2^{H(X_1..X_r) - r H(X_1)} over edge distributions.
 
-    The objective is a difference of concave terms, so ascent is multistart:
-    Dirichlet starts plus a start seeded from the Lagrangian witness
-    (w_e proportional to the product of witness weights on e, which is
-    optimal when the two densities coincide).  ``seed`` drives both the
-    Dirichlet starts and the Lagrangian.
+    The objective is a difference of concave terms, so the ascent
+    (``_cccp_step``, monotone in every column) is multistart: a start seeded
+    from the Lagrangian witness (w_e proportional to the product of witness
+    weights on e, which is optimal when the two densities coincide), the
+    uniform start and ``restarts`` Dirichlet starts, all stepped together as
+    the columns of one matrix.  ``seed`` drives both the Dirichlet starts and
+    the Lagrangian.
     """
     if not H.edges:
         raise ValueError("entropic density needs at least one edge")
     edges = np.array(H.sorted_edges, dtype=np.int64)
     n, r = H.n, H.r
     m_edges = len(edges)
+    # (n, m) vertex-edge incidence: the slot matrix summed over slots
+    B = slot_matrix(edges, n).reshape(r, m_edges, n).sum(axis=0).T
 
     lag = lagrangian(H, seed=seed)
     xw = np.asarray(lag.witness.weights)
     seed_w = np.prod(np.clip(xw[edges], 1e-300, None), axis=1)
-    seed_w /= seed_w.sum()
 
     rng = np.random.default_rng(seed)
-    starts = [seed_w, np.full(m_edges, 1.0 / m_edges)]
-    starts.extend(rng.dirichlet(np.ones(m_edges)) for _ in range(restarts))
-
-    best_val, best_w = -np.inf, None
-    for w0 in starts:
-        val, w = _ascend(edges, n, r, w0)
-        if val > best_val:
-            best_val, best_w = val, w
-    value = math.exp(best_val)
+    W = np.column_stack([seed_w / seed_w.sum(), np.full(m_edges, 1.0 / m_edges),
+                         rng.dirichlet(np.ones(m_edges), size=restarts).T])
+    stopped = "cap"
+    for steps in range(1, MAX_STEPS + 1):
+        W, before = _cccp_step(B, W, r), W
+        if np.abs(W - before).max() < STEP_TOL:
+            stopped = "tol"
+            break
+    values = _log_density(B, W, r)
+    best = int(np.argmax(values))
+    value = math.exp(values[best])
     status = "converged" if abs(value - lag.blowup_density) < 1e-5 else "best-found"
     return EntropicDensityResult(value=value,
-                                 witness=EdgeDistribution(H, tuple(best_w)),
-                                 status=status)
+                                 witness=EdgeDistribution(H, tuple(W[:, best])),
+                                 status=status,
+                                 diagnostics={"steps": steps, "stopped": stopped})
 
 
 # ---------------------------------------------------------------------------
 # partial forests and the tree sampler
 
 
+def _back_portions(F: PartialHypergraph, order: Sequence[int]):
+    """e_v for each vertex v, as a set: the unique inclusion-maximal
+    back-portion e ∩ {u <= v} of the edges e through v, or None when some
+    vertex has no unique one."""
+    if sorted(order) != list(range(F.n)):
+        raise ValueError("order must be a permutation of the vertices")
+    rank = {v: t for t, v in enumerate(order)}
+    out = {}
+    for v in range(F.n):
+        cands = {frozenset(u for u in e if rank[u] <= rank[v])
+                 for e in F.sorted_edges if v in e}
+        maximal = [c for c in cands if not any(c < o for o in cands)]
+        if len(maximal) != 1:
+            return None
+        out[v] = maximal[0]
+    return out
+
+
 def forest_sequence(F: PartialHypergraph, order: Sequence[int]):
     """Forest sequence (f_1, ..., f_r) of F under the given vertex order,
     or None when some vertex lacks a unique maximal back-edge.
 
-    ``order`` lists V(F) from smallest to largest; for each vertex v the
-    candidates are the back-portions e ∩ {u <= v} of maximal edges through v,
-    and the partial-forest condition asks for a unique inclusion-maximal one.
+    ``order`` lists V(F) from smallest to largest; f_q counts the vertices
+    whose unique maximal back-portion (``_back_portions``) has q vertices.
     """
-    if sorted(order) != list(range(F.n)):
-        raise ValueError("order must be a permutation of the vertices")
-    rank = {v: t for t, v in enumerate(order)}
+    ev = _back_portions(F, order)
+    if ev is None:
+        return None
     f = [0] * F.r
-    for v in range(F.n):
-        cands = []
-        for e in F.sorted_edges:
-            if v in e:
-                cands.append(frozenset(u for u in e if rank[u] <= rank[v]))
-        maximal = [c for c in set(cands)
-                   if not any(c < other for other in cands)]
-        if len(maximal) != 1:
-            return None
-        f[len(maximal[0]) - 1] += 1
+    for e in ev.values():
+        f[len(e) - 1] += 1
     return tuple(f)
-
-
-def _edge_vertices(F: PartialHypergraph, order: Sequence[int]):
-    """e_v for each vertex: the unique maximal back-portion, as a set."""
-    rank = {v: t for t, v in enumerate(order)}
-    out = {}
-    for v in range(F.n):
-        cands = [frozenset(u for u in e if rank[u] <= rank[v])
-                 for e in F.sorted_edges if v in e]
-        maximal = [c for c in set(cands) if not any(c < o for o in cands)]
-        out[v] = maximal[0]
-    return out
 
 
 def tree_sampler_entropy(F: PartialHypergraph, order: Sequence[int],
@@ -409,11 +404,10 @@ def tree_sampler_entropy(F: PartialHypergraph, order: Sequence[int],
     e_v minus v.  Asserts the realized entropy matches the prediction and
     that every maximal edge's marginal is the corresponding suffix law.
     """
-    f = forest_sequence(F, order)
-    if f is None:
+    ev = _back_portions(F, order)
+    if ev is None:
         raise ValueError("F is not a partial forest under this order")
     r = d.host.r
-    ev = _edge_vertices(F, order)
     levels = d.subset_weights()
 
     def W(s: frozenset) -> float:
@@ -449,8 +443,10 @@ def tree_sampler_entropy(F: PartialHypergraph, order: Sequence[int],
         {tuple(o[inv[v]] for v in range(F.n)): p for o, p in law.items()}))
 
     rs = ratio_sequence(d)
+    # a vertex whose back-portion has q vertices counts in f_q, the exponent
+    # of x_{r+1-q}
     predicted = F.n * rs.marginal_entropy + sum(
-        f[r - i] * math.log2(rs.x[i - 1]) for i in range(1, r + 1))
+        math.log2(rs.x[r - len(e)]) for e in ev.values())
     realized = entropy(joint.rv)
     if abs(realized - predicted) > 1e-9 * max(1.0, abs(predicted)):
         raise AssertionError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,11 +24,14 @@ from ._kernels import (
 )
 from .hypergraphs import Family, Hypergraph
 from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
+from .region import product_bound
 
 DEFAULT_RESTARTS = 200
 _SEED = 20240817
 # a start "reached the best" when its value is within this share of the best
 BEST_REL = 1e-9
+# a start stops when its step moves no coordinate by this much
+STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def _diagnostics(values: np.ndarray, steps: np.ndarray, stops: np.ndarray) -> di
 
 
 def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
-               tol: float = 1e-12, seed: int = _SEED) -> LagrangianResult:
+               seed: int = _SEED) -> LagrangianResult:
     """Best local maximum of the edge polynomial over the simplex.
 
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
@@ -117,7 +119,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.full((1, H.n), 1.0 / H.n),
                         rng.dirichlet(np.ones(H.n), size=restarts)])
-    values, xs, steps, stops = replicator_batch(edges, H.n, starts, iters=20000, tol=tol)
+    values, xs, steps, stops = replicator_batch(edges, H.n, starts, iters=20000, tol=STEP_TOL)
     order = np.argsort(-values)
     best = order[0]
     for idx in order:
@@ -225,9 +227,8 @@ def density_lower_bound(H: Hypergraph, family: Family,
     return blowup_density(H)
 
 
-def single_edge_density(r: int) -> Fraction:
-    """Exact blowup density of one r-edge: r!/r^r."""
-    return Fraction(math.factorial(r), r**r)
+# the exact blowup density of one r-edge is the region's bound r!/r^r
+single_edge_density = product_bound
 
 
 def check_density_monotone(F_big: Family, F_small: Family,

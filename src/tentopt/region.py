@@ -35,18 +35,15 @@ TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
 
-def ceil_r_over_e(r: int) -> int:
+def floor_r_over_e(r: int) -> int:
     q = r / math.e
     if abs(q - round(q)) < 1e-9:  # impossible for integer r; defensive
         raise ValueError(f"r/e is numerically indistinguishable from an integer for r={r}")
-    return math.ceil(q)
-
-
-def floor_r_over_e(r: int) -> int:
-    q = r / math.e
-    if abs(q - round(q)) < 1e-9:
-        raise ValueError(f"r/e is numerically indistinguishable from an integer for r={r}")
     return math.floor(q)
+
+
+def ceil_r_over_e(r: int) -> int:
+    return floor_r_over_e(r) + 1  # r/e is never an integer
 
 
 def tent_constraints(r: int, k: int) -> np.ndarray:
@@ -188,6 +185,8 @@ def linear_point(r: int, k: int, exact: bool = False) -> FeasiblePoint:
 
 
 def product_bound(r: int) -> Fraction:
+    """r!/r^r, the product at the linear point (and the blowup density of
+    one r-edge, ``lagrangian.single_edge_density``)."""
     return Fraction(math.factorial(r), r**r)
 
 
@@ -285,8 +284,7 @@ def _solve_on_face(model: RegionConstraints, lap):
     res = minimize(lambda z: -np.sum(np.log(z)), start.as_floats()[:m],
                    jac=lambda z: -1.0 / z, method="SLSQP", bounds=[(1e-9, 1.0)] * m,
                    constraints=[{"type": "ineq", "fun": lambda z: b - A @ z,
-                                 "jac": lambda z: -A}],
-                   options={"maxiter": 500, "ftol": 1e-14})
+                                 "jac": lambda z: -A}])
     lap("slsqp")
 
     face = np.flatnonzero(model.slack(np.append(res.x, 1.0)) <= TOL_ACT)

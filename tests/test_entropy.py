@@ -272,6 +272,61 @@ def test_entropic_density_matches_blowup_density_on_corpus():
         checked += 1
 
 
+def incidence(H):
+    B = np.zeros((H.n, len(H.edges)))
+    for e, edge in enumerate(H.sorted_edges):
+        B[list(edge), e] = 1.0
+    return B
+
+
+def test_cccp_step_never_lowers_the_objective():
+    rng = np.random.default_rng(7)
+    hosts = 0
+    gain = 0.0
+    while hosts < 12:
+        r = int(rng.integers(2, 5))
+        H = random_hypergraph(r, int(rng.integers(r + 1, 9)), 0.5, rng)
+        if len(H.edges) < 2:
+            continue
+        hosts += 1
+        B = incidence(H)
+        # Dirichlet(1) and sparse Dirichlet(0.1) columns
+        W = np.column_stack([rng.dirichlet(np.full(len(H.edges), a))
+                             for a in (1.0, 1.0, 0.1, 0.1)])
+        W = np.clip(W, 1e-300, None) / W.sum(axis=0)
+        before = ent._log_density(B, W, r)
+        first = before.copy()
+        for _ in range(50):
+            W = ent._cccp_step(B, W, r)
+            np.testing.assert_allclose(W.sum(axis=0), 1.0, rtol=1e-12)
+            after = ent._log_density(B, W, r)
+            assert (after >= before - 1e-12).all(), (H.to_json(), before - after)
+            before = after
+        gain = max(gain, (after - first).max())
+    # stars have a constant objective; the other hosts must move
+    assert gain > 1e-3
+
+
+def test_log_density_matches_ratio_sequence():
+    rng = np.random.default_rng(3)
+    H = make_turan_graph(3, 6)
+    w = rng.dirichlet(np.ones(len(H.edges)))
+    rs = ratio_sequence(EdgeDistribution(H, tuple(w)))
+    got = ent._log_density(incidence(H), w[:, None], 3)[0]
+    assert math.exp(got) == pytest.approx(math.prod(rs.x), rel=1e-12)
+
+
+def test_entropic_density_is_deterministic_for_a_seed():
+    H = random_hypergraph(3, 7, 0.4, np.random.default_rng(11))
+    a = entropic_density(H, restarts=20, seed=5)
+    b = entropic_density(H, restarts=20, seed=5)
+    assert a == b
+    assert a.witness.w == b.witness.w
+    assert a.diagnostics == b.diagnostics
+    assert a.diagnostics["stopped"] in ("tol", "cap")
+    assert 1 <= a.diagnostics["steps"] <= ent.MAX_STEPS
+
+
 # -- partial forests and the sampler ---------------------------------------
 
 

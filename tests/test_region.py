@@ -222,6 +222,18 @@ def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
     assert rep.value > float(product_bound(6))
 
 
+def test_slsqp_terminates_successfully():
+    # SLSQP runs with its default tolerances, and every solve must end on its
+    # own success test, not on a failed line search
+    for r in range(4, 17):
+        for k in range(1, ceil_r_over_e(r)):
+            rep = maximize_product(r, k)
+            if rep.diagnostics["path"] == "slsqp+polish":
+                message = rep.diagnostics["slsqp"]["message"]
+                assert "terminated successfully" in message, (r, k, message)
+                assert rep.status == "converged", (r, k)
+
+
 def test_maximize_product_falls_back_to_slsqp(monkeypatch):
     # an LP that finds no vertex leaves the linear point uncertified
     monkeypatch.setattr(region, "linprog", lambda *a, **kw: SimpleNamespace(status=2))
