@@ -7,6 +7,12 @@ uses the same gradient and residual, and the benchmark's traced run
 (``perfbench/run.py --trace 1``) times the kernels as the ``kernels.*``
 layer.
 
+``replicator_batch`` has two callers.  ``lagrangian.lagrangian`` ascends
+the edge polynomial itself.  ``entropy.entropic_density`` ascends the vertex
+marginals m of its edge distributions: the concave-convex step
+w_e ∝ ∏_{v∈e} m_v has the marginal m_v ∂_v P(m) / (r P(m)), one replicator
+step.  Both summarise their starts with ``start_diagnostics``.
+
 Replicator ascent stops each start on its own, for the first of four
 reasons (``STOP_REASONS``):
 
@@ -37,6 +43,23 @@ REACH_REL = 1e-12
 
 STOP_REASONS = ("certified", "delta", "reach", "cap")
 CERTIFIED, DELTA, REACH, CAP = range(len(STOP_REASONS))
+# a start "reached the best" when its value is within this share of the best
+BEST_REL = 1e-9
+
+
+def start_diagnostics(values: np.ndarray, steps: np.ndarray, stops: np.ndarray) -> dict:
+    """How a batch of starts ran: iterations per start (min, median, max),
+    how many stopped for each reason in ``STOP_REASONS``, and how many end
+    within BEST_REL (relative) of the best value."""
+    best = values.max()
+    counts = np.bincount(stops, minlength=len(STOP_REASONS))
+    return {
+        "iterations_min": int(steps.min()),
+        "iterations_median": float(np.median(steps)),
+        "iterations_max": int(steps.max()),
+        "stopped": {name: int(c) for name, c in zip(STOP_REASONS, counts)},
+        "reached_best": int((values >= best - BEST_REL * abs(best)).sum()),
+    }
 
 
 def backend_name() -> str:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import slot_matrix
+from ._kernels import CERTIFIED, replicator_batch, start_diagnostics
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
 from .lagrangian import _SEED, lagrangian
@@ -154,6 +154,14 @@ def mixture_bound_witness(Xs: Sequence[DiscreteRV], a: int):
 # random edge with uniform ordering
 
 
+def _incidence(H: Hypergraph) -> np.ndarray:
+    """The (n, m) 0/1 vertex-edge incidence matrix, edges in sorted order."""
+    edges = np.array(H.sorted_edges, dtype=np.int64)
+    B = np.zeros((H.n, len(edges)))
+    B[edges.T, np.arange(len(edges))] = 1.0
+    return B
+
+
 @dataclass(frozen=True)
 class EdgeDistribution:
     """Probability weight per edge of a host hypergraph; the induced ordered
@@ -183,11 +191,7 @@ class EdgeDistribution:
 
     def vertex_marginal(self) -> np.ndarray:
         """Law of any single tuple coordinate: m_v = sum_{e : v in e} w_e / r."""
-        m = np.zeros(self.host.n)
-        for e, we in zip(self.host.sorted_edges, self.w):
-            for v in e:
-                m[v] += we / self.host.r
-        return m
+        return _incidence(self.host) @ np.asarray(self.w) / self.host.r
 
     def subset_weights(self) -> list[dict]:
         """W_s = sum of w_e over edges containing s, for |s| = 0..r."""
@@ -268,7 +272,8 @@ def ratio_sequence(d: EdgeDistribution) -> RatioSequence:
 # entropic density
 
 
-# the batched ascent stops when no weight moved by STEP_TOL, or after MAX_STEPS
+# the replicator ascent on the marginals stops a start when no marginal moved
+# by STEP_TOL, or after MAX_STEPS
 STEP_TOL = 1e-14
 MAX_STEPS = 2000
 
@@ -277,9 +282,11 @@ MAX_STEPS = 2000
 class EntropicDensityResult:
     value: float
     witness: EdgeDistribution
-    status: str  # "converged" (Lagrangian cross-check agrees) or "best-found"
-    # steps the batched ascent ran and whether it stopped on STEP_TOL ("tol")
-    # or on MAX_STEPS ("cap")
+    # "converged" when the best start stopped ``certified``: its replicator
+    # fixed-point residual fell below ``_kernels.CERTIFIED_RESIDUAL``;
+    # otherwise "best-found"
+    status: str
+    # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):
@@ -298,62 +305,41 @@ def _log_density(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
     return math.lgamma(r + 1) - _plogp(W) + r * _plogp(B @ W / r)
 
 
-def _cccp_step(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
-    """One concave-convex step from each column of W: w_e proportional to
-    the product of the vertex marginals m_v(w) over v in e.
-
-    The objective is H(w) plus the convex r sum_v m_v ln m_v.  Replacing the
-    convex term by its tangent at w gives a lower bound that is tight at w,
-    and the step maximizes that bound over the simplex, so the objective
-    never decreases (Yuille & Rangarajan, Neural Computation 2003).
-    """
-    # a marginal can underflow to exact zero; clipping keeps the logs finite
-    G = B.T @ np.log(np.clip(B @ W / r, 1e-300, None))
-    W = np.exp(G - G.max(axis=0))
-    return W / W.sum(axis=0)
-
-
 def entropic_density(H: Hypergraph, restarts: int = 100,
                      seed: int = _SEED) -> EntropicDensityResult:
     """Maximum of 2^{H(X_1..X_r) - r H(X_1)} over edge distributions.
 
-    The objective is a difference of concave terms, so the ascent
-    (``_cccp_step``, monotone in every column) is multistart: a start seeded
-    from the Lagrangian witness (w_e proportional to the product of witness
-    weights on e, which is optimal when the two densities coincide), the
-    uniform start and ``restarts`` Dirichlet starts, all stepped together as
-    the columns of one matrix.  ``seed`` drives both the Dirichlet starts and
-    the Lagrangian.
+    The objective is H(w) plus the convex r sum_v m_v ln m_v, m = B w / r.
+    Its concave-convex step (Yuille & Rangarajan, Neural Computation 2003)
+    w_e ∝ ∏_{v∈e} m_v never lowers it, and its marginal is one replicator
+    step on m, so the ascent is ``replicator_batch`` on the marginals.  The
+    starts are the Lagrangian witness, then the marginals of the uniform and
+    ``restarts`` Dirichlet edge distributions; ``seed`` drives both the
+    Dirichlet starts and the Lagrangian.  Each end point m gives the edge
+    distribution w_e ∝ ∏_{v∈e} m_v, and the best of these is the witness.
     """
     if not H.edges:
         raise ValueError("entropic density needs at least one edge")
     edges = np.array(H.sorted_edges, dtype=np.int64)
     n, r = H.n, H.r
     m_edges = len(edges)
-    # (n, m) vertex-edge incidence: the slot matrix summed over slots
-    B = slot_matrix(edges, n).reshape(r, m_edges, n).sum(axis=0).T
+    B = _incidence(H)
 
     lag = lagrangian(H, seed=seed)
-    xw = np.asarray(lag.witness.weights)
-    seed_w = np.prod(np.clip(xw[edges], 1e-300, None), axis=1)
-
     rng = np.random.default_rng(seed)
-    W = np.column_stack([seed_w / seed_w.sum(), np.full(m_edges, 1.0 / m_edges),
-                         rng.dirichlet(np.ones(m_edges), size=restarts).T])
-    stopped = "cap"
-    for steps in range(1, MAX_STEPS + 1):
-        W, before = _cccp_step(B, W, r), W
-        if np.abs(W - before).max() < STEP_TOL:
-            stopped = "tol"
-            break
+    W0 = np.column_stack([np.full(m_edges, 1.0 / m_edges),
+                          rng.dirichlet(np.ones(m_edges), size=restarts).T])
+    starts = np.vstack([lag.witness.as_array(), (B @ W0 / r).T])
+    P, M, steps, stops = replicator_batch(edges, n, starts, iters=MAX_STEPS, tol=STEP_TOL)
+    # the columns of products over each edge sum to the edge polynomial P
+    W = M[:, edges].prod(axis=2).T / P
     values = _log_density(B, W, r)
     best = int(np.argmax(values))
-    value = math.exp(values[best])
-    status = "converged" if abs(value - lag.blowup_density) < 1e-5 else "best-found"
-    return EntropicDensityResult(value=value,
-                                 witness=EdgeDistribution(H, tuple(W[:, best])),
-                                 status=status,
-                                 diagnostics={"steps": steps, "stopped": stopped})
+    return EntropicDensityResult(
+        value=math.exp(values[best]),
+        witness=EdgeDistribution(H, tuple(W[:, best])),
+        status="converged" if stops[best] == CERTIFIED else "best-found",
+        diagnostics=start_diagnostics(np.exp(values), steps, stops))
 
 
 # ---------------------------------------------------------------------------

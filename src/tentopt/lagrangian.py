@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import (
-    STOP_REASONS,
     edge_gradient,
     edge_poly_batch,
     fixed_point_residual,
     replicator_batch,
     slot_matrix,
+    start_diagnostics,
 )
 from .hypergraphs import Family, Hypergraph
 from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
@@ -28,8 +28,6 @@ from .region import product_bound
 
 DEFAULT_RESTARTS = 200
 _SEED = 20240817
-# a start "reached the best" when its value is within this share of the best
-BEST_REL = 1e-9
 # a start stops when its step moves no coordinate by this much
 STEP_TOL = 1e-12
 
@@ -63,9 +61,7 @@ class LagrangianResult:
     blowup_density: float
     status: str  # "converged" or "budget-limited"
     restarts_used: int
-    # how the starts ran: iterations per start (min, median, max), how many
-    # stopped for each reason in ``_kernels.STOP_REASONS``, and how many end
-    # within BEST_REL (relative) of the best value
+    # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
@@ -89,18 +85,6 @@ def _fixed_point_residual(edges: np.ndarray, r: int, x: np.ndarray) -> float:
     if P[0] <= 0:
         return math.inf
     return float(fixed_point_residual(xt, grad / (r * P[0]))[0])
-
-
-def _diagnostics(values: np.ndarray, steps: np.ndarray, stops: np.ndarray) -> dict:
-    best = values.max()
-    counts = np.bincount(stops, minlength=len(STOP_REASONS))
-    return {
-        "iterations_min": int(steps.min()),
-        "iterations_median": float(np.median(steps)),
-        "iterations_max": int(steps.max()),
-        "stopped": {name: int(c) for name, c in zip(STOP_REASONS, counts)},
-        "reached_best": int((values >= best - BEST_REL * abs(best)).sum()),
-    }
 
 
 def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
@@ -137,7 +121,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
         blowup_density=math.factorial(H.r) * value,
         status=status,
         restarts_used=len(starts),
-        diagnostics=_diagnostics(values, steps, stops),
+        diagnostics=start_diagnostics(values, steps, stops),
     )
 
 

@@ -145,8 +145,10 @@ def test_entropy_density(tmp_path):
     res = invoke("entropy", "density", host, "--restarts", "20")
     d = json.loads(res.output)
     assert d["value"] == pytest.approx(2 / 3, abs=1e-6)
-    assert d["diagnostics"]["stopped"] == "tol"
-    assert 1 <= d["diagnostics"]["steps"] < 2000
+    diag = d["diagnostics"]
+    assert sum(diag["stopped"].values()) == 20 + 2
+    assert diag["iterations_max"] <= 2000
+    assert diag["reached_best"] >= 1
 
 
 def test_entropy_ratio(tmp_path):

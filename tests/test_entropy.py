@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tentopt.entropy as ent
+from tentopt._kernels import replicator_batch
 from tentopt.entropy import (
     DiscreteRV,
     EdgeDistribution,
@@ -279,7 +280,21 @@ def incidence(H):
     return B
 
 
-def test_cccp_step_never_lowers_the_objective():
+def cccp_update(B, W, r):
+    """The closed-form concave-convex step: w_e proportional to the product
+    of the marginals m(w) = B w / r over e."""
+    M = B @ W / r
+    logs = B.T @ np.log(M, out=np.full_like(M, -np.inf), where=M > 0)
+    W = np.exp(logs - logs.max(axis=0))
+    return W / W.sum(axis=0)
+
+
+def one_replicator_step(H, M):
+    edges = np.array(H.sorted_edges)
+    return replicator_batch(edges, H.n, M.T, iters=1, tol=0.0)[1].T
+
+
+def test_cccp_step_is_one_replicator_step_on_the_marginals():
     rng = np.random.default_rng(7)
     hosts = 0
     gain = 0.0
@@ -290,18 +305,24 @@ def test_cccp_step_never_lowers_the_objective():
             continue
         hosts += 1
         B = incidence(H)
+        edges = np.array(H.sorted_edges)
         # Dirichlet(1) and sparse Dirichlet(0.1) columns
         W = np.column_stack([rng.dirichlet(np.full(len(H.edges), a))
                              for a in (1.0, 1.0, 0.1, 0.1)])
         W = np.clip(W, 1e-300, None) / W.sum(axis=0)
+        M = B @ W / r
+        np.testing.assert_allclose(B @ cccp_update(B, W, r) / r,
+                                   one_replicator_step(H, M), rtol=0, atol=1e-13)
         before = ent._log_density(B, W, r)
         first = before.copy()
         for _ in range(50):
-            W = ent._cccp_step(B, W, r)
-            np.testing.assert_allclose(W.sum(axis=0), 1.0, rtol=1e-12)
+            # the edge distribution w(m) of the kernel's current iterate
+            W = M[edges].prod(axis=1)
+            W /= W.sum(axis=0)
             after = ent._log_density(B, W, r)
             assert (after >= before - 1e-12).all(), (H.to_json(), before - after)
             before = after
+            M = one_replicator_step(H, M)
         gain = max(gain, (after - first).max())
     # stars have a constant objective; the other hosts must move
     assert gain > 1e-3
@@ -323,8 +344,21 @@ def test_entropic_density_is_deterministic_for_a_seed():
     assert a == b
     assert a.witness.w == b.witness.w
     assert a.diagnostics == b.diagnostics
-    assert a.diagnostics["stopped"] in ("tol", "cap")
-    assert 1 <= a.diagnostics["steps"] <= ent.MAX_STEPS
+    assert sum(a.diagnostics["stopped"].values()) == 20 + 2
+    assert a.diagnostics["iterations_max"] <= ent.MAX_STEPS
+    assert a.diagnostics["reached_best"] >= 1
+
+
+def test_entropic_density_on_a_degenerate_maximum_is_best_found():
+    # contains K4^(3) on {0, 1, 3, 5} (blowup density 3/8); vertex 2's weight
+    # decays like 1/t, so no start certifies within MAX_STEPS
+    H = Hypergraph(r=3, n=6, edges=[(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 2, 5),
+                                    (0, 3, 5), (1, 2, 3), (1, 3, 4), (1, 3, 5),
+                                    (2, 4, 5)])
+    res = entropic_density(H)
+    assert res.status == "best-found"
+    assert res.value == pytest.approx(3 / 8, rel=1e-6)
+    assert res.value <= 3 / 8
 
 
 # -- partial forests and the sampler ---------------------------------------
