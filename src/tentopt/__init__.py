@@ -37,6 +37,7 @@ from .region import (
     OptimizationReport,
     RegionConstraints,
     SegmentDecomposition,
+    bend_point,
     check_feasible,
     counterexample_point,
     fprime_zero,
@@ -45,6 +46,7 @@ from .region import (
     perturb,
     probe_floor_case,
     quartic_inequality,
+    region_bracket,
     segments,
     upper_bound_gap,
 )

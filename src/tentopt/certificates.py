@@ -2,8 +2,9 @@
 
 A certificate records a machine-readable claim, an anchor into the claim
 index below, the run configuration, and enough evidence (point, value,
-active set, multipliers, and whether they are exact) to be re-checked
-without re-running any optimizer.
+active set, multipliers, whether they are exact, and the exact bracket
+around the region maximum) to be re-checked without re-running any
+optimizer.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from .region import (
     TOL_FEAS,
     TOL_REL,
     RegionConstraints,
+    bend_point,
     ceil_r_over_e,
     check_feasible,
+    dual_bound,
     product_bound,
 )
 
@@ -60,28 +63,63 @@ class Certificate:
 
 
 def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
-    """Feasibility of the point, its product against the claimed value, and
-    the KKT evidence; all in Fractions, with no tolerance when the KKT
-    evidence is ``exact``."""
+    """Feasibility of the point, its product against the claimed value, the
+    KKT evidence and, when stored, the bracket; all in Fractions.  A point
+    stored as Fraction strings is checked with no tolerance, and so is the
+    KKT evidence when it is ``exact``."""
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
     kkt = ev.get("kkt", {})
     exact = kkt.get("exact") is True
+    exact_point = all(isinstance(v, str) for v in ev["x"])
     x = [Fraction(v) for v in ev["x"]]
     checks = []
 
-    ok, bad = check_feasible(x, r, k, 0 if exact else TOL_FEAS)
+    ok, bad = check_feasible(x, r, k, 0 if exact_point else TOL_FEAS)
     checks.append(("point-feasible", ok, str(bad[:3]) if bad else ""))
 
     prod = float(math.prod(x))
     value = float(ev["value"])
-    ok = prod == value if exact else abs(prod - value) <= TOL_REL * prod
+    ok = prod == value if exact_point else abs(prod - value) <= TOL_REL * prod
     checks.append(("value-matches-point", ok, f"prod={prod}, claimed={value}"))
 
+    model = RegionConstraints(r, k)
     if kkt.get("optimal") is True:
-        checks.extend(_check_kkt(RegionConstraints(r, k), x, kkt, exact))
+        checks.extend(_check_kkt(model, x, kkt, exact))
     else:
         checks.append(("kkt-payload-present", False, "no optimality payload"))
+    if "bracket" in ev:
+        checks.extend(_check_bracket(model, x, kkt, ev["bracket"]))
+    return checks
+
+
+def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
+                   bracket: dict) -> list[tuple[str, bool, str]]:
+    """The bracket lower <= max prod x <= upper, in Fractions with no
+    tolerance: x is the bend point at ``eps``, ``lower`` is prod x, and
+    ``upper`` is the dual bound recomputed from the stored multipliers,
+    which must be nonnegative and give c > 0."""
+    r, k = model.r, model.k
+    eps = Fraction(bracket["eps"])
+    ok = 0 <= eps < 1 and x == list(bend_point(r, k, eps).x)
+    checks = [("bracket-point-is-bend", ok, f"eps={eps}")]
+    try:
+        rows = [model.index(lab) for lab in kkt.get("active", [])]
+    except ValueError as exc:  # a row with no normal bounds nothing
+        return checks + [("bracket-dual-feasible", False, str(exc))]
+    mus = [Fraction(v) for v in kkt.get("multipliers", [])]
+    ok = len(mus) == len(rows) and all(mu >= 0 for mu in mus)
+    checks.append(("bracket-multipliers-nonnegative", ok, ""))
+    upper = dual_bound(model, rows, mus) if ok else None
+    checks.append(("bracket-dual-feasible", upper is not None, "c = A^T mu + nu e_r > 0"))
+    lower = math.prod(x)
+    checks.append(("bracket-lower-is-product", Fraction(bracket["lower"]) == lower, ""))
+    stored = bracket["upper"]
+    checks.append(("bracket-upper-matches",
+                   upper is not None and stored is not None and Fraction(stored) == upper, ""))
+    ok = upper is not None and lower <= upper
+    gap = float((upper - lower) / lower) if ok else None
+    checks.append(("bracket-ordered", ok, f"(upper - lower)/lower={gap}"))
     return checks
 
 
@@ -101,7 +139,8 @@ def _check_kkt(model: RegionConstraints, x: list, kkt: dict,
     checks = [("active-labels-valid", True, "")]
     ok = len(mus) == len(rows) and all(mu >= -tol_mu for mu in mus)
     checks.append(("multipliers-nonnegative", ok, f"min={float(min(mus, default=0))}"))
-    slacks = [abs(s) for s in model.slack(x)[rows]]
+    N, D = model.scaled_slack(x)
+    slacks = [abs(Fraction(N[t], D)) for t in rows]
     ok = all(s <= tol_slack for s in slacks)
     checks.append(("active-set-tight", ok, f"max slack={float(max(slacks, default=0))}"))
     recon = model.combine(rows, mus)

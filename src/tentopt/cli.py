@@ -32,7 +32,6 @@ from .hypergraphs import (
 )
 from .lagrangian import _SEED, lagrangian
 from .region import (
-    TOL_REL,
     FeasiblePoint,
     ceil_r_over_e,
     counterexample_point,
@@ -186,12 +185,16 @@ def region():
 
 
 def _report_payload(rep) -> dict:
+    lower, upper = rep.bracket["lower"], rep.bracket["upper"]
     return {
         "value": rep.value,
         "bound": rep.bound,
         "argmax": {"r": rep.argmax.r, "k": rep.argmax.k,
                    "x": [float(v) for v in rep.argmax.x]},
         "kkt": rep.kkt,
+        # the exact bounds run to thousands of digits; certificates keep them
+        "bracket": {"eps": str(rep.bracket["eps"]),
+                    "gap": None if upper is None else float((upper - lower) / lower)},
         "status": rep.status,
         # wall seconds would make the output differ from run to run
         "diagnostics": {k: v for k, v in rep.diagnostics.items() if k != "seconds"},
@@ -199,11 +202,13 @@ def _report_payload(rep) -> dict:
 
 
 def _max_evidence(rep) -> dict:
-    """Certificate evidence of a report; an exact argmax is stored as
-    Fraction strings."""
+    """Certificate evidence of a report: the argmax (Fraction strings when
+    exact), the value, the KKT certificate and the exact bracket."""
     p = rep.argmax
     x = [str(v) for v in p.x] if p.is_exact else [float(v) for v in p.x]
-    return {"r": p.r, "k": p.k, "x": x, "value": rep.value, "kkt": rep.kkt}
+    bracket = {key: None if v is None else str(v) for key, v in rep.bracket.items()}
+    return {"r": p.r, "k": p.k, "x": x, "value": rep.value, "kkt": rep.kkt,
+            "bracket": bracket}
 
 
 @region.command("max")
@@ -289,7 +294,8 @@ def region_probe_floor(ctx, r, output):
     rep = probe_floor_case(r)
     payload = _report_payload(rep)
     payload["k"] = rep.argmax.k
-    payload["exceeds_bound"] = rep.value > rep.bound * (1 + TOL_REL)
+    # a region point beats r!/r^r: decided exactly, whatever the float margin
+    payload["exceeds_bound"] = rep.bracket["lower"] > product_bound(r)
     _emit(payload, output)
 
 

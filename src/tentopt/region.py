@@ -2,17 +2,20 @@
 
 The region for parameters (r, k) consists of vectors 0 < x_1 <= ... <= x_r = 1
 with x_i + x_j <= x_{i+j} for every i in [k] and i <= j <= r - i (x_0 = 0
-implicitly).  The product of coordinates is maximized by solving the strictly
-concave program max sum(log x_i) once: SLSQP, then Newton's method on the
-face it ends on.  Segment structure, KKT certificates, the improving
-perturbation and the below-threshold counterexample construction also live
-here.
+implicitly).  The product of coordinates is maximized on the bend family
+x_i(eps) = (1 - eps) i/r + eps [i > k], which lies in the region for every
+0 <= eps < 1 and whose log-product is concave in eps with slope f'(0) at
+eps = 0.  When f'(0) <= 0 the linear point x_i = i/r (eps = 0) is certified
+by exact KKT multipliers; otherwise one scalar Newton solve finds eps, and
+the exact bend point is certified by the bracket L = prod x <= max <= U,
+U the geometric-programming dual bound of its nnls multipliers
+(Duffin, Peterson & Zener, 1967).  Segment structure, the improving
+perturbation and the below-threshold counterexample also live here.
 
-Closed-form points (the linear point x_i = i/r and counterexample points
-with rational epsilon) are checked in exact rational arithmetic, and
-``kkt_certificate`` at such a point fits its multipliers as exact Fractions.
-scipy is imported on first use: the verifier and the counterexample
-construction never need it.
+Rational points are checked exactly, as integer numerators over one common
+denominator, and ``kkt_certificate`` at such a point fits its multipliers
+as exact Fractions.  scipy (nnls and HiGHS) is imported on first use: the
+verifier and the counterexample construction never need it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
-TOL_KKT = 1e-8
-# slack at or below which a row is active at a float point: it joins the
-# face that _solve_on_face polishes on and the rows kkt_certificate fits
+TOL_KKT = 1e-8  # relative stationarity residual of an optimal float KKT fit
+# slack at or below which a row is active at a float point: one of the rows
+# kkt_certificate fits
 TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
@@ -44,6 +47,11 @@ def floor_r_over_e(r: int) -> int:
 
 def ceil_r_over_e(r: int) -> int:
     return floor_r_over_e(r) + 1  # r/e is never an integer
+
+
+def is_rational(x) -> bool:
+    """Every coordinate a Fraction or an int: x is checked exactly."""
+    return all(isinstance(v, (Fraction, int)) for v in x)
 
 
 def tent_constraints(r: int, k: int) -> np.ndarray:
@@ -60,8 +68,9 @@ class RegionConstraints:
     ``n_tent`` rows), then the monotone rows ("monotone", i, i+1), that is
     x_i - x_{i+1}; ``A`` holds their integer normals.  x_r = 1 is the one
     equality row, with normal e_r; x_1 > 0 is left to ``check_feasible``.
-    ``slack`` and ``combine`` read the two or three coordinates of each
-    row, so they work unchanged, and exactly, on Fractions.
+    ``slack``, ``scaled_slack`` and ``combine`` read the two or three
+    coordinates of each row; rational points go through ``scaled_slack``,
+    in Python ints.
     """
 
     def __init__(self, r: int, k: int):
@@ -97,8 +106,21 @@ class RegionConstraints:
 
     def slack(self, x) -> np.ndarray:
         """-A @ x for every row, nonnegative on the region: a float array for
-        float x, an object array of exact values for Fractions."""
-        x = np.asarray(x)
+        float x, an object array of Fractions for rational x."""
+        if is_rational(x):
+            N, D = self.scaled_slack(x)
+            return np.array([Fraction(n, D) for n in N], dtype=object)
+        return self._rows(np.asarray(x))
+
+    def scaled_slack(self, x) -> tuple[np.ndarray, int]:
+        """(N, D) with -A @ x = N / D for rational x: D is the least common
+        denominator of x and N an object array of Python ints, so a sign
+        test on a row builds no Fraction."""
+        D = math.lcm(*(v.denominator for v in x))
+        return self._rows(np.array([v.numerator * (D // v.denominator) for v in x],
+                                   dtype=object)), D
+
+    def _rows(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([x[self._s] - x[self._i] - x[self._j], x[1:] - x[:-1]])
 
     def combine(self, rows, weights) -> list:
@@ -126,6 +148,8 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
 
     Works on floats or Fractions; pass tol=0 for exact checking.  Each
     violation is (description, slack) with negative slack meaning violated.
+    A rational x is compared in integers (``scaled_slack``) against the
+    exact value of tol, and only the violated rows' slacks become Fractions.
     """
     if len(x) != r:
         raise ValueError(f"expected {r} coordinates, got {len(x)}")
@@ -135,9 +159,16 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
         violations.append(("x_1 > 0", x[0]))
     if abs(x[r - 1] - 1) > tol:
         violations.append(("x_r = 1", -abs(x[r - 1] - 1)))
-    slack = model.slack(x)
-    for t in np.flatnonzero(slack < -tol):
-        violations.append((_describe(model.labels[t]), slack[t]))
+    if is_rational(x):
+        N, D = model.scaled_slack(x)
+        t = Fraction(tol)  # N/D < -t, in integers
+        bad = np.flatnonzero(N * t.denominator < -t.numerator * D if t else N < 0)
+        slacks = {row: Fraction(N[row], D) for row in bad}
+    else:
+        slacks = model.slack(x)
+        bad = np.flatnonzero(slacks < -tol)
+    for row in bad:
+        violations.append((_describe(model.labels[row]), slacks[row]))
     return not violations, violations
 
 
@@ -163,7 +194,7 @@ class FeasiblePoint:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.x)
+        return is_rational(self.x)
 
     def as_floats(self) -> np.ndarray:
         return np.array([float(v) for v in self.x])
@@ -196,11 +227,6 @@ def product_bound(r: int) -> Fraction:
 
 # scipy.optimize is most of the import time of tentopt, so it is imported on
 # first call; tests and the benchmark's tracer patch these module-level names
-def minimize(*args, **kwargs):
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
-
-
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
@@ -211,31 +237,113 @@ def nnls(*args, **kwargs):
     return nnls(*args, **kwargs)
 
 
+def bend_point(r: int, k: int, eps) -> FeasiblePoint:
+    """The exact point x_i = (1 - eps) i/r + eps [i > k] for rational eps:
+    the linear point bent down on [1, k] and up above k.  It lies in the
+    region for every 0 <= eps < 1: no monotone row is tight, and a tent
+    row has i <= k, so [j > k] <= [i + j > k]."""
+    eps = Fraction(eps)
+    e, d = eps.numerator, eps.denominator  # x_i = ((d - e) i + r e [i > k]) / (r d)
+    return FeasiblePoint(r=r, k=k, x=tuple(Fraction((d - e) * i + (r * e if i > k else 0), r * d)
+                                           for i in range(1, r + 1)))
+
+
+@dataclass(frozen=True)
+class BendSolve:
+    eps: Fraction  # the bend, exactly as ``bend_point`` takes it
+    fun: float  # -sum(log x_i) at the bend point, in floats
+    nit: int  # Newton steps
+    success: bool  # the steps stopped on their own, not on the cap
+
+
+def minimize(r: int, k: int) -> BendSolve:
+    """Minimize -sum(log x_i) over the bend family of ``bend_point``.
+
+    With u = eps/(1 - eps) the product is (1 + u)^-r prod_{i<=k} i/r
+    prod_{i>k} (i + r u)/r, so the minimum solves
+    g(u) = sum_{i>k} (r - i)/(i + r u) = k, where g(0) - k = f'(0).  g is
+    convex and decreasing, so Newton's method from u = 0 climbs to the root
+    monotonically; u = 0 when f'(0) <= 0.  perfbench wraps this name as its
+    region-optimizer span (``region.slsqp``, named when SLSQP ran here) and
+    reads the result's ``fun``, ``nit`` and ``success``.
+    """
+    i = np.arange(k + 1, r + 1, dtype=float)
+    u, nit, done = 0.0, 0, False
+    while not done and nit < 100:
+        t = (r - i) / (i + r * u)
+        h = t.sum() - k
+        if h <= 0:
+            break
+        step = h / (r * np.sum(t / (i + r * u)))
+        u, nit = u + step, nit + 1
+        done = step <= 1e-15 * u
+    eps = u / (1 + u)
+    x = (1 - eps) * np.arange(1, r + 1) / r + eps * (np.arange(1, r + 1) > k)
+    return BendSolve(eps=Fraction(eps), fun=-float(np.sum(np.log(x))), nit=nit,
+                     success=nit < 100)
+
+
+def dual_bound(model: RegionConstraints, rows, mus) -> Fraction | None:
+    """U >= prod x_i over the region, from multipliers mu >= 0 on ``rows``
+    (Fractions): with a = A^T mu, nu = -r a_r/(r - 1) and
+    c = a + nu e_r > 0, every region point has c^T x <= nu, so AM-GM gives
+    prod x_i <= (nu/r)^r / prod c_i = U, the geometric-programming dual
+    (Duffin, Peterson & Zener, 1967; nu minimizes U).  None unless mu >= 0
+    and c > 0.  U is homogeneous of degree 0 in (mu, nu), so mu (floats or
+    Fractions) is scaled to integers and U is one Fraction of Python ints."""
+    r = model.r
+    if any(mu < 0 for mu in mus):
+        return None
+    support = [(t, *mu.as_integer_ratio()) for t, mu in zip(rows, mus) if mu]
+    scale = (r - 1) * math.lcm(*(q for _, _, q in support))
+    a = model.combine([t for t, _, _ in support], [p * (scale // q) for _, p, q in support])
+    nu = -r * (a[-1] // (r - 1))
+    c = a[:-1] + [a[-1] + nu]
+    if nu <= 0 or min(c) <= 0:
+        return None
+    return Fraction(nu**r, r**r * math.prod(c))
+
+
+def region_bracket(point: FeasiblePoint, kkt: dict) -> dict:
+    """Exact bracket L <= max prod x <= U at an exact point: ``lower`` is
+    L = prod x, ``upper`` the ``dual_bound`` of the certificate's
+    multipliers, floats or Fraction strings (None when they give no
+    bound)."""
+    model = RegionConstraints(point.r, point.k)
+    rows = [model.index(label) for label in kkt["active"]]
+    mus = [Fraction(mu) if isinstance(mu, str) else mu for mu in kkt["multipliers"]]
+    x = point.x
+    lower = Fraction(math.prod(v.numerator for v in x), math.prod(v.denominator for v in x))
+    return {"lower": lower, "upper": dual_bound(model, rows, mus)}
+
+
 @dataclass(frozen=True)
 class OptimizationReport:
     value: float
     argmax: FeasiblePoint
     bound: float
     kkt: dict
+    bracket: dict
     status: str
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
-    """Global maximum of prod x_i over the region.
+    """Global maximum of prod x_i over the region, certified exactly.
 
     When f'(0) <= 0 the exact linear point x_i = i/r is tried first, and if
-    ``kkt_certificate`` certifies it no nonlinear solve runs: the argmax is
-    that exact point and the multipliers are exact.  Otherwise
-    ``_solve_on_face`` solves the strictly concave program max sum(log x_i)
-    once; a KKT point is its unique global optimum.  ``status`` is
-    "converged" exactly when the report's KKT certificate is optimal with
-    residual below TOL_KKT.  ``diagnostics``: the path taken, solver
-    counts, wall seconds per phase.  ``seed`` has no effect; nothing is
-    random.
+    ``kkt_certificate`` certifies it the argmax is that point with exact
+    multipliers.  Otherwise ``minimize`` finds the bend eps, the argmax is
+    the exact ``bend_point`` and its multipliers come from
+    ``kkt_certificate`` (nnls) at the point's float copy.  ``bracket``
+    holds ``eps`` and ``region_bracket``'s exact ``lower`` and ``upper``;
+    ``value`` is float(lower).  ``status`` is "converged" exactly when
+    ``upper`` exists and (upper - lower)/lower <= TOL_REL; exact KKT
+    multipliers give upper = lower.  ``diagnostics``: the path taken, the
+    Newton steps, wall seconds per phase.  ``seed`` has no effect; nothing
+    is random.
     """
-    model = RegionConstraints(r, k)
-    bound = product_bound(r)
+    RegionConstraints(r, k)  # validates k
     seconds, clock = {}, [time.perf_counter()]
 
     def lap(phase):  # wall seconds since the previous lap
@@ -248,64 +356,27 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         cert = kkt_certificate(point)
     lap("exact")
     if cert is not None and cert["optimal"]:
-        value = float(bound)
-        diagnostics = {"path": "exact-linear-point"}
+        eps, diagnostics = Fraction(0), {"path": "exact-linear-point"}
     else:
-        z, diagnostics = _solve_on_face(model, lap)
-        point = FeasiblePoint(r=r, k=k, x=tuple(np.append(z, 1.0)))
-        value, cert = float(np.prod(z)), kkt_certificate(point)
+        res = minimize(r, k)
+        eps, diagnostics = res.eps, {"path": "bend", "nit": res.nit}
+        point = bend_point(r, k, eps)
+        lap("bend")
+        cert = kkt_certificate(FeasiblePoint(r=r, k=k, x=tuple(point.as_floats())))
         lap("kkt")
-    optimal = cert["optimal"] and cert["residual"] < TOL_KKT
+    bracket = region_bracket(point, cert) | {"eps": eps}
+    lap("bracket")
+    lower, upper = bracket["lower"], bracket["upper"]
     return OptimizationReport(
-        value=value,
+        value=float(lower),
         argmax=point,
-        bound=float(bound),
+        bound=float(product_bound(r)),
         kkt=cert,
-        status="converged" if optimal else "best-found",
+        bracket=bracket,
+        status="converged" if upper is not None and upper - lower <= TOL_REL * lower
+        else "best-found",
         diagnostics=diagnostics | {"seconds": seconds},
     )
-
-
-def _solve_on_face(model: RegionConstraints, lap):
-    """max sum(log x_i) over x_1..x_{r-1} (x_r = 1): (those coordinates,
-    diagnostics).  One SLSQP solve from the counterexample point below
-    floor(r/e), else the linear point; its point is projected onto its face
-    (rows with slack <= TOL_ACT, as equalities) and polished there by
-    Newton's method with equality constraints (Boyd & Vandenberghe 10.2),
-    each step damped by 1/(1 + decrement) to keep x > 0 (Nesterov 4.1)."""
-    from scipy.linalg import null_space
-
-    r, k = model.r, model.k
-    m = r - 1
-    # x_r = 1 moves the last column of A @ x <= 0 to the right-hand side
-    A = model.A[:, :m].astype(float)
-    b = -model.A[:, m].astype(float)
-    start = counterexample_point(r, k) if k < floor_r_over_e(r) else linear_point(r, k)
-    res = minimize(lambda z: -np.sum(np.log(z)), start.as_floats()[:m],
-                   jac=lambda z: -1.0 / z, method="SLSQP", bounds=[(1e-9, 1.0)] * m,
-                   constraints=[{"type": "ineq", "fun": lambda z: b - A @ z,
-                                 "jac": lambda z: -A}])
-    lap("slsqp")
-
-    face = np.flatnonzero(model.slack(np.append(res.x, 1.0)) <= TOL_ACT)
-    C, d = A[face], b[face]
-    z = res.x - np.linalg.lstsq(C, C @ res.x - d, rcond=None)[0]
-    N = null_space(C)  # the face's directions
-    steps = 0
-    while N.shape[1] and steps < 50:
-        dz = N @ np.linalg.solve((N.T / z**2) @ N, N.T @ (1.0 / z))
-        decrement = math.sqrt(np.sum((dz / z) ** 2))
-        if decrement < 1e-13:
-            break
-        z = z + dz / (1 + decrement)
-        steps += 1
-    lap("polish")
-    return z, {
-        "path": "slsqp+polish",
-        "slsqp": {"nit": int(res.nit), "nfev": int(res.nfev), "message": str(res.message)},
-        "newton_steps": steps,
-        "face_rows": len(face),
-    }
 
 
 def _solve_rational(columns, rhs):
@@ -373,17 +444,17 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
     coordinate r.  At a float point nnls fits mu over every active row:
     ``residual`` is the stationarity residual relative to |1/x|, and the
     point is ``optimal`` when it is below TOL_KKT.  At an exact point
-    (``exact``) the fit is ``_exact_cone_fit``: ``active`` is its support,
-    ``residual`` 0.0, and the multipliers are Fraction strings; when it
-    fails the point is not optimal, ``residual`` is None and nothing is
-    fitted in floats instead.
+    (``exact``) the fit is ``_exact_cone_fit``: ``residual`` is 0.0 and the
+    multipliers are Fraction strings; when it fails the point is not
+    optimal, ``residual`` is None and nothing is fitted in floats instead.
+    Either way ``active`` is the fit's support, the rows with mu > 0.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
     exact = point.is_exact
     if exact:
         g = [1 / Fraction(v) for v in point.x]
-        fit = _exact_cone_fit(model, np.flatnonzero(model.slack(point.x) == 0), g)
+        fit = _exact_cone_fit(model, np.flatnonzero(model.scaled_slack(point.x)[0] == 0), g)
         optimal = fit is not None
         rows, mus = fit if optimal else ([], [])
         residual = 0.0 if optimal else None
@@ -395,6 +466,7 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
             mus, resid = nnls(model.A[rows, : r - 1].T.astype(float), g[: r - 1])
         else:  # nnls needs a column
             mus, resid = np.zeros(0), np.linalg.norm(g[: r - 1])
+        rows, mus = rows[mus > 0], mus[mus > 0]  # the support, as when exact
         residual = float(resid / max(np.linalg.norm(g), 1.0))
         optimal = residual < TOL_KKT
     nu = g[r - 1] - model.combine(rows, mus)[r - 1]
@@ -430,7 +502,7 @@ def upper_bound_gap(r: int, k: int) -> float:
 
 def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
     """Feasible point with product exceeding r!/r^r, for k below the floor
-    threshold: bend the linear point down on [1, k] and up above k.
+    threshold: the ``bend_point`` at eps.
 
     eps is halved until exact-rational feasibility and strict product
     improvement both hold; the positive linear coefficient guarantees
@@ -441,21 +513,15 @@ def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
         raise ValueError(f"construction requires 1 <= k < {floor_r_over_e(r)} for r={r}")
     eps = Fraction(1, 4 * r) if eps is None else Fraction(eps).limit_denominator(10**12)
     if eps <= 0:
-        x = tuple(Fraction(i, r) for i in range(1, r + 1))
-        return FeasiblePoint(r=r, k=k, x=x)
+        return bend_point(r, k, 0)
     bound = product_bound(r)
     while True:
-        x = tuple(
-            Fraction(i, r) - Fraction(i, r) * eps if i <= k
-            else Fraction(i, r) + Fraction(r - i, r) * eps
-            for i in range(1, r + 1)
-        )
         try:
-            point = FeasiblePoint(r=r, k=k, x=x)
+            point = bend_point(r, k, eps)
         except ValueError:
             pass  # infeasible: try a smaller bend
         else:
-            if math.prod(x) > bound:
+            if math.prod(point.x) > bound:
                 return point
         eps = eps / 2
 

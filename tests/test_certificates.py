@@ -13,17 +13,16 @@ from tentopt.certificates import (
     Certificate,
     verify_certificate,
 )
+from tentopt.cli import _max_evidence
 from tentopt.region import ceil_r_over_e, counterexample_point, maximize_product
 
 
-def max_certificate(r=5, k=2):
-    rep = maximize_product(r, k)
+def max_certificate(r=5, k=2, claim="region-product-maximum"):
     return Certificate(
-        claim="region-product-maximum",
-        anchor="region-product-maximum",
+        claim=claim,
+        anchor=claim,
         config={"seed": 42, "r": r, "k": k},
-        evidence={"r": r, "k": k, "x": [str(v) for v in rep.argmax.x],
-                  "value": rep.value, "kkt": rep.kkt},
+        evidence=_max_evidence(maximize_product(r, k)),
     )
 
 
@@ -256,17 +255,47 @@ def other_exact(text):
         other_float(float(q)).filter(lambda u: Fraction(u) != q))
 
 
+@lru_cache(maxsize=None)
+def probe_certificate(r, k):
+    return max_certificate(r, k, claim="region-probe")
+
+
+def test_probe_certificate_stores_an_exact_bracket():
+    cert = probe_certificate(12, 2)
+    assert verify_certificate(cert)[0]
+    ev = cert.evidence
+    bracket = {key: Fraction(v) for key, v in ev["bracket"].items()}
+    assert 0 < bracket["eps"] < 1 and ev["kkt"]["exact"] is False
+    assert bracket["lower"] == math.prod(Fraction(v) for v in ev["x"])
+    assert bracket["lower"] < bracket["upper"] <= (1 + Fraction(1, 10**20)) * bracket["lower"]
+    names = {n for n, _, _ in verify_certificate(cert)[1]}
+    assert {"bracket-point-is-bend", "bracket-multipliers-nonnegative", "bracket-dual-feasible",
+            "bracket-lower-is-product", "bracket-upper-matches", "bracket-ordered"} <= names
+
+
 EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "equality_multiplier", "active",
                    "exact", "optimal")
+BRACKET_FIELDS = ("lower", "upper", "eps")
+# theorem rows (exact KKT, bracket U = L) and bend-point probes (float KKT fit,
+# exact bracket)
+CERTIFICATES = [("theorem", r) for r in (4, 9, 17, 30, 40)] + [
+    ("probe", rk) for rk in ((9, 2), (12, 2), (31, 11), (40, 1))]
 
 
-@given(st.sampled_from([4, 9, 17, 30, 40]), st.sampled_from(EVIDENCE_FIELDS), st.data())
-@settings(max_examples=200, deadline=None)
-def test_tampering_any_evidence_field_fails(r, name, data):
-    cert = theorem_certificate(r)
+@given(st.sampled_from(CERTIFICATES), st.sampled_from(EVIDENCE_FIELDS + BRACKET_FIELDS),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_tampering_any_evidence_field_fails(which, name, data):
+    kind, arg = which
+    cert = theorem_certificate(arg) if kind == "theorem" else probe_certificate(*arg)
+    r = cert.evidence["r"]
     ev = evidence_copy(cert)
     kkt = ev["kkt"]
     n = len(kkt["active"])
+    if name == "equality_multiplier" and not kkt["exact"]:
+        # a float fit's nu is read only by the stationarity check, within its
+        # tolerance; the bracket computes its own nu
+        return
     if name == "x":
         i = data.draw(st.integers(0, r - 1))
         ev["x"][i] = data.draw(other_exact(ev["x"][i]))
@@ -277,7 +306,11 @@ def test_tampering_any_evidence_field_fails(r, name, data):
     elif name == "equality_multiplier":
         kkt[name] = data.draw(other_exact(kkt[name]))
     elif name in ("exact", "optimal"):
-        kkt[name] = data.draw(st.sampled_from([False, None, 1, "true"]))
+        # the verifier reads these as "is True"
+        kkt[name] = data.draw(st.sampled_from([False, None, 1, "true"]) if kkt[name] is True
+                              else st.just(True))
+    elif name in BRACKET_FIELDS:
+        ev["bracket"][name] = data.draw(other_exact(ev["bracket"][name]))
     else:
         i = data.draw(st.integers(0, n - 1))
         old = kkt[name][i]

@@ -204,20 +204,35 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     cert = tmp_path / "cert.json"
     res = invoke("region", "max", "--r", "12", "--k", "2", "--certificate", str(cert))
     assert res.exit_code == 0
-    diag = json.loads(res.output)["diagnostics"]
-    assert diag["path"] == "slsqp+polish" and diag["slsqp"]["nit"] > 0
-    assert diag["newton_steps"] >= 0 and diag["face_rows"] > 0
+    out = json.loads(res.output)
+    assert out["status"] == "converged"
+    assert out["diagnostics"] == {"path": "bend", "nit": out["diagnostics"]["nit"]}
+    assert 0 < out["diagnostics"]["nit"] < 100 and 0 <= out["bracket"]["gap"] <= 1e-20
     d = json.loads(cert.read_text())
     assert d["claim"] == d["anchor"] == "region-probe"
     assert set(d["config"]) == {"seed", "timeout", "fmt", "r", "k"}
     assert d["config"]["seed"] == _SEED  # the library's default seed
     assert "diagnostics" not in d["evidence"]
+    bracket = d["evidence"]["bracket"]
+    assert set(bracket) == {"lower", "upper", "eps"}
+    assert Fraction(bracket["eps"]) == Fraction(out["bracket"]["eps"]) > 0
+    assert Fraction(bracket["lower"]) < Fraction(bracket["upper"])
+    vres = invoke("verify", str(cert))
+    assert json.loads(vres.output)["passed"] is True
 
 
 def test_probe_floor_exceeds_bound_is_relative():
     # at r = 31 the optimum beats r!/r^r ~ 5e-13 by 0.1%, far below 1e-8
     d = json.loads(invoke("region", "probe-floor", "--r", "31").output)
     assert d["k"] == 11 and d["exceeds_bound"] is True
+
+
+def test_probe_floor_verdict_is_exact():
+    # at r = 30, k = floor(30/e) = 11 has f'(0) < 0: the maximum is r!/r^r
+    # itself, so only an exact comparison can say it does not exceed it
+    d = json.loads(invoke("region", "probe-floor", "--r", "30").output)
+    assert d["k"] == 11 and d["exceeds_bound"] is False
+    assert d["diagnostics"] == {"path": "exact-linear-point"}
 
 
 def test_tol_option_removed():

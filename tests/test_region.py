@@ -15,10 +15,12 @@ from tentopt.region import (
     TOL_REL,
     FeasiblePoint,
     RegionConstraints,
+    bend_point,
     bisect_perturbation_eps,
     ceil_r_over_e,
     check_feasible,
     counterexample_point,
+    dual_bound,
     floor_r_over_e,
     fprime_zero,
     kkt_certificate,
@@ -83,10 +85,10 @@ def test_optimum_symmetry():
             assert abs(x[j - 1] + x[r - j - 1] - 1) < 1e-6
 
 
-@pytest.mark.parametrize("r, k, path", [(7, 3, "exact-linear-point"), (12, 2, "slsqp+polish"),
-                                         (31, 11, "slsqp+polish")])
+@pytest.mark.parametrize("r, k, path", [(7, 3, "exact-linear-point"), (12, 2, "bend"),
+                                         (31, 11, "bend")])
 def test_solves_once_whatever_the_seed(monkeypatch, r, k, path):
-    # strictly concave objective: one SLSQP solve, nothing random
+    # nothing is random: one scalar solve on the bend path, none on the exact one
     calls = []
     real = region.minimize
     monkeypatch.setattr(region, "minimize", lambda *a, **kw: calls.append(a) or real(*a, **kw))
@@ -97,7 +99,7 @@ def test_solves_once_whatever_the_seed(monkeypatch, r, k, path):
     for rep in reports:
         assert rep == first and rep.value.hex() == first.value.hex()
         assert rep.diagnostics["path"] == path
-    assert len(calls) == 3 * (path == "slsqp+polish")
+    assert calls == [(r, k)] * 3 * (path == "bend")
 
 
 def test_below_threshold_value_exceeds_bound():
@@ -198,10 +200,10 @@ def test_exact_kkt_at_non_optimal_point_has_no_float_fallback(monkeypatch):
 
 
 def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
-    def no_slsqp(*args, **kwargs):
-        raise AssertionError("SLSQP ran although the exact step certified i/r")
+    def no_bend(*args, **kwargs):
+        raise AssertionError("the bend solve ran although the exact step certified i/r")
 
-    monkeypatch.setattr(region, "minimize", no_slsqp)
+    monkeypatch.setattr(region, "minimize", no_bend)
     rep = maximize_product(9, 4)
     assert rep.status == "converged"
     assert rep.value == float(product_bound(9))
@@ -211,6 +213,7 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
     top = sum(Fraction(mu) for lab, mu in zip(kkt["active"], kkt["multipliers"])
               if lab[3] == 9)
     assert Fraction(kkt["equality_multiplier"]) == 1 + top
+    assert rep.bracket == {"lower": product_bound(9), "upper": product_bound(9), "eps": 0}
 
 
 def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
@@ -222,25 +225,63 @@ def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
     assert rep.value > float(product_bound(6))
 
 
-def test_slsqp_terminates_successfully():
-    # SLSQP runs with its default tolerances, and every solve must end on its
-    # own success test, not on a failed line search
+def test_maximize_product_runs_no_scipy_minimize(monkeypatch):
+    import scipy.optimize
+
+    def no_minimize(*args, **kwargs):
+        raise AssertionError("maximize_product called scipy.optimize.minimize")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
     for r in range(4, 17):
-        for k in range(1, ceil_r_over_e(r)):
+        for k in range(1, r // 2 + 1):
             rep = maximize_product(r, k)
-            if rep.diagnostics["path"] == "slsqp+polish":
-                message = rep.diagnostics["slsqp"]["message"]
-                assert "terminated successfully" in message, (r, k, message)
-                assert rep.status == "converged", (r, k)
+            assert rep.status == "converged", (r, k)
+            if rep.diagnostics["path"] == "bend":
+                assert 1 <= rep.diagnostics["nit"] < 100, (r, k)
 
 
-def test_maximize_product_falls_back_to_slsqp(monkeypatch):
-    # an LP that finds no vertex leaves the linear point uncertified
+def test_maximize_product_falls_back_to_the_bend(monkeypatch):
+    # an LP that finds no vertex leaves the linear point to the bracket: the
+    # bend at eps = 0 is that point, certified by its nnls multipliers
     monkeypatch.setattr(region, "linprog", lambda *a, **kw: SimpleNamespace(status=2))
     rep = maximize_product(9, 4)
-    assert rep.kkt["exact"] is False and rep.diagnostics["path"] == "slsqp+polish"
-    assert rep.value == pytest.approx(float(product_bound(9)), rel=1e-9)
+    assert rep.kkt["exact"] is False
+    assert rep.diagnostics["path"] == "bend" and rep.diagnostics["nit"] == 0
+    assert rep.bracket["eps"] == 0 and rep.argmax.x == linear_point(9, 4, exact=True).x
+    assert rep.bracket["lower"] == product_bound(9) and rep.value == float(product_bound(9))
+    assert rep.bracket["upper"] - rep.bracket["lower"] <= TOL_REL * rep.bracket["lower"]
     assert rep.status == "converged"
+
+
+def test_bend_bracket_certifies_the_grid():
+    # every r <= 40 and k <= floor(r/e): an exact point, a bracket far inside
+    # TOL_REL, and a product no smaller than the counterexample construction's
+    grid = [(r, k) for r in range(4, 41) for k in range(1, min(floor_r_over_e(r), r // 2) + 1)]
+    assert len(grid) == 280
+    for r, k in grid:
+        rep = maximize_product(r, k)
+        lower, upper = rep.bracket["lower"], rep.bracket["upper"]
+        assert rep.status == "converged", (r, k)
+        assert rep.argmax.is_exact and check_feasible(rep.argmax.x, r, k, tol=0)[0], (r, k)
+        assert rep.argmax.x == bend_point(r, k, rep.bracket["eps"]).x
+        assert lower == math.prod(rep.argmax.x) and rep.value == float(lower)
+        assert lower <= upper <= (1 + Fraction(1, 10**20)) * lower, (r, k)
+        assert lower >= product_bound(r)
+        if k < floor_r_over_e(r):
+            assert lower > math.prod(counterexample_point(r, k).x), (r, k)
+
+
+def test_dual_bound_needs_nonnegative_multipliers_and_positive_c():
+    model = RegionConstraints(6, 3)
+    assert dual_bound(model, [], []) is None  # nu = 0
+    assert dual_bound(model, [model.index(("tent", 1, 1, 2))], [Fraction(-1)]) is None
+    # exact KKT multipliers at the linear point make c = 1/x and U = L, and U
+    # does not change when mu is scaled
+    kkt = exact_kkt(6, 3)
+    rows = [model.index(lab) for lab in kkt["active"]]
+    mus = [Fraction(mu) for mu in kkt["multipliers"]]
+    assert dual_bound(model, rows, mus) == product_bound(6)
+    assert dual_bound(model, rows, [mu / 3 for mu in mus]) == product_bound(6)
 
 
 @pytest.mark.parametrize("r", range(4, 17))
@@ -256,7 +297,8 @@ def test_status_agrees_with_kkt(r):
                          + [(40, k) for k in range(1, 21)])
 def test_single_solve_certifies(r, k):
     # an earlier multistart SLSQP solver left these uncertified or up to
-    # 1e-9 outside the region, and at (37, 1) 3e-7 above the optimum
+    # 1e-9 outside the region, and at (37, 1) 3e-7 above the optimum; the
+    # bend point's float KKT fit must certify them too
     rep = maximize_product(r, k)
     assert rep.status == "converged" and rep.kkt["residual"] < TOL_KKT
     assert RegionConstraints(r, k).slack(rep.argmax.as_floats()).min() >= -1e-12
@@ -500,3 +542,41 @@ def test_check_feasible_reports_model_rows(r, k):
         assert [name for name, _ in bad] == [name for name, _ in want]
         assert all(abs(got - exp) <= 1e-15 for (_, got), (_, exp) in zip(bad, want))
         assert ok == (not want)
+
+
+def _fraction_slack(model, x):
+    """-A @ x row for row, one Fraction subtraction at a time."""
+    return ([x[s - 1] - x[i - 1] - x[j - 1] for _, i, j, s in model.labels[:model.n_tent]]
+            + [x[i] - x[i - 1] for i in range(1, model.r)])
+
+
+@st.composite
+def rational_points(draw):
+    """(r, k, x): x near the linear point (often feasible) or anywhere in
+    [-1, 2] (mostly not), with Fraction and int coordinates."""
+    r = draw(st.integers(2, 16))
+    k = draw(st.integers(1, r // 2))
+    if draw(st.booleans()):
+        step = Fraction(1, 4 * r)
+        x = [Fraction(i, r) + draw(st.fractions(-step, step, max_denominator=10**6))
+             for i in range(1, r)] + [draw(st.sampled_from([1, Fraction(1), Fraction(9, 8)]))]
+    else:
+        x = draw(st.lists(st.one_of(st.fractions(-1, 2, max_denominator=10**12),
+                                    st.integers(-1, 2)), min_size=r, max_size=r))
+    return r, k, x
+
+
+@given(rational_points(), st.sampled_from([0, TOL_FEAS, Fraction(1, 1000)]))
+@settings(max_examples=200, deadline=None)
+def test_integer_exact_slack_matches_fraction_slack(point, tol):
+    r, k, x = point
+    model = RegionConstraints(r, k)
+    want = _fraction_slack(model, x)
+    N, D = model.scaled_slack(x)
+    assert D > 0 and [Fraction(n, D) for n in N] == want
+    assert list(model.slack(x)) == want
+    ok, bad = check_feasible(x, r, k, tol)
+    rows = [(name, v) for name, v in bad if name not in ("x_1 > 0", "x_r = 1")]
+    expected = _expected_violations(model, x, tol)
+    assert rows == expected and all(type(v) is Fraction for _, v in rows)
+    assert ok == (not expected and x[0] > 0 and abs(x[-1] - 1) <= tol)
