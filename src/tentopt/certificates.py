@@ -126,7 +126,9 @@ def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
 def _check_kkt(model: RegionConstraints, x: list, kkt: dict,
                exact: bool) -> list[tuple[str, bool, str]]:
     """Stationarity of the stored multipliers at x, in Fractions: exactly
-    when ``exact``, else within float tolerances.  A label outside the
+    when ``exact``, else within float tolerances, and then the equality
+    multiplier must be 1/x_r - (A^T mu)_r correctly rounded, as
+    ``kkt_certificate`` computes it.  A label outside the
     region fails ``active-labels-valid`` and ends the checks, since its row
     has no normal."""
     try:
@@ -149,6 +151,10 @@ def _check_kkt(model: RegionConstraints, x: list, kkt: dict,
     resid = math.hypot(*map(float, diff)) / math.hypot(*(float(1 / v) for v in x))
     ok = not any(diff) if exact else resid < 1e-6
     checks.append(("stationarity", ok, f"residual={resid}"))
+    if not exact:  # a float fit's nu is 1/x_r - (A^T mu)_r, correctly rounded
+        closing = Fraction(1 / float(x[-1])) - model.combine(rows, mus)[-1]
+        ok = nu == float(closing)
+        checks.append(("equality-multiplier-rounded", ok, f"expected={float(closing)!r}"))
     return checks
 
 

@@ -1,11 +1,13 @@
 """Homomorphism search and tiny-scale exact Turan numbers.
 
-Homomorphism existence is decided by backtracking over a static vertex
-order (decreasing edge-degree, then along edges), with twins forced to
-increasing images.  Each F-edge keeps the bitmask of H-edges containing its
-mapped part and the bitmask of its image vertices; both are narrowed as its
-vertices are mapped, so a candidate image is checked with one AND per
-incident edge.  The exact Turan search is an integer program over edge
+Homomorphism existence is decided by backtracking over the core of F only,
+the vertices in two or more edges, in a static most-constrained-first order,
+with twins forced to increasing images.  Each F-edge keeps the bitmask of
+H-edges containing its mapped part and the bitmask of its image vertices;
+both are narrowed as its vertices are mapped, so a candidate image is checked
+with one AND per incident edge.  Pendant vertices, in a single edge each, are
+never branched on: at a leaf they take the free vertices of any H-edge left
+for their edge.  The exact Turan search is an integer program over edge
 slots with forbidden-subgraph cover rows; extremal graphs are enumerated one
 isomorphism class per solve, by cutting every relabelling of each optimum.
 """
@@ -54,6 +56,12 @@ class _Backtracker:
     its mapped part, and ``ebits``, the bitmask of its image vertices; both
     are narrowed when one of its vertices is mapped and restored on
     backtracking, so a candidate costs one AND per incident edge.
+
+    Only the core, the vertices in two or more F-edges, is branched on.  A
+    pendant vertex lies in a single F-edge ``e``; once the core is placed,
+    any H-edge left in ``emask`` of ``e`` has r >= |e| vertices, of which
+    those outside ``ebits`` take the pendants of ``e``, so a leaf needs no
+    search.  An edge with no core vertex keeps every H-edge.
     """
 
     def __init__(self, f_edges, n_f, H: Hypergraph, budget: SearchBudget):
@@ -62,6 +70,7 @@ class _Backtracker:
         self.H = H
         self.budget = budget
         h_edges = H.sorted_edges
+        self.hbits = [sum(1 << w for w in e) for e in h_edges]
         # bitmask of H-edges through each H-vertex
         self.vmask = [0] * H.n
         for idx, e in enumerate(h_edges):
@@ -72,49 +81,57 @@ class _Backtracker:
             for v in e:
                 self.incident[v].append(i)
         self.full_mask = (1 << len(h_edges)) - 1
+        core = [v for v in range(n_f) if len(self.incident[v]) > 1]
+        self.pendants = [[v for v in e if len(self.incident[v]) == 1]
+                         for e in self.f_edges]
         # twins: identical incident edge sets, hence swappable; they share an
         # edge, so their images are distinct and may be forced increasing
         groups: dict[frozenset, list[int]] = {}
-        for v in range(n_f):
-            if self.incident[v]:
-                groups.setdefault(frozenset(self.incident[v]), []).append(v)
+        for v in core:
+            groups.setdefault(frozenset(self.incident[v]), []).append(v)
         self.twins = {v: [u for u in grp if u != v]
                       for grp in groups.values() if len(grp) > 1 for v in grp}
+        # static order, most constrained first: most incident edges already
+        # touched by placed vertices, then most incident edges
+        touched = [False] * len(self.f_edges)
+        self.order = []
+        left = set(core)
+        while left:
+            v = max(left, key=lambda u: (sum(touched[i] for i in self.incident[u]),
+                                         len(self.incident[u]), -u))
+            left.remove(v)
+            self.order.append(v)
+            for i in self.incident[v]:
+                touched[i] = True
+
+    def _fill(self, mapping, emask, ebits):
+        """Complete a placed core: each edge's pendants take the free
+        vertices of the lowest H-edge left for it; isolated vertices go to 0."""
+        result = [w if w >= 0 else 0 for w in mapping]
+        for pend, m, b in zip(self.pendants, emask, ebits):
+            free = self.hbits[(m & -m).bit_length() - 1] & ~b
+            for v in pend:
+                low = free & -free
+                result[v] = low.bit_length() - 1
+                free ^= low
+        return result
 
     def search(self):
-        n_f, n_h = self.n_f, self.H.n
-        incident, vmask, twins = self.incident, self.vmask, self.twins
+        n_h = self.H.n
+        incident, vmask, twins, order = self.incident, self.vmask, self.twins, self.order
         max_nodes = self.budget.max_nodes
-        mapping = [-1] * n_f
+        mapping = [-1] * self.n_f
         emask = [self.full_mask] * len(self.f_edges)
         ebits = [0] * len(self.f_edges)
         nodes = 0
         deadline = time.monotonic() + self.budget.timeout
-
-        # static order: decreasing edge-degree, ties toward connectivity
-        order = sorted(range(n_f), key=lambda v: -len(incident[v]))
-        placed = []
-        seen = set()
-        for v in order:
-            if v in seen:
-                continue
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                placed.append(u)
-                nbrs = {w for i in incident[u] for w in self.f_edges[i]}
-                stack.extend(sorted(nbrs - seen, key=lambda w: -len(incident[w])))
-
-        rank = {v: d for d, v in enumerate(placed)}
+        rank = {v: d for d, v in enumerate(order)}
 
         def backtrack(depth: int):
             nonlocal nodes
-            if depth == len(placed):
-                return list(mapping)
-            v = placed[depth]
+            if depth == len(order):
+                return self._fill(mapping, emask, ebits)
+            v = order[depth]
             inc = incident[v]
             lo = 0
             for u in twins.get(v, ()):
@@ -145,11 +162,7 @@ class _Backtracker:
                         ebits[i] = b
             return None
 
-        # vertices in no edge map anywhere; send them to vertex 0
-        result = backtrack(0)
-        if result is not None:
-            result = [w if w >= 0 else 0 for w in result]
-        return result
+        return backtrack(0)
 
 
 def find_homomorphism(F: Hypergraph, H: Hypergraph,

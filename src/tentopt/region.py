@@ -442,8 +442,10 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
     A row is active when its slack is at most TOL_ACT, or exactly 0 at an
     exact point.  mu is fitted on coordinates 1..r-1 and nu closes
     coordinate r.  At a float point nnls fits mu over every active row:
-    ``residual`` is the stationarity residual relative to |1/x|, and the
-    point is ``optimal`` when it is below TOL_KKT.  At an exact point
+    ``residual`` is the stationarity residual relative to |1/x|, the
+    point is ``optimal`` when it is below TOL_KKT, and nu is the correctly
+    rounded (``math.fsum``) value of 1/x_r + (the mu of the rows through
+    coordinate r), each of which has coefficient -1 there.  At an exact point
     (``exact``) the fit is ``_exact_cone_fit``: ``residual`` is 0.0 and the
     multipliers are Fraction strings; when it fails the point is not
     optimal, ``residual`` is None and nothing is fitted in floats instead.
@@ -469,7 +471,10 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
         rows, mus = rows[mus > 0], mus[mus > 0]  # the support, as when exact
         residual = float(resid / max(np.linalg.norm(g), 1.0))
         optimal = residual < TOL_KKT
-    nu = g[r - 1] - model.combine(rows, mus)[r - 1]
+    if exact:
+        nu = g[r - 1] - model.combine(rows, mus)[r - 1]
+    else:  # correctly rounded, so the verifier can require it exactly
+        nu = math.fsum([g[r - 1], *(-model.A[rows, r - 1] * mus)])
     fmt = str if exact else float
     return {
         "optimal": optimal,

@@ -152,10 +152,8 @@ def test_ratio_constraint_law():
         k = ceil_r_over_e(r)
         fam = tent_family(r, k)
         for host in (single_edge(r), make_turan_graph(r, 2 * r)):
-            # Turan hosts are hom-free structurally (tent edges cannot all be
-            # transversals); exhaustive certification is out of reach at r=6
-            rep = verify_ratio_constraints(host, fam, trials=100,
-                                           assume_hom_free=True)
+            # hom-freeness is certified by exhaustive search
+            rep = verify_ratio_constraints(host, fam, trials=100)
             assert rep["all_feasible"], (r, host.n)
             assert rep["worst_slack"] >= -1e-9, (r, host.n, rep["worst_slack"])
 

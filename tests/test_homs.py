@@ -65,9 +65,25 @@ def test_hom_free_basics():
     assert not is_hom_free(T, Family((T,)))
 
 
-@pytest.mark.parametrize("r,k", [(3, 1), (4, 1), (4, 2), (5, 2)])
+# about twice the nodes the search needs; only the core of each tent (its
+# base and apex) is branched on
+TURAN_NODE_BUDGET = {(3, 1): 500, (4, 1): 2_000, (4, 2): 3_000, (5, 2): 12_000,
+                     (6, 3): 60_000, (7, 3): 270_000}
+
+
+@pytest.mark.parametrize("r,k", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 3)])
 def test_turan_graph_is_hom_free(r, k):
-    assert is_hom_free(make_turan_graph(r, 2 * r), tent_family(r, k))
+    budget = SearchBudget(max_nodes=TURAN_NODE_BUDGET[r, k])
+    assert is_hom_free(make_turan_graph(r, 2 * r), tent_family(r, k), budget)
+
+
+def test_single_edge_maps_without_branching():
+    # every vertex is pendant, so the leaf fills the edge and no node is spent
+    for r in (2, 5, 9):
+        F = Hypergraph(r=r, n=r, edges=[tuple(range(r))])
+        H = make_turan_graph(r, 2 * r)
+        f = find_homomorphism(F, H, SearchBudget(max_nodes=1))
+        assert f is not None and check_map(F, H, f)
 
 
 def test_hom_freeness_monotone_under_edge_removal():
@@ -144,6 +160,19 @@ def _reference_cases():
         if r == 3:  # a cap below the host's uniformity
             sources.append((PartialHypergraph(r=2, n=3, maximal_edges=[(0, 1), (1, 2), (0, 2)]),
                             True))
+            # three apex edges: pendants in every edge but the base
+            sources.append((make_general_tent(TentSpec((1, 1, 1))), False))
+        if r <= 3:
+            # two disjoint edges: neither has a core vertex
+            disjoint = [tuple(range(r)), tuple(range(r, 2 * r))]
+            sources.append((Hypergraph(r=r, n=2 * r, edges=disjoint), False))
+            # two edges sharing one vertex, plus an isolated vertex
+            path = [tuple(range(r)), tuple(range(r - 1, 2 * r - 1))]
+            sources.append((Hypergraph(r=r, n=2 * r, edges=path), False))
+        if r >= 3:
+            # pendants in edges smaller than the host's r, of mixed sizes
+            sources.append((PartialHypergraph(r=r - 1, n=r + 1, maximal_edges=[
+                tuple(range(r - 1)), (r - 2, r - 1), (r - 1, r)]), True))
         hosts = [Hypergraph(r=r, n=r + 1, edges=[])]
         while len(hosts) < 12:
             n = int(rng.integers(r, r + 3))
