@@ -44,7 +44,6 @@ from .region import (
     kkt_certificate,
     maximize_product,
     perturb,
-    probe_floor_case,
     quartic_inequality,
     region_bracket,
     segments,

@@ -37,7 +37,6 @@ from .region import (
     counterexample_point,
     floor_r_over_e,
     maximize_product,
-    probe_floor_case,
     product_bound,
     segments,
 )
@@ -202,13 +201,12 @@ def _report_payload(rep) -> dict:
 
 
 def _max_evidence(rep) -> dict:
-    """Certificate evidence of a report: the argmax (Fraction strings when
-    exact), the value, the KKT certificate and the exact bracket."""
+    """Certificate evidence of a report: the exact argmax as Fraction
+    strings, the value, the KKT certificate and the exact bracket."""
     p = rep.argmax
-    x = [str(v) for v in p.x] if p.is_exact else [float(v) for v in p.x]
     bracket = {key: None if v is None else str(v) for key, v in rep.bracket.items()}
-    return {"r": p.r, "k": p.k, "x": x, "value": rep.value, "kkt": rep.kkt,
-            "bracket": bracket}
+    return {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
+            "kkt": rep.kkt, "bracket": bracket}
 
 
 @region.command("max")
@@ -237,7 +235,7 @@ def region_max(ctx, r, k, certificate, output):
 @region.command("counterexample")
 @click.option("--r", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--eps", default=None, help="Starting epsilon (rational, e.g. 1/100).")
+@click.option("--eps", default=None, help="Starting epsilon > 0 (rational, e.g. 1/100).")
 @click.option("--certificate", default=None)
 @click.option("-o", "--output", default=None)
 @click.pass_context
@@ -245,6 +243,9 @@ def region_counterexample(ctx, r, k, eps, certificate, output):
     point = counterexample_point(r, k, Fraction(eps) if eps else None)
     prod = math.prod(point.x)
     bound = product_bound(r)
+    if prod <= bound:  # eps rounded to <= 0 gives the linear point, prod = r!/r^r
+        raise click.UsageError(f"--eps must be positive after rounding to a "
+                               f"denominator of at most 10^12, got {eps}")
     payload = {
         "r": r, "k": k,
         "x": [float(v) for v in point.x],
@@ -291,7 +292,10 @@ def region_segments(ctx, point):
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def region_probe_floor(ctx, r, output):
-    rep = probe_floor_case(r)
+    k = floor_r_over_e(r)
+    if k < 1:
+        raise ValueError(f"floor(r/e) < 1 for r={r}")
+    rep = maximize_product(r, k)
     payload = _report_payload(rep)
     payload["k"] = rep.argmax.k
     # a region point beats r!/r^r: decided exactly, whatever the float margin

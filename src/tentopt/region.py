@@ -440,16 +440,15 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
     with mu >= 0 on the rows active at the point and nu on x_r = 1.
 
     A row is active when its slack is at most TOL_ACT, or exactly 0 at an
-    exact point.  mu is fitted on coordinates 1..r-1 and nu closes
-    coordinate r.  At a float point nnls fits mu over every active row:
-    ``residual`` is the stationarity residual relative to |1/x|, the
-    point is ``optimal`` when it is below TOL_KKT, and nu is the correctly
-    rounded (``math.fsum``) value of 1/x_r + (the mu of the rows through
-    coordinate r), each of which has coefficient -1 there.  At an exact point
-    (``exact``) the fit is ``_exact_cone_fit``: ``residual`` is 0.0 and the
-    multipliers are Fraction strings; when it fails the point is not
-    optimal, ``residual`` is None and nothing is fitted in floats instead.
-    Either way ``active`` is the fit's support, the rows with mu > 0.
+    exact point.  mu is fitted on coordinates 1..r-1; nu, which closes
+    coordinate r, is not stored, since ``dual_bound`` derives its own.  At
+    a float point nnls fits mu over every active row: ``residual`` is the
+    stationarity residual relative to |1/x|, and the point is ``optimal``
+    when it is below TOL_KKT.  At an exact point (``exact``) the fit is
+    ``_exact_cone_fit``: ``residual`` is 0.0 and the multipliers are
+    Fraction strings; when it fails the point is not optimal, ``residual``
+    is None and nothing is fitted in floats instead.  Either way ``active``
+    is the fit's support, the rows with mu > 0.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
@@ -471,17 +470,12 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
         rows, mus = rows[mus > 0], mus[mus > 0]  # the support, as when exact
         residual = float(resid / max(np.linalg.norm(g), 1.0))
         optimal = residual < TOL_KKT
-    if exact:
-        nu = g[r - 1] - model.combine(rows, mus)[r - 1]
-    else:  # correctly rounded, so the verifier can require it exactly
-        nu = math.fsum([g[r - 1], *(-model.A[rows, r - 1] * mus)])
     fmt = str if exact else float
     return {
         "optimal": optimal,
         "residual": residual,
         "active": [list(model.labels[t]) for t in rows],
         "multipliers": [fmt(mu) for mu in mus],
-        "equality_multiplier": fmt(nu),
         "exact": exact,
     }
 
@@ -721,12 +715,3 @@ def random_symmetric_point(r: int, k: int, rng, I: int | None = None,
         if segments(point).initial_length == I:
             return point
     raise RuntimeError(f"could not sample a symmetric point for r={r}, k={k}, I={I}")
-
-
-def probe_floor_case(r: int) -> OptimizationReport:
-    """Exploratory run at k = floor(r/e): reports whether the optimum
-    exceeds r!/r^r (no theorem either way at this k)."""
-    k = floor_r_over_e(r)
-    if k < 1:
-        raise ValueError(f"floor(r/e) < 1 for r={r}")
-    return maximize_product(r, k)

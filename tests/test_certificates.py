@@ -14,7 +14,13 @@ from tentopt.certificates import (
     verify_certificate,
 )
 from tentopt.cli import _max_evidence
-from tentopt.region import ceil_r_over_e, counterexample_point, maximize_product
+from tentopt.region import (
+    RegionConstraints,
+    ceil_r_over_e,
+    counterexample_point,
+    dual_bound,
+    maximize_product,
+)
 
 
 def max_certificate(r=5, k=2, claim="region-product-maximum"):
@@ -48,7 +54,8 @@ def test_max_certificate_verifies():
     assert passed, checks
     names = {n for n, _, _ in checks}
     assert {"anchor-resolves", "point-feasible", "value-matches-point",
-            "multipliers-nonnegative", "active-set-tight", "stationarity",
+            "bracket-multipliers-nonnegative", "bracket-dual-feasible",
+            "bracket-upper-matches", "bracket-closed-iff-exact",
             "kkt-exact", "k-at-least-threshold", "value-equals-bound"} <= names
     # (5, 2) is a theorem row, so its point and multipliers are exact
     assert cert.evidence["kkt"]["exact"] is True
@@ -86,7 +93,7 @@ def test_tampered_multiplier_fails_named_check():
     passed, checks = verify_certificate(bad)
     assert not passed
     verdicts = {n: ok for n, ok, _ in checks}
-    assert verdicts["multipliers-nonnegative"] is False
+    assert verdicts["bracket-multipliers-nonnegative"] is False
     # independent checks still pass
     assert verdicts["point-feasible"] is True
 
@@ -160,8 +167,28 @@ def test_tampered_exact_multiplier_fails_named_check():
     ev["kkt"]["multipliers"][0] = str(Fraction(ev["kkt"]["multipliers"][0]) + 1)
     passed, v = verdicts(cert, ev)
     assert not passed
-    assert v["stationarity"] is False
-    assert v["multipliers-nonnegative"] is True
+    assert v["bracket-upper-matches"] is False
+    assert v["bracket-multipliers-nonnegative"] is True
+
+
+@pytest.mark.parametrize("r", [4, 9, 17, 30, 40])
+def test_forged_dual_fails_the_bracket(r):
+    # a multiplier raised by 0.1% is still dual feasible, and its recomputed
+    # U is stored, so only the bracket's failure to close at r!/r^r shows it
+    cert = theorem_certificate(r)
+    ev = evidence_copy(cert)
+    kkt = ev["kkt"]
+    kkt["multipliers"][0] = str(Fraction(1001, 1000) * Fraction(kkt["multipliers"][0]))
+    model = RegionConstraints(r, ev["k"])
+    upper = dual_bound(model, [model.index(lab) for lab in kkt["active"]],
+                       [Fraction(mu) for mu in kkt["multipliers"]])
+    assert upper > Fraction(ev["bracket"]["lower"])
+    ev["bracket"]["upper"] = str(upper)
+    passed, v = verdicts(cert, ev)
+    assert not passed
+    assert v["value-equals-bound"] is False
+    assert v["bracket-closed-iff-exact"] is False
+    assert v["bracket-upper-matches"] is True and v["bracket-ordered"] is True
 
 
 @pytest.mark.parametrize("label", [["tent", 1, 1, 99], ["tent", 9, 9, 18], ["sum", 1, 2],
@@ -172,7 +199,7 @@ def test_label_outside_region_fails_named_check(label):
     ev["kkt"]["active"][0] = label
     passed, v = verdicts(cert, ev)
     assert not passed
-    assert v.get("active-labels-valid") is False or v.get("evidence-well-formed") is False
+    assert v["evidence-well-formed"] is False
 
 
 def test_value_matches_point_is_relative():
@@ -201,9 +228,7 @@ def test_counterexample_value_is_relative():
 def test_theorem_hypotheses_checked_without_exact():
     # the bound fails at (12, 2): k < ceil(12/e) = 5
     r, k = 12, 2
-    rep = maximize_product(r, k, seed=42)
-    evidence = {"r": r, "k": k, "x": [float(v) for v in rep.argmax.x],
-                "value": rep.value, "kkt": rep.kkt}
+    evidence = evidence_copy(probe_certificate(r, k))
     config = {"seed": 42, "r": r, "k": k}
     cert = Certificate("region-product-maximum", "region-product-maximum", config, evidence)
     passed, v = verdicts(cert, evidence)
@@ -211,9 +236,15 @@ def test_theorem_hypotheses_checked_without_exact():
     assert v["k-at-least-threshold"] is False
     assert v["value-equals-bound"] is False
     assert v["kkt-exact"] is False
-    assert v["stationarity"] is True  # the point itself is a fine optimum
+    # the bracket itself is sound: the point is a fine optimum
+    assert v["bracket-upper-matches"] is True and v["bracket-closed-iff-exact"] is True
     probe = Certificate("region-probe", "region-probe", config, evidence)
     assert verify_certificate(probe)[0]
+    # without its bracket no certificate proves anything
+    del evidence["bracket"]
+    for claim in ("region-product-maximum", "region-probe"):
+        passed, v = verdicts(Certificate(claim, claim, config, evidence), evidence)
+        assert not passed and v["evidence-well-formed"] is False
 
 
 def test_config_must_match_evidence():
@@ -273,8 +304,7 @@ def test_probe_certificate_stores_an_exact_bracket():
             "bracket-lower-is-product", "bracket-upper-matches", "bracket-ordered"} <= names
 
 
-EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "equality_multiplier", "active",
-                   "exact", "optimal")
+EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "active", "exact", "optimal")
 BRACKET_FIELDS = ("lower", "upper", "eps")
 # theorem rows (exact KKT, bracket U = L) and bend-point probes (float KKT fit,
 # exact bracket)
@@ -299,8 +329,6 @@ def test_tampering_any_evidence_field_fails(which, name, data):
         ev["value"] = data.draw(other_float(ev["value"]))
     elif name in ("r", "k"):
         ev[name] = data.draw(st.integers(1, 60).filter(lambda v: v != ev[name]))
-    elif name == "equality_multiplier":
-        kkt[name] = data.draw(other_exact(kkt[name]))
     elif name in ("exact", "optimal"):
         # the verifier reads these as "is True"
         kkt[name] = data.draw(st.sampled_from([False, None, 1, "true"]) if kkt[name] is True

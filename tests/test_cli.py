@@ -351,3 +351,24 @@ def test_exit_code_bad_input(tmp_path):
     bad.write_text("not json")
     proc = run_main("lagrangian", str(bad))
     assert proc.returncode == 3
+
+
+def test_counterexample_rejects_nonpositive_eps(tmp_path):
+    # eps = 0 is the linear point, whose product is r!/r^r: no counterexample;
+    # 1e-13 rounds to 0 at denominators up to 10^12
+    cert = tmp_path / "cert.json"
+    for eps in ("0", "-1/100", "1e-13"):
+        proc = run_main("region", "counterexample", "--r", "6", "--k", "1", "--eps", eps,
+                        "--certificate", str(cert))
+        assert proc.returncode == 3, proc.stderr
+        assert "--eps must be positive" in proc.stderr and not cert.exists()
+    proc = run_main("region", "counterexample", "--r", "6", "--k", "1", "--eps", "1/100",
+                    "--certificate", str(cert))
+    assert proc.returncode == 0 and json.loads(proc.stdout)["exceeds_bound"] is True
+    assert run_main("verify", str(cert)).returncode == 0
+
+
+def test_probe_floor_needs_a_tent():
+    # floor(2/e) = 0: there is no k to probe
+    proc = run_main("region", "probe-floor", "--r", "2")
+    assert proc.returncode == 3 and "floor(r/e) < 1" in proc.stderr

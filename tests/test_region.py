@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tentopt.region as region
+from tentopt.certificates import Certificate, verify_certificate
+from tentopt.cli import _max_evidence
 from tentopt.region import (
     TOL_FEAS,
     TOL_KKT,
@@ -27,7 +29,6 @@ from tentopt.region import (
     linear_point,
     maximize_product,
     perturb,
-    probe_floor_case,
     product_bound,
     quartic_inequality,
     random_symmetric_point,
@@ -154,14 +155,12 @@ def exact_kkt(r, k):
 
 
 def _exact_residual(r, k, kkt):
-    """Exact gradient minus the cone combination, coordinates 1..r."""
+    """Exact gradient r/i minus the cone combination at the linear point,
+    coordinates 1..r-1; coordinate r is closed by nu = 1 - (A^T mu)_r."""
     model = RegionConstraints(r, k)
-    out = [Fraction(r, i) for i in range(1, r + 1)]
-    for label, mu in zip(kkt["active"], kkt["multipliers"]):
-        row = model.A[model.index(label)]
-        out = [o - Fraction(mu) * int(a) for o, a in zip(out, row)]
-    out[r - 1] -= Fraction(kkt["equality_multiplier"])
-    return out
+    rows = [model.index(label) for label in kkt["active"]]
+    combo = model.combine(rows, [Fraction(mu) for mu in kkt["multipliers"]])
+    return [Fraction(r, i) - c for i, c in enumerate(combo[:-1], 1)]
 
 
 def test_exact_kkt_certifies_every_theorem_row():
@@ -196,7 +195,7 @@ def test_exact_kkt_at_non_optimal_point_has_no_float_fallback(monkeypatch):
     monkeypatch.setattr(region, "nnls", no_nnls)
     kkt = kkt_certificate(counterexample_point(6, 1))
     assert kkt == {"optimal": False, "residual": None, "active": [], "multipliers": [],
-                   "equality_multiplier": "1", "exact": True}
+                   "exact": True}
 
 
 def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
@@ -210,9 +209,7 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
     assert rep.argmax.x == linear_point(9, 4, exact=True).x
     kkt = rep.kkt
     assert kkt["residual"] == 0.0 and kkt["exact"] is True
-    top = sum(Fraction(mu) for lab, mu in zip(kkt["active"], kkt["multipliers"])
-              if lab[3] == 9)
-    assert Fraction(kkt["equality_multiplier"]) == 1 + top
+    assert not any(_exact_residual(9, 4, kkt))
     assert rep.bracket == {"lower": product_bound(9), "upper": product_bound(9), "eps": 0}
 
 
@@ -242,20 +239,27 @@ def test_maximize_product_runs_no_scipy_minimize(monkeypatch):
 
 def test_maximize_product_falls_back_to_the_bend(monkeypatch):
     # an LP that finds no vertex leaves the linear point to the bracket: the
-    # bend at eps = 0 is that point, certified by its nnls multipliers
+    # bend at eps = 0 is that point, certified by its nnls multipliers.  A
+    # float fit never closes the bracket exactly, so its certificate is a
+    # probe: a theorem certificate needs exact multipliers
     monkeypatch.setattr(region, "linprog", lambda *a, **kw: SimpleNamespace(status=2))
-    rep = maximize_product(9, 4)
-    assert rep.kkt["exact"] is False
-    assert rep.diagnostics["path"] == "bend" and rep.diagnostics["nit"] == 0
-    assert rep.bracket["eps"] == 0 and rep.argmax.x == linear_point(9, 4, exact=True).x
-    assert rep.bracket["lower"] == product_bound(9) and rep.value == float(product_bound(9))
-    assert rep.bracket["upper"] - rep.bracket["lower"] <= TOL_REL * rep.bracket["lower"]
-    assert rep.status == "converged"
+    for r, k in [(9, 4), (12, 5), (40, 15)]:
+        rep = maximize_product(r, k)
+        assert rep.kkt["exact"] is False
+        assert rep.diagnostics["path"] == "bend" and rep.diagnostics["nit"] == 0
+        assert rep.bracket["eps"] == 0 and rep.argmax.x == linear_point(r, k, exact=True).x
+        assert rep.bracket["lower"] == product_bound(r) and rep.value == float(product_bound(r))
+        assert 0 < rep.bracket["upper"] - rep.bracket["lower"] <= TOL_REL * rep.bracket["lower"]
+        assert rep.status == "converged"
+        for claim, ok in (("region-probe", True), ("region-product-maximum", False)):
+            cert = Certificate(claim, claim, {"r": r, "k": k}, _max_evidence(rep))
+            assert verify_certificate(cert)[0] is ok, (r, k, claim)
 
 
 def test_bend_bracket_certifies_the_grid():
     # every r <= 40 and k <= floor(r/e): an exact point, a bracket far inside
-    # TOL_REL, and a product no smaller than the counterexample construction's
+    # TOL_REL, a product no smaller than the counterexample construction's,
+    # and a probe certificate that verifies
     grid = [(r, k) for r in range(4, 41) for k in range(1, min(floor_r_over_e(r), r // 2) + 1)]
     assert len(grid) == 280
     for r, k in grid:
@@ -269,6 +273,9 @@ def test_bend_bracket_certifies_the_grid():
         assert lower >= product_bound(r)
         if k < floor_r_over_e(r):
             assert lower > math.prod(counterexample_point(r, k).x), (r, k)
+        probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, _max_evidence(rep))
+        passed, checks = verify_certificate(probe)
+        assert passed, (r, k, [check for check in checks if not check[1]])
 
 
 def test_dual_bound_needs_nonnegative_multipliers_and_positive_c():
@@ -471,10 +478,10 @@ def test_perturbation_corpus_improves():
 
 
 def test_probe_floor_reports():
-    rep = probe_floor_case(6)
+    rep = maximize_product(6, floor_r_over_e(6))
     assert rep.argmax.k == 2
     assert rep.value >= float(product_bound(6)) - 1e-9
-    rep3 = probe_floor_case(3)
+    rep3 = maximize_product(3, floor_r_over_e(3))
     assert rep3.value == pytest.approx(6 / 27, abs=1e-6)
 
 
