@@ -19,7 +19,7 @@ from fractions import Fraction
 from .region import (
     TOL_REL,
     RegionConstraints,
-    bend_point,
+    bend_coordinates,
     ceil_r_over_e,
     check_feasible,
     dual_bound,
@@ -88,15 +88,16 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
 
 def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
                    bracket: dict) -> list[tuple[str, bool, str]]:
-    """The bracket lower <= max prod x <= upper: x is the bend point at
-    ``eps``, ``lower`` is prod x, and ``upper`` is the dual bound
+    """The bracket lower <= max prod x <= upper: x has the bend
+    coordinates at ``eps`` (their feasibility is ``point-feasible``'s
+    check), ``lower`` is prod x, and ``upper`` is the dual bound
     recomputed from the stored multipliers, which must be nonnegative and
     give c > 0.  ``exact`` must hold exactly when upper == lower, so the
     bracket proves the maximum.  A label outside the region raises, since
     its row has no normal, and fails ``evidence-well-formed``."""
     r, k = model.r, model.k
     eps = Fraction(bracket["eps"])
-    ok = 0 <= eps < 1 and x == list(bend_point(r, k, eps).x)
+    ok = 0 <= eps < 1 and x == list(bend_coordinates(r, k, eps))
     checks = [("bracket-point-is-bend", ok, f"eps={eps}")]
     rows = [model.index(lab) for lab in kkt.get("active", [])]
     mus = [Fraction(v) for v in kkt.get("multipliers", [])]

@@ -38,6 +38,7 @@ from .region import (
     floor_r_over_e,
     maximize_product,
     product_bound,
+    rounded_eps,
     segments,
 )
 
@@ -240,12 +241,16 @@ def region_max(ctx, r, k, certificate, output):
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def region_counterexample(ctx, r, k, eps, certificate, output):
-    point = counterexample_point(r, k, Fraction(eps) if eps else None)
+    if eps is not None:
+        eps = Fraction(eps)
+        try:  # eps = 0 would give the linear point, whose product is r!/r^r
+            eps = rounded_eps(eps)
+        except ValueError:
+            raise click.UsageError(f"--eps must be positive after rounding to a "
+                                   f"denominator of at most 10^12, got {eps}") from None
+    point = counterexample_point(r, k, eps)
     prod = math.prod(point.x)
     bound = product_bound(r)
-    if prod <= bound:  # eps rounded to <= 0 gives the linear point, prod = r!/r^r
-        raise click.UsageError(f"--eps must be positive after rounding to a "
-                               f"denominator of at most 10^12, got {eps}")
     payload = {
         "r": r, "k": k,
         "x": [float(v) for v in point.x],

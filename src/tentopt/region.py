@@ -14,8 +14,10 @@ perturbation and the below-threshold counterexample also live here.
 
 Rational points are checked exactly, as integer numerators over one common
 denominator, and ``kkt_certificate`` at such a point fits its multipliers
-as exact Fractions.  scipy (nnls and HiGHS) is imported on first use: the
-verifier and the counterexample construction never need it.
+as exact Fractions: a numpy active-set fit picks the support and integer
+elimination solves it.  scipy's nnls, for the bend point's float fit, is
+the one scipy call and is imported on first use: the exact linear point,
+the verifier and the counterexample construction never load scipy.
 """
 
 from __future__ import annotations
@@ -226,7 +228,10 @@ def product_bound(r: int) -> Fraction:
 
 
 # scipy.optimize is most of the import time of tentopt, so it is imported on
-# first call; tests and the benchmark's tracer patch these module-level names
+# first call; tests and the benchmark's tracer patch these module-level names.
+# Nothing in tentopt calls linprog (``_exact_cone_fit`` runs no LP), but
+# perfbench/layers.py wraps ``region.linprog`` by name and its tracer raises
+# on a missing attribute, so the name stays until the benchmark drops it.
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
@@ -237,15 +242,20 @@ def nnls(*args, **kwargs):
     return nnls(*args, **kwargs)
 
 
-def bend_point(r: int, k: int, eps) -> FeasiblePoint:
-    """The exact point x_i = (1 - eps) i/r + eps [i > k] for rational eps:
-    the linear point bent down on [1, k] and up above k.  It lies in the
-    region for every 0 <= eps < 1: no monotone row is tight, and a tent
-    row has i <= k, so [j > k] <= [i + j > k]."""
+def bend_coordinates(r: int, k: int, eps) -> tuple:
+    """The Fractions x_i = (1 - eps) i/r + eps [i > k] for rational eps:
+    the linear point bent down on [1, k] and up above k, not checked."""
     eps = Fraction(eps)
     e, d = eps.numerator, eps.denominator  # x_i = ((d - e) i + r e [i > k]) / (r d)
-    return FeasiblePoint(r=r, k=k, x=tuple(Fraction((d - e) * i + (r * e if i > k else 0), r * d)
-                                           for i in range(1, r + 1)))
+    return tuple(Fraction((d - e) * i + (r * e if i > k else 0), r * d)
+                 for i in range(1, r + 1))
+
+
+def bend_point(r: int, k: int, eps) -> FeasiblePoint:
+    """The exact point ``bend_coordinates(r, k, eps)``.  It lies in the
+    region for every 0 <= eps < 1: no monotone row is tight, and a tent
+    row has i <= k, so [j > k] <= [i + j > k]."""
+    return FeasiblePoint(r=r, k=k, x=bend_coordinates(r, k, eps))
 
 
 @dataclass(frozen=True)
@@ -340,8 +350,9 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     ``value`` is float(lower).  ``status`` is "converged" exactly when
     ``upper`` exists and (upper - lower)/lower <= TOL_REL; exact KKT
     multipliers give upper = lower.  ``diagnostics``: the path taken, the
-    Newton steps, wall seconds per phase.  ``seed`` has no effect; nothing
-    is random.
+    Newton steps, the exact fit's ``iterations`` and ``support`` size
+    (``fit``, when it ran), wall seconds per phase.  ``seed`` has no
+    effect; nothing is random.
     """
     RegionConstraints(r, k)  # validates k
     seconds, clock = {}, [time.perf_counter()]
@@ -350,10 +361,10 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         clock.append(time.perf_counter())
         seconds[phase] = clock[-1] - clock[-2]
 
-    cert = None
+    cert, fit = None, {}
     if fprime_zero(r, k) <= 0:
         point = linear_point(r, k, exact=True)
-        cert = kkt_certificate(point)
+        cert = kkt_certificate(point, fit)
     lap("exact")
     if cert is not None and cert["optimal"]:
         eps, diagnostics = Fraction(0), {"path": "exact-linear-point"}
@@ -375,67 +386,124 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         bracket=bracket,
         status="converged" if upper is not None and upper - lower <= TOL_REL * lower
         else "best-found",
-        diagnostics=diagnostics | {"seconds": seconds},
+        diagnostics=diagnostics | ({"fit": fit} if fit else {}) | {"seconds": seconds},
     )
 
 
-def _solve_rational(columns, rhs):
-    """A solution mu of sum_c mu_c * columns[c] = rhs in Fractions, with
-    every free unknown set to 0, or None when the system is inconsistent."""
-    m, n = len(rhs), len(columns)
-    M = [[Fraction(int(col[i])) for col in columns] + [rhs[i]] for i in range(m)]
-    pivots = []
+def _active_set_nnls(C: np.ndarray, d: np.ndarray):
+    """(x, iterations): x >= 0 minimizing |C x - d| by Lawson & Hanson's
+    active-set method (*Solving Least Squares Problems*, 1974), or x None
+    when 3n least-squares solves, n the number of columns, do not finish
+    (the cap scipy's nnls uses).  The passive set, where x > 0, is kept
+    linearly independent, so it is a basis of the face that x lies on."""
+    m, n = C.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps * max(np.abs(C).sum(axis=0).max(), 1.0)
+    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
+    w = C.T @ d
+    iterations = 0
+    while not passive.all() and w[~passive].max() > tol:
+        passive[np.argmax(np.where(passive, -np.inf, w))] = True
+        while True:
+            iterations += 1
+            if iterations > 3 * n:
+                return None, iterations
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(C[:, passive], d, rcond=None)[0]
+            if (s[passive] > 0).all():
+                break
+            # step from x toward s until the first passive coordinate hits 0
+            blocked = passive & (s <= 0)
+            step = x[blocked] - s[blocked]  # >= x[blocked] >= 0
+            alpha = np.min(np.divide(x[blocked], step, out=np.zeros_like(step),
+                                     where=step > 0))
+            x += alpha * (s - x)
+            passive &= x > tol
+        x = s
+        w = C.T @ (d - C @ x)
+    return x, iterations
+
+
+def _reduced(row: dict) -> dict:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _solve_integer(rows: list, n: int):
+    """A solution mu of sum_c row[c] mu_c = row[n] for every row, in
+    Fractions, with every free unknown set to 0, or None when the system is
+    inconsistent.  A row is a dict {column: int} of its nonzero entries,
+    the right-hand side under column n.
+
+    Fraction-free elimination: the unknowns are eliminated in column order,
+    each from the sparsest row holding it, by integer cross-multiplication,
+    and every new row is divided by its gcd.  Back-substitution then builds
+    one Fraction per unknown."""
+    rows = [_reduced(row) for row in rows if row]
+    echelon = []  # (column, pivot row), in elimination order
     for c in range(n):
-        row = len(pivots)
-        p = next((i for i in range(row, m) if M[i][c]), None)
-        if p is None:
+        having = [t for t, row in enumerate(rows) if c in row]
+        if not having:
             continue
-        M[row], M[p] = M[p], M[row]
-        inv = 1 / M[row][c]
-        pr = M[row] = [v * inv for v in M[row]]
-        nonzero = [j for j in range(c, n + 1) if pr[j]]
-        for i in range(m):
-            f = M[i][c]
-            if i != row and f:
-                Mi = M[i]
-                for j in nonzero:
-                    Mi[j] -= f * pr[j]
-        pivots.append(c)
-        if len(pivots) == m:
-            break
-    if any(M[i][n] for i in range(len(pivots), m)):
+        pivot = rows.pop(min(having, key=lambda t: len(rows[t])))
+        p = pivot[c]
+        for t, row in enumerate(rows):
+            a = row.get(c)
+            if a is None:
+                continue
+            g = math.gcd(p, a)
+            fp, fa = p // g, a // g  # fp * row - fa * pivot clears column c
+            out = {col: fp * v for col, v in row.items()}
+            for col, v in pivot.items():
+                out[col] = out.get(col, 0) - fa * v
+            rows[t] = _reduced({col: v for col, v in out.items() if v})
+        rows = [row for row in rows if row]
+        echelon.append((c, pivot))
+    if rows:  # each left-over row reads 0 = row[n] != 0
         return None
-    mu = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        mu[c] = M[i][n]
-    return mu
+    num, den = [0] * n, [1] * n  # mu_c = num[c] / den[c], in lowest terms
+    for c, row in reversed(echelon):
+        terms = [(num[j], den[j], v) for j, v in row.items() if j != c and j != n]
+        L = math.lcm(*(q for _, q, _ in terms))
+        mu = Fraction(row.get(n, 0) * L - sum(v * p * (L // q) for p, q, v in terms),
+                      row[c] * L)
+        num[c], den[c] = mu.numerator, mu.denominator
+    return [Fraction(p, q) for p, q in zip(num, den)]
 
 
-def _exact_cone_fit(model: RegionConstraints, rows, g):
+def _exact_cone_fit(model: RegionConstraints, rows, g, work=None):
     """(support, mu): mu > 0 on a subset of ``rows`` with
-    sum_t mu_t A[t]_i = g_i exactly for every i < r, or None.  HiGHS finds
-    a vertex of that cone; its support is solved again in Fractions, and
-    the multipliers are kept only if they are nonnegative and satisfy
-    every coordinate equation exactly."""
+    sum_t mu_t A[t]_i = g_i exactly for every i < r, or None.
+    ``_active_set_nnls`` fits the float copy of the system; its passive
+    set is solved again exactly by ``_solve_integer``, each coordinate
+    equation scaled by the denominator of g_i, and the multipliers are
+    kept only if they are nonnegative and satisfy every coordinate equation
+    exactly.  A float result never decides.  ``work``, when a dict,
+    receives the fit's ``iterations`` and ``support`` size."""
     m = model.r - 1
     if not len(rows):
         return None
-    res = linprog(np.ones(len(rows)), A_eq=model.A[rows, :m].T,
-                  b_eq=[float(v) for v in g[:m]], bounds=(0, None), method="highs-ds")
-    if res.status != 0:
+    A = model.A[rows, :m]
+    x, iterations = _active_set_nnls(A.T.astype(float), np.array([float(v) for v in g[:m]]))
+    passive = np.zeros(len(rows), dtype=bool) if x is None else x > 0
+    if work is not None:
+        work.update(iterations=iterations, support=int(passive.sum()))
+    if x is None:
         return None
-    support = rows[res.x > 0]
-    mus = _solve_rational([model.A[t, :m] for t in support], g[:m])
+    coeffs = A[passive].T.tolist()  # coeffs[i][t]: coordinate i of support row t
+    n = len(coeffs[0])
+    mus = _solve_integer([{t: v * g[i].denominator for t, v in enumerate(coeffs[i]) if v}
+                          | {n: g[i].numerator} for i in range(m)], n)
     if mus is None or any(mu < 0 for mu in mus):
         return None
-    kept = [(t, mu) for t, mu in zip(support, mus) if mu]
+    kept = [(t, mu) for t, mu in zip(rows[passive].tolist(), mus) if mu]
     support, mus = [t for t, _ in kept], [mu for _, mu in kept]
     if model.combine(support, mus)[:m] != g[:m]:
         return None
     return support, mus
 
 
-def kkt_certificate(point: FeasiblePoint) -> dict:
+def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
     """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
     with mu >= 0 on the rows active at the point and nu on x_r = 1.
 
@@ -445,17 +513,21 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
     a float point nnls fits mu over every active row: ``residual`` is the
     stationarity residual relative to |1/x|, and the point is ``optimal``
     when it is below TOL_KKT.  At an exact point (``exact``) the fit is
-    ``_exact_cone_fit``: ``residual`` is 0.0 and the multipliers are
+    ``_exact_cone_fit``, a numpy active-set fit then integer elimination on
+    its support, with no scipy: ``residual`` is 0.0 and the multipliers are
     Fraction strings; when it fails the point is not optimal, ``residual``
     is None and nothing is fitted in floats instead.  Either way ``active``
-    is the fit's support, the rows with mu > 0.
+    is the fit's support, the rows with mu > 0.  ``work``, when a dict,
+    receives the exact fit's iterations and support size; it is not part
+    of the certificate.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
     exact = point.is_exact
     if exact:
         g = [1 / Fraction(v) for v in point.x]
-        fit = _exact_cone_fit(model, np.flatnonzero(model.scaled_slack(point.x)[0] == 0), g)
+        fit = _exact_cone_fit(model, np.flatnonzero(model.scaled_slack(point.x)[0] == 0), g,
+                              work)
         optimal = fit is not None
         rows, mus = fit if optimal else ([], [])
         residual = 0.0 if optimal else None
@@ -499,20 +571,33 @@ def upper_bound_gap(r: int, k: int) -> float:
     return r * (math.log(r) - math.log(k) - 1.0)
 
 
+def rounded_eps(eps) -> Fraction:
+    """eps as a Fraction of denominator at most 10^12; ValueError unless
+    the rounded value is positive (a positive eps below about 5e-13 rounds
+    to 0)."""
+    out = Fraction(eps).limit_denominator(10**12)
+    if out <= 0:
+        raise ValueError(f"eps must be positive after rounding to a denominator "
+                         f"of at most 10^12, got {eps}")
+    return out
+
+
 def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
     """Feasible point with product exceeding r!/r^r, for k below the floor
     threshold: the ``bend_point`` at eps.
 
-    eps is halved until exact-rational feasibility and strict product
-    improvement both hold; the positive linear coefficient guarantees
-    termination.  Each candidate is checked for feasibility once, exactly,
-    by constructing its FeasiblePoint.
+    eps (default 1/(4r)) is rounded by ``rounded_eps``, then halved until
+    exact-rational feasibility and strict product improvement both hold;
+    the positive linear coefficient guarantees termination.  Each candidate
+    is checked for feasibility once, exactly, by constructing its
+    FeasiblePoint.  eps = 0 gives the unbent linear point, whose product
+    is r!/r^r; any other eps that rounds to <= 0 raises ValueError.
     """
     if not 1 <= k < floor_r_over_e(r):
         raise ValueError(f"construction requires 1 <= k < {floor_r_over_e(r)} for r={r}")
-    eps = Fraction(1, 4 * r) if eps is None else Fraction(eps).limit_denominator(10**12)
-    if eps <= 0:
+    if eps is not None and eps == 0:
         return bend_point(r, k, 0)
+    eps = Fraction(1, 4 * r) if eps is None else rounded_eps(eps)
     bound = product_bound(r)
     while True:
         try:

@@ -97,7 +97,10 @@ def test_region_max_with_certificate(tmp_path):
     d = json.loads(res.output)
     assert d["status"] == "converged"
     assert d["value"] == pytest.approx(120 / 5 ** 5, rel=1e-6)
-    assert d["diagnostics"] == {"path": "exact-linear-point"}
+    # the exact fit's work is printed too; a certificate does not store it
+    assert d["diagnostics"] == {"path": "exact-linear-point",
+                                "fit": {"iterations": 6, "support": 4}}
+    assert "fit" not in json.loads(cert.read_text())["evidence"]["kkt"]
 
     vres = invoke("verify", str(cert))
     assert vres.exit_code == 0
@@ -232,7 +235,8 @@ def test_probe_floor_verdict_is_exact():
     # itself, so only an exact comparison can say it does not exceed it
     d = json.loads(invoke("region", "probe-floor", "--r", "30").output)
     assert d["k"] == 11 and d["exceeds_bound"] is False
-    assert d["diagnostics"] == {"path": "exact-linear-point"}
+    assert d["diagnostics"] == {"path": "exact-linear-point",
+                                "fit": {"iterations": 33, "support": 29}}
 
 
 def test_tol_option_removed():
@@ -296,6 +300,25 @@ def test_verify_does_not_import_scipy_optimizers(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == lines[-1] == "False False"
     assert json.loads("\n".join(lines[1:-1]))["passed"] is True
+
+
+def test_theorem_table_loads_no_scipy(tmp_path):
+    # the exact linear-point fit is numpy and integers: no scipy module at all
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    code = ("import sys\n"
+            "import tentopt.cli\n"
+            "sys.argv = ['tentopt', 'report', 'theorem-table', '--r-min', '4',\n"
+            f"            '--r-max', '40', '--cert-dir', {str(certs)!r}]\n"
+            "try:\n"
+            "    tentopt.cli.main()\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list(certs.iterdir())) == 37
 
 
 def test_hom_check_loads_no_scipy(tmp_path):
