@@ -64,6 +64,7 @@ from .entropy import (
     mixture,
     mixture_bound_witness,
     ratio_sequence,
+    suffix_entropy_matrix,
     tree_sampler_entropy,
     verify_ratio_constraints,
 )

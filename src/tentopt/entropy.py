@@ -162,6 +162,58 @@ def _incidence(H: Hypergraph) -> np.ndarray:
     return B
 
 
+def _plogp(P: np.ndarray) -> np.ndarray:
+    """Column sums of p ln p, with 0 ln 0 = 0."""
+    return (P * np.log(P, out=np.zeros_like(P), where=P > 0)).sum(axis=0)
+
+
+def _subset_index(H: Hypergraph) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each level q = 1..r, the distinct q-subsets of the edges of H and
+    which edges contain each: (subsets, edge, starts), where the rows of
+    ``subsets`` are the sorted subsets and edge[starts[j]:starts[j + 1]] are
+    the indices (into ``sorted_edges``, ascending) of the edges containing
+    subset j.  ``edge`` has one entry per (edge, q-subset) pair."""
+    edges = np.array(H.sorted_edges, dtype=np.int64)
+    index = []
+    for q in range(1, H.r + 1):
+        combos = np.array(list(itertools.combinations(range(H.r), q)))
+        pairs = edges[:, combos].reshape(-1, q)  # row e * len(combos) + c
+        subsets, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                             return_counts=True)
+        order = np.argsort(inverse.reshape(-1), kind="stable")
+        index.append((subsets, order // len(combos), np.cumsum(counts) - counts))
+    return index
+
+
+def _subset_weight_columns(index, W: np.ndarray) -> list[np.ndarray]:
+    """W_s = sum of w_e over the edges e containing s, for every subset s in
+    ``index`` and every column w of the (m, T) matrix W: one (S_q, T) array
+    per level q = 1..r."""
+    return [np.add.reduceat(W[edge], starts, axis=0) for _, edge, starts in index]
+
+
+def suffix_entropy_matrix(H: Hypergraph, W: np.ndarray) -> np.ndarray:
+    """H_q, the entropy of any q coordinates of the ordered tuple, for
+    q = 0..r (rows) and each edge distribution on H given as a column of the
+    (m, T) matrix W (edges in ``sorted_edges`` order).
+
+    A distinct q-tuple with vertex set s has probability p = (r-q)!/r! W_s
+    and there are q! tuples per set, so H_q = -q! sum_s p log2 p and no
+    ordering is enumerated.  The subset index (``_subset_index``) is built
+    once per call, and the subset weights of all T columns are gathered and
+    summed in one numpy step per level, so memory is linear in the number of
+    (edge, subset) pairs times T.  Zero weights contribute 0.
+    """
+    if W.ndim != 2 or W.shape[0] != len(H.edges):
+        raise ValueError(f"need an ({len(H.edges)}, T) weight matrix, got shape {W.shape}")
+    r = H.r
+    Hq = np.zeros((r + 1, W.shape[1]))
+    for q, Ws in enumerate(_subset_weight_columns(_subset_index(H), W), start=1):
+        p = math.factorial(r - q) / math.factorial(r) * Ws
+        Hq[q] = -math.factorial(q) * _plogp(p) / math.log(2)
+    return Hq
+
+
 @dataclass(frozen=True)
 class EdgeDistribution:
     """Probability weight per edge of a host hypergraph; the induced ordered
@@ -194,38 +246,22 @@ class EdgeDistribution:
         return _incidence(self.host) @ np.asarray(self.w) / self.host.r
 
     def subset_weights(self) -> list[dict]:
-        """W_s = sum of w_e over edges containing s, for |s| = 0..r."""
-        r = self.host.r
-        levels: list[dict] = [dict() for _ in range(r + 1)]
-        levels[0][frozenset()] = 1.0
-        for e, we in zip(self.host.sorted_edges, self.w):
-            if we == 0.0:
-                continue
-            for q in range(1, r + 1):
-                lvl = levels[q]
-                for s in itertools.combinations(e, q):
-                    key = frozenset(s)
-                    lvl[key] = lvl.get(key, 0.0) + we
+        """W_s = sum of w_e over edges containing s, for |s| = 0..r; the
+        sets of weight 0 are left out."""
+        index = _subset_index(self.host)
+        levels = [{frozenset(): 1.0}]
+        for (subsets, _, _), Ws in zip(index, _subset_weight_columns(index, self._column())):
+            levels.append({frozenset(s): w for s, w in zip(subsets.tolist(), Ws[:, 0].tolist())
+                           if w > 0})
         return levels
 
     def suffix_entropies(self) -> list[float]:
-        """H_q = entropy of any q tuple coordinates, q = 0..r.
+        """H_q = entropy of any q tuple coordinates, q = 0..r: the one-column
+        case of ``suffix_entropy_matrix``."""
+        return suffix_entropy_matrix(self.host, self._column())[:, 0].tolist()
 
-        A distinct q-tuple with vertex set s has probability (r-q)!/r! W_s,
-        and there are q! tuples per set, so no ordering enumeration is needed.
-        """
-        r = self.host.r
-        levels = self.subset_weights()
-        H = [0.0]
-        for q in range(1, r + 1):
-            scale = math.factorial(r - q) / math.factorial(r)
-            perms = math.factorial(q)
-            h = 0.0
-            for W in levels[q].values():
-                p = scale * W
-                h -= perms * p * math.log2(p)
-            H.append(h)
-        return H
+    def _column(self) -> np.ndarray:
+        return np.asarray(self.w)[:, None]
 
     def ordered_tuple_rv(self) -> JointRV:
         """The full joint law, materialized (use only for small r)."""
@@ -256,16 +292,22 @@ class RatioSequence:
             raise ValueError("ratio sequence must be nondecreasing")
         prod = math.prod(x)
         target = 2.0 ** (self.joint_entropy - len(x) * self.marginal_entropy)
-        if abs(prod - target) > 1e-9 * max(1.0, target):
+        if abs(prod - target) > 1e-9 * target:
             raise ValueError(
                 f"product identity fails: prod={prod}, 2^(H_r - r H_1)={target}")
 
 
+def _ratio_sequences(H: Hypergraph, W: np.ndarray) -> list[RatioSequence]:
+    """The ratio sequence of each column of W, from one
+    ``suffix_entropy_matrix`` call; x_i = 2^{(H_{r-i+1} - H_{r-i}) - H_1}."""
+    Hq = suffix_entropy_matrix(H, W)
+    X = 2.0 ** (np.diff(Hq, axis=0)[::-1] - Hq[1])
+    return [RatioSequence(x=tuple(x), joint_entropy=hr, marginal_entropy=h1)
+            for x, hr, h1 in zip(X.T.tolist(), Hq[H.r].tolist(), Hq[1].tolist())]
+
+
 def ratio_sequence(d: EdgeDistribution) -> RatioSequence:
-    r = d.host.r
-    H = d.suffix_entropies()
-    x = tuple(2.0 ** ((H[r - i + 1] - H[r - i]) - H[1]) for i in range(1, r + 1))
-    return RatioSequence(x=x, joint_entropy=H[r], marginal_entropy=H[1])
+    return _ratio_sequences(d.host, d._column())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +333,6 @@ class EntropicDensityResult:
 
     def __iter__(self):
         return iter((self.value, self.witness))
-
-
-def _plogp(P: np.ndarray) -> np.ndarray:
-    """Column sums of p ln p, with 0 ln 0 = 0."""
-    return (P * np.log(P, out=np.zeros_like(P), where=P > 0)).sum(axis=0)
 
 
 def _log_density(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
@@ -461,36 +498,45 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     """For random edge distributions on a hom-free host, check that every
     ratio sequence lies in the (r, k) region, k = family size.
 
+    The distributions are the columns of one (m, trials + 2) matrix: the
+    uniform one, ``trials`` Dirichlet(1, ..., 1) draws from ``seed``, and the
+    entropic-density witness.  One ``suffix_entropy_matrix`` call gives the
+    suffix entropies of every column, over a subset index built once for H.
+    Each column then still builds its own ``RatioSequence`` (which checks
+    monotonicity and the product identity), runs ``check_feasible`` and
+    takes its smallest tent-row slack.
+
     Hom-freeness is certified by exhaustive search unless the caller vouches
     for it with assume_hom_free (useful for hosts whose freeness has a
     structural proof but whose search space is out of reach).
 
-    Returns a report with the worst constraint slack seen.
+    Returns a report with the worst constraint slack seen.  Raises
+    ValueError when ``trials`` is negative.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     k = len(family.members)
     if not assume_hom_free and not is_hom_free(H, family, budget):
         raise ValueError("host is not hom-free against the family")
     rng = np.random.default_rng(seed)
     m = len(H.edges)
+    # the draws are the rows an EdgeDistribution would store unchanged: each
+    # is nonnegative and sums to 1 within rounding, far inside its 1e-12
+    W = np.column_stack([np.full(m, 1.0 / m),
+                         rng.dirichlet(np.ones(m), size=trials).T,
+                         entropic_density(H, restarts=20, seed=seed).witness.w])
+    model = RegionConstraints(H.r, k)
     worst = math.inf
     failures = 0
-    checked = 0
-    dists = [EdgeDistribution.uniform(H)]
-    dists.extend(EdgeDistribution(H, tuple(rng.dirichlet(np.ones(m))))
-                 for _ in range(trials))
-    dists.append(entropic_density(H, restarts=20, seed=seed).witness)
-    model = RegionConstraints(H.r, k)
-    for d in dists:
-        rs = ratio_sequence(d)
+    for rs in _ratio_sequences(H, W):
         ok, violations = check_feasible(rs.x, H.r, k, tol=1e-9)
         tent_slack = model.slack(rs.x)[: model.n_tent].min()
         worst = min(worst, tent_slack, *(s for _, s in violations))
         failures += 0 if ok else 1
-        checked += 1
     return {
         "r": H.r,
         "k": k,
-        "checked": checked,
+        "checked": W.shape[1],
         "failures": failures,
         "worst_slack": worst,
         "all_feasible": failures == 0,

@@ -376,6 +376,12 @@ def test_exit_code_bad_input(tmp_path):
     assert proc.returncode == 3
 
 
+def test_entropy_verify_ratio_rejects_negative_trials(tmp_path):
+    host = write_host(tmp_path, make_turan_graph(4, 4))  # one 4-edge
+    proc = run_main("entropy", "verify-ratio", host, "--family", "4,2", "--trials", "-1")
+    assert proc.returncode == 3 and "trials" in proc.stderr
+
+
 def test_counterexample_rejects_nonpositive_eps(tmp_path):
     # eps = 0 is the linear point, whose product is r!/r^r: no counterexample;
     # 1e-13 rounds to 0 at denominators up to 10^12

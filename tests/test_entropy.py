@@ -12,6 +12,7 @@ from tentopt.entropy import (
     DiscreteRV,
     EdgeDistribution,
     JointRV,
+    RatioSequence,
     conditional_entropy,
     entropic_density,
     entropy,
@@ -19,6 +20,7 @@ from tentopt.entropy import (
     mixture,
     mixture_bound_witness,
     ratio_sequence,
+    suffix_entropy_matrix,
     tree_sampler_entropy,
     verify_ratio_constraints,
 )
@@ -235,6 +237,53 @@ def test_suffix_entropies_match_materialized_joint():
     XY = d.ordered_tuple_rv()
     for q in range(1, 4):
         assert Hq[q] == pytest.approx(entropy(XY.marginal(range(3 - q, 3))), abs=1e-10)
+
+
+@st.composite
+def weighted_hosts(draw):
+    """An r-graph for r = 2..5 on r..2r vertices (so edges may be disjoint)
+    and an (m, T) matrix of edge distributions, some weights exactly 0."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, 2 * r))
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), r))),
+                          min_size=1, max_size=6, unique=True))
+    T = draw(st.integers(1, 3))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    W = np.array(draw(st.lists(st.lists(weight, min_size=T, max_size=T),
+                               min_size=len(edges), max_size=len(edges))))
+    W[0, W.sum(axis=0) == 0] = 1.0
+    return Hypergraph(r=r, n=n, edges=edges), W / W.sum(axis=0)
+
+
+@given(weighted_hosts())
+@settings(max_examples=60, deadline=None)
+def test_suffix_entropy_matrix_matches_materialized_joint_per_column(host_and_W):
+    H, W = host_and_W
+    r = H.r
+    Hq = suffix_entropy_matrix(H, W)
+    assert Hq.shape == (r + 1, W.shape[1])
+    for t in range(W.shape[1]):
+        XY = EdgeDistribution(H, tuple(W[:, t])).ordered_tuple_rv()
+        assert Hq[0, t] == 0.0
+        for q in range(1, r + 1):
+            expect = entropy(XY.marginal(range(r - q, r)))
+            assert Hq[q, t] == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_suffix_entropy_matrix_needs_one_row_per_edge():
+    with pytest.raises(ValueError, match="weight matrix"):
+        suffix_entropy_matrix(K3, np.ones((2, 1)) / 2)
+    with pytest.raises(ValueError, match="weight matrix"):
+        suffix_entropy_matrix(K3, np.ones(3) / 3)
+
+
+@pytest.mark.parametrize("r", [6, 10, 16])
+def test_ratio_sequence_product_identity_is_relative(r):
+    rs = ratio_sequence(EdgeDistribution.uniform(single_edge(r)))
+    tampered = (rs.x[0] * (1 + 1e-5),) + rs.x[1:]
+    with pytest.raises(ValueError, match="product identity"):
+        RatioSequence(x=tampered, joint_entropy=rs.joint_entropy,
+                      marginal_entropy=rs.marginal_entropy)
 
 
 # -- entropic density ------------------------------------------------------
@@ -462,6 +511,25 @@ def test_verify_ratio_constraints_turan_host():
 def test_verify_ratio_constraints_rejects_tent_hosts():
     with pytest.raises(ValueError):
         verify_ratio_constraints(make_tent(4, 1), tent_family(4, 1), trials=1)
+
+
+def test_verify_ratio_constraints_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        verify_ratio_constraints(single_edge(4), tent_family(4, 2), trials=-1)
+
+
+def test_verify_ratio_constraints_makes_one_suffix_entropy_call(monkeypatch):
+    shapes = []
+    real = ent.suffix_entropy_matrix
+
+    def spy(H, W):
+        shapes.append(W.shape)
+        return real(H, W)
+
+    monkeypatch.setattr(ent, "suffix_entropy_matrix", spy)
+    H = make_turan_graph(4, 8)
+    rep = verify_ratio_constraints(H, tent_family(4, 2), trials=7, assume_hom_free=True)
+    assert shapes == [(len(H.edges), 9)] and rep["checked"] == 9
 
 
 @pytest.mark.parametrize("host, k", [(single_edge(5), 2), (make_turan_graph(4, 8), 2),
