@@ -393,8 +393,8 @@ def _write_table(rows: list[dict], fmt: str, output):
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
-    if not 2 <= r_min <= r_max <= 40:
-        raise click.UsageError("supported range is 2 <= r-min <= r-max <= 40")
+    if not 2 <= r_min <= r_max <= 200:
+        raise click.UsageError("supported range is 2 <= r-min <= r-max <= 200")
     rows = []
     for r in range(r_min, r_max + 1):
         k = ceil_r_over_e(r)

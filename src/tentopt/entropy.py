@@ -354,7 +354,10 @@ def entropic_density(H: Hypergraph, restarts: int = 100,
     ``restarts`` Dirichlet edge distributions; ``seed`` drives both the
     Dirichlet starts and the Lagrangian.  Each end point m gives the edge
     distribution w_e ∝ ∏_{v∈e} m_v, and the best of these is the witness.
+    ValueError when ``restarts`` is negative.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not H.edges:
         raise ValueError("entropic density needs at least one edge")
     edges = np.array(H.sorted_edges, dtype=np.int64)

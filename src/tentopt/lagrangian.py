@@ -94,8 +94,11 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
     point; deterministic for a fixed seed (restart results reduced by value,
     then lexicographically smallest witness).  Each start stops on its own
-    (see ``_kernels``); ``diagnostics`` says how.
+    (see ``_kernels``); ``diagnostics`` says how.  ValueError when
+    ``restarts`` is negative.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not H.edges:
         return LagrangianResult(0.0, SimplexPoint((1.0,) * max(H.n, 1)),
                                 0.0, "converged", 0)

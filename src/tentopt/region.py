@@ -13,11 +13,14 @@ U the geometric-programming dual bound of its nnls multipliers
 perturbation and the below-threshold counterexample also live here.
 
 Rational points are checked exactly, as integer numerators over one common
-denominator, and ``kkt_certificate`` at such a point fits its multipliers
-as exact Fractions: a numpy active-set fit picks the support and integer
-elimination solves it.  scipy's nnls, for the bend point's float fit, is
-the one scipy call and is imported on first use: the exact linear point,
-the verifier and the counterexample construction never load scipy.
+denominator.  At the exact linear point ``kkt_certificate`` builds its
+multipliers as Fractions by one integer recursion, ``_stick_cuts``: mu on
+the tent row (i, j, s) is an amount of sticks of length s cut into pieces
+i and j, and r - 1 sticks of length r cut down to r/n pieces of each
+length n < r match the gradient r/i.  In every case checked it succeeds
+exactly when f'(0) <= 0.  scipy's nnls, for the bend point's float fit,
+is the one scipy call and is imported on first use: the exact linear
+point, the verifier and the counterexample construction never load scipy.
 """
 
 from __future__ import annotations
@@ -229,9 +232,10 @@ def product_bound(r: int) -> Fraction:
 
 # scipy.optimize is most of the import time of tentopt, so it is imported on
 # first call; tests and the benchmark's tracer patch these module-level names.
-# Nothing in tentopt calls linprog (``_exact_cone_fit`` runs no LP), but
-# perfbench/layers.py wraps ``region.linprog`` by name and its tracer raises
-# on a missing attribute, so the name stays until the benchmark drops it.
+# Nothing in tentopt calls linprog (the exact linear point's multipliers
+# come from ``_stick_cuts``), but perfbench/layers.py wraps
+# ``region.linprog`` by name and its tracer raises on a missing attribute,
+# so the name stays until the benchmark drops it.
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
@@ -350,8 +354,8 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     ``value`` is float(lower).  ``status`` is "converged" exactly when
     ``upper`` exists and (upper - lower)/lower <= TOL_REL; exact KKT
     multipliers give upper = lower.  ``diagnostics``: the path taken, the
-    Newton steps, the exact fit's ``iterations`` and ``support`` size
-    (``fit``, when it ran), wall seconds per phase.  ``seed`` has no
+    Newton steps, the exact multipliers' ``support`` size (``fit``, when
+    the exact step ran), wall seconds per phase.  ``seed`` has no
     effect; nothing is random.
     """
     RegionConstraints(r, k)  # validates k
@@ -390,147 +394,88 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     )
 
 
-def _active_set_nnls(C: np.ndarray, d: np.ndarray):
-    """(x, iterations): x >= 0 minimizing |C x - d| by Lawson & Hanson's
-    active-set method (*Solving Least Squares Problems*, 1974), or x None
-    when 3n least-squares solves, n the number of columns, do not finish
-    (the cap scipy's nnls uses).  The passive set, where x > 0, is kept
-    linearly independent, so it is a basis of the face that x lies on."""
-    m, n = C.shape
-    tol = 10 * max(m, n) * np.finfo(float).eps * max(np.abs(C).sum(axis=0).max(), 1.0)
-    x, passive = np.zeros(n), np.zeros(n, dtype=bool)
-    w = C.T @ d
-    iterations = 0
-    while not passive.all() and w[~passive].max() > tol:
-        passive[np.argmax(np.where(passive, -np.inf, w))] = True
-        while True:
-            iterations += 1
-            if iterations > 3 * n:
-                return None, iterations
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(C[:, passive], d, rcond=None)[0]
-            if (s[passive] > 0).all():
-                break
-            # step from x toward s until the first passive coordinate hits 0
-            blocked = passive & (s <= 0)
-            step = x[blocked] - s[blocked]  # >= x[blocked] >= 0
-            alpha = np.min(np.divide(x[blocked], step, out=np.zeros_like(step),
-                                     where=step > 0))
-            x += alpha * (s - x)
-            passive &= x > tol
-        x = s
-        w = C.T @ (d - C @ x)
-    return x, iterations
+def _stick_cuts(r: int, k: int) -> dict | None:
+    """Exact KKT multipliers on the tent rows at the linear point x_i = i/r,
+    as {(i, j, s): mu}, or None when f'(0) > 0.
 
+    Read mu_(i,j,s) as an amount of sticks of length s cut into pieces i and
+    j.  The gradient r/i is then matched on coordinates 1..r-1 exactly when
+    r/n pieces of each length n < r are left over, which holds if r - 1
+    sticks of length r are cut, every cut's smaller piece at most k.  The
+    lengths are cut from n = r down, in Python ints over D = lcm(1..r-1):
+    the excess of length n over the r D/n pieces that stay is cut into
+    (n - m, m), m from n - 1 down to max(ceil(n/2), n - k), as far as
+    length m still lacks pieces, and what is left into (a, n - a),
+    a = min(k, floor(n/2)).  Every length above 1 ends with exactly the
+    pieces that stay, and length 1 follows, since cutting keeps the total
+    length (r - 1) r D.  A negative excess means no certificate.
 
-def _reduced(row: dict) -> dict:
-    """The row divided by the gcd of its entries."""
-    g = math.gcd(*row.values())
-    return row if g == 1 else {c: v // g for c, v in row.items()}
+    f'(0) <= 0 is necessary: a cut whose smaller piece is at most k leaves
+    at most one piece longer than k, so each of the r - 1 cut trees from an
+    r-stick does too, and sum_{p=k+1}^{r-1} r/p <= r - 1, which is exactly
+    f'(0) <= 0.  The recursion certifies every (r, k) with f'(0) <= 0 that
+    has been checked (every k at r <= 250, and the k near r/e at r <= 1000).
+    """
+    D = math.lcm(*range(1, r))
+    stay = [0] + [r * D // n for n in range(1, r)] + [0]
+    have = [0] * (r + 1)
+    have[r] = (r - 1) * D
+    counts = {}
 
+    def cut(i, j, n, x):
+        counts[i, j, n] = counts.get((i, j, n), 0) + x
+        have[i] += x
+        have[j] += x
 
-def _solve_integer(rows: list, n: int):
-    """A solution mu of sum_c row[c] mu_c = row[n] for every row, in
-    Fractions, with every free unknown set to 0, or None when the system is
-    inconsistent.  A row is a dict {column: int} of its nonzero entries,
-    the right-hand side under column n.
-
-    Fraction-free elimination: the unknowns are eliminated in column order,
-    each from the sparsest row holding it, by integer cross-multiplication,
-    and every new row is divided by its gcd.  Back-substitution then builds
-    one Fraction per unknown."""
-    rows = [_reduced(row) for row in rows if row]
-    echelon = []  # (column, pivot row), in elimination order
-    for c in range(n):
-        having = [t for t, row in enumerate(rows) if c in row]
-        if not having:
-            continue
-        pivot = rows.pop(min(having, key=lambda t: len(rows[t])))
-        p = pivot[c]
-        for t, row in enumerate(rows):
-            a = row.get(c)
-            if a is None:
-                continue
-            g = math.gcd(p, a)
-            fp, fa = p // g, a // g  # fp * row - fa * pivot clears column c
-            out = {col: fp * v for col, v in row.items()}
-            for col, v in pivot.items():
-                out[col] = out.get(col, 0) - fa * v
-            rows[t] = _reduced({col: v for col, v in out.items() if v})
-        rows = [row for row in rows if row]
-        echelon.append((c, pivot))
-    if rows:  # each left-over row reads 0 = row[n] != 0
-        return None
-    num, den = [0] * n, [1] * n  # mu_c = num[c] / den[c], in lowest terms
-    for c, row in reversed(echelon):
-        terms = [(num[j], den[j], v) for j, v in row.items() if j != c and j != n]
-        L = math.lcm(*(q for _, q, _ in terms))
-        mu = Fraction(row.get(n, 0) * L - sum(v * p * (L // q) for p, q, v in terms),
-                      row[c] * L)
-        num[c], den[c] = mu.numerator, mu.denominator
-    return [Fraction(p, q) for p, q in zip(num, den)]
-
-
-def _exact_cone_fit(model: RegionConstraints, rows, g, work=None):
-    """(support, mu): mu > 0 on a subset of ``rows`` with
-    sum_t mu_t A[t]_i = g_i exactly for every i < r, or None.
-    ``_active_set_nnls`` fits the float copy of the system; its passive
-    set is solved again exactly by ``_solve_integer``, each coordinate
-    equation scaled by the denominator of g_i, and the multipliers are
-    kept only if they are nonnegative and satisfy every coordinate equation
-    exactly.  A float result never decides.  ``work``, when a dict,
-    receives the fit's ``iterations`` and ``support`` size."""
-    m = model.r - 1
-    if not len(rows):
-        return None
-    A = model.A[rows, :m]
-    x, iterations = _active_set_nnls(A.T.astype(float), np.array([float(v) for v in g[:m]]))
-    passive = np.zeros(len(rows), dtype=bool) if x is None else x > 0
-    if work is not None:
-        work.update(iterations=iterations, support=int(passive.sum()))
-    if x is None:
-        return None
-    coeffs = A[passive].T.tolist()  # coeffs[i][t]: coordinate i of support row t
-    n = len(coeffs[0])
-    mus = _solve_integer([{t: v * g[i].denominator for t, v in enumerate(coeffs[i]) if v}
-                          | {n: g[i].numerator} for i in range(m)], n)
-    if mus is None or any(mu < 0 for mu in mus):
-        return None
-    kept = [(t, mu) for t, mu in zip(rows[passive].tolist(), mus) if mu]
-    support, mus = [t for t, _ in kept], [mu for _, mu in kept]
-    if model.combine(support, mus)[:m] != g[:m]:
-        return None
-    return support, mus
+    for n in range(r, 1, -1):
+        excess = have[n] - stay[n]
+        if excess < 0:
+            return None
+        for m in range(n - 1, max((n + 1) // 2, n - k) - 1, -1):
+            x = min(excess, stay[m] - have[m])
+            if x > 0:
+                cut(n - m, m, n, x)
+                excess -= x
+        if excess:
+            a = min(k, n // 2)
+            cut(a, n - a, n, excess)
+    return {label: Fraction(x, D) for label, x in counts.items()}
 
 
 def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
     """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
-    with mu >= 0 on the rows active at the point and nu on x_r = 1.
+    with mu >= 0 on rows active at the point and nu on x_r = 1.
 
-    A row is active when its slack is at most TOL_ACT, or exactly 0 at an
-    exact point.  mu is fitted on coordinates 1..r-1; nu, which closes
-    coordinate r, is not stored, since ``dual_bound`` derives its own.  At
-    a float point nnls fits mu over every active row: ``residual`` is the
-    stationarity residual relative to |1/x|, and the point is ``optimal``
-    when it is below TOL_KKT.  At an exact point (``exact``) the fit is
-    ``_exact_cone_fit``, a numpy active-set fit then integer elimination on
-    its support, with no scipy: ``residual`` is 0.0 and the multipliers are
-    Fraction strings; when it fails the point is not optimal, ``residual``
-    is None and nothing is fitted in floats instead.  Either way ``active``
-    is the fit's support, the rows with mu > 0.  ``work``, when a dict,
-    receives the exact fit's iterations and support size; it is not part
-    of the certificate.
+    mu is fitted on coordinates 1..r-1; nu, which closes coordinate r, is
+    not stored, since ``dual_bound`` derives its own.  At a float point
+    nnls fits mu over every row whose slack is at most TOL_ACT:
+    ``residual`` is the stationarity residual relative to |1/x|, and the
+    point is ``optimal`` when it is below TOL_KKT.  At an exact point
+    (``exact``) only the linear point x_i = i/r has multipliers, those of
+    ``_stick_cuts``, with no scipy and no float step; they are kept when
+    they are nonnegative and match 1/x on coordinates 1..r-1 exactly, and
+    then ``residual`` is 0.0 and the multipliers are Fraction strings.
+    Otherwise the exact point is not optimal, ``residual`` is None and
+    nothing is fitted in floats instead.  Either way ``active`` is the
+    support, the rows with mu > 0.  ``work``, when a dict, receives the
+    exact support size; it is not part of the certificate.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
     exact = point.is_exact
     if exact:
         g = [1 / Fraction(v) for v in point.x]
-        fit = _exact_cone_fit(model, np.flatnonzero(model.scaled_slack(point.x)[0] == 0), g,
-                              work)
-        optimal = fit is not None
-        rows, mus = fit if optimal else ([], [])
+        linear = all(v * r == i for i, v in enumerate(point.x, 1))
+        cuts = (_stick_cuts(r, point.k) if linear else None) or {}
+        fit = sorted((model.index(("tent", *label)), mu) for label, mu in cuts.items())
+        rows, mus = [t for t, _ in fit], [mu for _, mu in fit]
+        optimal = (all(mu >= 0 for mu in mus)
+                   and model.combine(rows, mus)[: r - 1] == g[: r - 1])
+        if not optimal:
+            rows, mus = [], []
         residual = 0.0 if optimal else None
+        if work is not None:
+            work["support"] = len(rows)
     else:
         x = point.as_floats()
         g = 1.0 / x

@@ -97,9 +97,9 @@ def test_region_max_with_certificate(tmp_path):
     d = json.loads(res.output)
     assert d["status"] == "converged"
     assert d["value"] == pytest.approx(120 / 5 ** 5, rel=1e-6)
-    # the exact fit's work is printed too; a certificate does not store it
+    # the exact support size is printed too; a certificate does not store it
     assert d["diagnostics"] == {"path": "exact-linear-point",
-                                "fit": {"iterations": 6, "support": 4}}
+                                "fit": {"support": 4}}
     assert "fit" not in json.loads(cert.read_text())["evidence"]["kkt"]
 
     vres = invoke("verify", str(cert))
@@ -203,6 +203,23 @@ def test_theorem_table_certificates_are_exact(tmp_path):
         assert passed, (r, checks)
 
 
+def test_theorem_table_reaches_r_200(tmp_path):
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    res = invoke("report", "theorem-table", "--r-min", "195", "--r-max", "200",
+                 "--cert-dir", str(certs))
+    assert res.exit_code == 0
+    rows = json.loads(res.output)
+    assert [row["r"] for row in rows] == list(range(195, 201))
+    assert all(row["relative_gap"] == 0 and row["exact_tight"] for row in rows)
+    vres = invoke("verify", str(certs / "region-max-r200.json"))
+    assert vres.exit_code == 0 and json.loads(vres.output)["passed"] is True
+    res = runner.invoke(cli, ["report", "theorem-table", "--r-max", "201"], obj={})
+    assert res.exit_code != 0 and "200" in res.output
+    res = runner.invoke(cli, ["report", "counterexample-table", "--r-max", "41"], obj={})
+    assert res.exit_code != 0 and "40" in res.output
+
+
 def test_region_max_below_threshold_writes_probe(tmp_path):
     cert = tmp_path / "cert.json"
     res = invoke("region", "max", "--r", "12", "--k", "2", "--certificate", str(cert))
@@ -236,7 +253,7 @@ def test_probe_floor_verdict_is_exact():
     d = json.loads(invoke("region", "probe-floor", "--r", "30").output)
     assert d["k"] == 11 and d["exceeds_bound"] is False
     assert d["diagnostics"] == {"path": "exact-linear-point",
-                                "fit": {"iterations": 33, "support": 29}}
+                                "fit": {"support": 29}}
 
 
 def test_tol_option_removed():
@@ -303,7 +320,7 @@ def test_verify_does_not_import_scipy_optimizers(tmp_path):
 
 
 def test_theorem_table_loads_no_scipy(tmp_path):
-    # the exact linear-point fit is numpy and integers: no scipy module at all
+    # the exact linear-point multipliers are built in integers: no scipy module
     certs = tmp_path / "certs"
     certs.mkdir()
     code = ("import sys\n"
@@ -380,6 +397,14 @@ def test_entropy_verify_ratio_rejects_negative_trials(tmp_path):
     host = write_host(tmp_path, make_turan_graph(4, 4))  # one 4-edge
     proc = run_main("entropy", "verify-ratio", host, "--family", "4,2", "--trials", "-1")
     assert proc.returncode == 3 and "trials" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["lagrangian"], ["entropy", "density"]])
+def test_negative_restarts_are_bad_input(tmp_path, command):
+    host = write_host(tmp_path, make_tent(3, 1))
+    proc = run_main(*command, host, "--restarts", "-1")
+    assert proc.returncode == 3, proc.stderr
+    assert "restarts must be >= 0" in proc.stderr
 
 
 def test_counterexample_rejects_nonpositive_eps(tmp_path):

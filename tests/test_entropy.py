@@ -518,6 +518,11 @@ def test_verify_ratio_constraints_rejects_negative_trials():
         verify_ratio_constraints(single_edge(4), tent_family(4, 2), trials=-1)
 
 
+def test_entropic_density_rejects_negative_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        entropic_density(single_edge(3), restarts=-1)
+
+
 def test_verify_ratio_constraints_makes_one_suffix_entropy_call(monkeypatch):
     shapes = []
     real = ent.suffix_entropy_matrix

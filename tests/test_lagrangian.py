@@ -66,6 +66,12 @@ def test_lagrangian_empty():
     assert res.value == 0.0
 
 
+def test_lagrangian_rejects_negative_restarts():
+    for H in (K3, Hypergraph(r=3, n=5, edges=[])):
+        with pytest.raises(ValueError, match="restarts"):
+            lagrangian(H, restarts=-1)
+
+
 def test_lagrangian_deterministic():
     H = make_turan_graph(3, 6)
     a = lagrangian(H, restarts=40)

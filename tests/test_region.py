@@ -181,7 +181,7 @@ def test_exact_kkt_at_floor_follows_fprime_sign(r):
     assert exact_kkt(r, k)["optimal"] == (fprime_zero(r, k) < 0)
 
 
-@pytest.mark.parametrize("r", [60, 100])
+@pytest.mark.parametrize("r", [60, 100, 200])
 def test_exact_kkt_certifies_beyond_the_table(r):
     k = ceil_r_over_e(r)
     work = {}
@@ -196,69 +196,18 @@ def test_exact_kkt_certifies_beyond_the_table(r):
         == product_bound(r)
 
 
-def _fraction_solve(rows, n):
-    """Gauss-Jordan in Fractions on dense rows (the last entry the
-    right-hand side): a solution with free unknowns 0, or None."""
-    M = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for c in range(n):
-        p = next((i for i in range(len(pivots), len(M)) if M[i][c]), None)
-        if p is None:
-            continue
-        i0 = len(pivots)
-        M[i0], M[p] = M[p], M[i0]
-        M[i0] = [v / M[i0][c] for v in M[i0]]
-        for i in range(len(M)):
-            if i != i0 and M[i][c]:
-                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[i0])]
-        pivots.append(c)
-    if any(row[n] for row in M[len(pivots):]):
-        return None
-    mu = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        mu[c] = M[i][n]
-    return mu
-
-
-@st.composite
-def integer_systems(draw):
-    """Small integer systems, many of them rank-deficient or inconsistent:
-    some rows are integer combinations of others, with a perturbed
-    right-hand side half the time."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    entry = st.integers(-3, 3)
-    rows = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
-    for _ in range(draw(st.integers(0, 2))):
-        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        row = [a * u + b * v for u, v in zip(rows[i], rows[j])]
-        row[n] += draw(st.sampled_from([0, 0, 1, -2]))
-        rows.append(row)
-    return rows, n
-
-
-@given(integer_systems())
-@settings(max_examples=300, deadline=None)
-def test_integer_elimination_matches_fraction_solve(system):
-    rows, n = system
-    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    mu = region._solve_integer(sparse, n)
-    assert mu == _fraction_solve(rows, n)
-    if mu is not None:
-        assert all(sum(a * x for a, x in zip(row, mu)) == row[n] for row in rows)
-
-
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-def test_active_set_nnls_matches_scipy(m, n, seed):
-    from scipy.optimize import nnls as scipy_nnls
-
-    rng = np.random.default_rng(seed)
-    C, d = rng.normal(size=(m, n)), rng.normal(size=m)
-    x, iterations = region._active_set_nnls(C, d)
-    ref, rnorm = scipy_nnls(C, d)
-    assert x is not None and x.min() >= 0 and iterations <= 3 * n
-    assert np.linalg.norm(C @ x - d) <= rnorm + 1e-9 * (1 + np.linalg.norm(d))
+def test_stick_cuts_certify_exactly_when_fprime_nonpositive():
+    # every (r, k) with 4 <= r <= 60: the exact linear point is certified
+    # exactly when f'(0) <= 0, and then its dual bound is r!/r^r itself
+    for r in range(4, 61):
+        for k in range(1, r // 2 + 1):
+            kkt = exact_kkt(r, k)
+            assert kkt["optimal"] == (fprime_zero(r, k) <= 0), (r, k)
+            if kkt["optimal"]:
+                model = RegionConstraints(r, k)
+                rows = [model.index(label) for label in kkt["active"]]
+                mus = [Fraction(mu) for mu in kkt["multipliers"]]
+                assert dual_bound(model, rows, mus) == product_bound(r), (r, k)
 
 
 def test_exact_kkt_fails_below_threshold():
@@ -290,15 +239,15 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
     assert kkt["residual"] == 0.0 and kkt["exact"] is True
     assert not any(_exact_residual(9, 4, kkt))
     assert rep.bracket == {"lower": product_bound(9), "upper": product_bound(9), "eps": 0}
-    fit = rep.diagnostics["fit"]
-    assert fit["iterations"] >= fit["support"] >= len(kkt["active"]) > 0
+    assert rep.diagnostics["fit"] == {"support": len(kkt["active"])}
+    assert len(kkt["active"]) > 0
 
 
 def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("the linear-point fit ran although f'(0) > 0")
 
-    monkeypatch.setattr(region, "_active_set_nnls", no_fit)
+    monkeypatch.setattr(region, "_stick_cuts", no_fit)
     rep = maximize_product(6, 1)
     assert rep.value > float(product_bound(6))
     assert "fit" not in rep.diagnostics
@@ -320,12 +269,11 @@ def test_maximize_product_runs_no_scipy_minimize(monkeypatch):
 
 
 def test_maximize_product_falls_back_to_the_bend(monkeypatch):
-    # an active-set fit that hits its iteration cap leaves the linear point
-    # to the bracket: the bend at eps = 0 is that point, certified by its
-    # nnls multipliers.  A float fit never closes the bracket exactly, so
-    # its certificate is a probe: a theorem certificate needs exact
-    # multipliers
-    monkeypatch.setattr(region, "_active_set_nnls", lambda C, d: (None, 3 * C.shape[1] + 1))
+    # exact multipliers that are not found leave the linear point to the
+    # bracket: the bend at eps = 0 is that point, certified by its nnls
+    # multipliers.  A float fit never closes the bracket exactly, so its
+    # certificate is a probe: a theorem certificate needs exact multipliers
+    monkeypatch.setattr(region, "_stick_cuts", lambda r, k: None)
     for r, k in [(9, 4), (12, 5), (40, 15)]:
         rep = maximize_product(r, k)
         assert rep.kkt["exact"] is False
