@@ -15,26 +15,31 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .region import (
     TOL_REL,
     RegionConstraints,
     bend_coordinates,
-    ceil_r_over_e,
     check_feasible,
     dual_bound,
+    fprime_zero,
     product_bound,
 )
+
+Check = tuple[str, bool, str]  # (name, ok, detail)
 
 # claim index: every certificate anchor must resolve to an entry here
 ANCHOR_INDEX = {
     "region-product-maximum": (
-        "For k >= ceil(r/e), the maximum of prod x_i over the (r, k) region "
-        "is r!/r^r, attained exactly at x_i = i/r."
+        "For f'(0; r, k) = -k + sum_{i>k} (r - i)/i <= 0, the maximum of prod x_i "
+        "over the (r, k) region is r!/r^r, attained exactly at x_i = i/r.  "
+        "f'(0) <= 0 holds for every k >= ceil(r/e) and fails for every k < floor(r/e)."
     ),
     "region-counterexample": (
-        "For k < floor(r/e), the region contains a point with "
-        "prod x_i strictly greater than r!/r^r."
+        "For f'(0; r, k) = -k + sum_{i>k} (r - i)/i > 0, the (r, k) region "
+        "contains a point with prod x_i strictly greater than r!/r^r.  "
+        "f'(0) > 0 holds for every k < floor(r/e) and fails for every k >= ceil(r/e)."
     ),
     "region-probe": (
         "For the stated (r, k), the maximum of prod x_i over the region lies "
@@ -64,7 +69,7 @@ class Certificate:
             raise ValueError(f"malformed certificate: missing {missing}") from None
 
 
-def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
+def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
     """The point's exact feasibility, its product against the claimed value,
     the ``optimal`` flag and the exact bracket, all in Fractions with no
     tolerance."""
@@ -72,22 +77,20 @@ def _check_max_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
     r, k = int(ev["r"]), int(ev["k"])
     kkt, bracket = ev["kkt"], ev["bracket"]
     x = [Fraction(v) for v in ev["x"]]
-    checks = []
 
     ok, bad = check_feasible(x, r, k, tol=0)
-    checks.append(("point-feasible", ok, str(bad[:3]) if bad else ""))
+    yield "point-feasible", ok, str(bad[:3]) if bad else ""
 
     prod = float(math.prod(x))
     value = float(ev["value"])
-    checks.append(("value-matches-point", prod == value, f"prod={prod}, claimed={value}"))
+    yield "value-matches-point", prod == value, f"prod={prod}, claimed={value}"
 
-    checks.append(("kkt-payload-present", kkt.get("optimal") is True, "optimal must be true"))
-    checks.extend(_check_bracket(RegionConstraints(r, k), x, kkt, bracket))
-    return checks
+    yield "kkt-payload-present", kkt.get("optimal") is True, "optimal must be true"
+    yield from _check_bracket(RegionConstraints(r, k), x, kkt, bracket)
 
 
 def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
-                   bracket: dict) -> list[tuple[str, bool, str]]:
+                   bracket: dict) -> Iterator[Check]:
     """The bracket lower <= max prod x <= upper: x has the bend
     coordinates at ``eps`` (their feasibility is ``point-feasible``'s
     check), ``lower`` is prod x, and ``upper`` is the dual bound
@@ -98,58 +101,54 @@ def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
     r, k = model.r, model.k
     eps = Fraction(bracket["eps"])
     ok = 0 <= eps < 1 and x == list(bend_coordinates(r, k, eps))
-    checks = [("bracket-point-is-bend", ok, f"eps={eps}")]
+    yield "bracket-point-is-bend", ok, f"eps={eps}"
     rows = [model.index(lab) for lab in kkt.get("active", [])]
     mus = [Fraction(v) for v in kkt.get("multipliers", [])]
     ok = len(mus) == len(rows) and all(mu >= 0 for mu in mus)
-    checks.append(("bracket-multipliers-nonnegative", ok, ""))
+    yield "bracket-multipliers-nonnegative", ok, ""
     upper = dual_bound(model, rows, mus) if ok else None
-    checks.append(("bracket-dual-feasible", upper is not None, "c = A^T mu + nu e_r > 0"))
+    yield "bracket-dual-feasible", upper is not None, "c = A^T mu + nu e_r > 0"
     lower = math.prod(x)
-    checks.append(("bracket-lower-is-product", Fraction(bracket["lower"]) == lower, ""))
+    yield "bracket-lower-is-product", Fraction(bracket["lower"]) == lower, ""
     stored = bracket["upper"]
-    checks.append(("bracket-upper-matches",
-                   upper is not None and stored is not None and Fraction(stored) == upper, ""))
+    yield ("bracket-upper-matches",
+           upper is not None and stored is not None and Fraction(stored) == upper, "")
     ok = upper is not None and lower <= upper
     gap = float((upper - lower) / lower) if ok else None
-    checks.append(("bracket-ordered", ok, f"(upper - lower)/lower={gap}"))
+    yield "bracket-ordered", ok, f"(upper - lower)/lower={gap}"
     closed = upper == lower
-    checks.append(("bracket-closed-iff-exact", (kkt.get("exact") is True) == closed,
-                   f"exact={kkt.get('exact')!r}, upper == lower: {closed}"))
-    return checks
+    yield ("bracket-closed-iff-exact", (kkt.get("exact") is True) == closed,
+           f"exact={kkt.get('exact')!r}, upper == lower: {closed}")
 
 
-def _check_theorem_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
-    """The optimality checks plus the claim's hypotheses: k >= ceil(r/e),
-    exact KKT evidence, and a bracket closed at r!/r^r."""
+def _check_theorem_certificate(cert: Certificate) -> Iterator[Check]:
+    """The claim's hypothesis f'(0; r, k) <= 0 in Fractions, first, so that
+    a certificate moved to a k with f'(0) > 0 fails it by name even where
+    its evidence no longer reads; then the optimality checks, exact KKT
+    evidence, and a bracket closed at r!/r^r."""
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
-    checks = _check_max_certificate(cert)
-    checks.append(("kkt-exact", ev["kkt"].get("exact") is True, ""))
-    threshold = ceil_r_over_e(r)
-    checks.append(("k-at-least-threshold", k >= threshold,
-                   f"k={k}, ceil(r/e)={threshold}"))
+    fprime = fprime_zero(r, k)
+    yield "fprime-nonpositive", fprime <= 0, f"f'(0; {r}, {k}) = {fprime}"
+    yield from _check_max_certificate(cert)
+    yield "kkt-exact", ev["kkt"].get("exact") is True, ""
     bracket, bound = ev["bracket"], product_bound(r)
     upper = None if bracket["upper"] is None else Fraction(bracket["upper"])
     ok = Fraction(bracket["lower"]) == upper == bound
-    checks.append(("value-equals-bound", ok, f"value={ev['value']}, bound={float(bound)}"))
-    return checks
+    yield "value-equals-bound", ok, f"value={ev['value']}, bound={float(bound)}"
 
 
-def _check_counterexample_certificate(cert: Certificate) -> list[tuple[str, bool, str]]:
+def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
     x = [Fraction(s) for s in ev["x_exact"]]
-    checks = []
     ok, bad = check_feasible(x, r, k, tol=0)
-    checks.append(("point-feasible-exact", ok, str(bad[:3]) if bad else ""))
+    yield "point-feasible-exact", ok, str(bad[:3]) if bad else ""
     prod = math.prod(x)
     bound = product_bound(r)
-    checks.append(("product-exceeds-bound-exact", prod > bound,
-                   f"prod={prod}, bound={bound}"))
+    yield "product-exceeds-bound-exact", prod > bound, f"prod={prod}, bound={bound}"
     ok = abs(float(prod) - float(ev["value"])) <= TOL_REL * float(prod)
-    checks.append(("value-matches-point", ok, ""))
-    return checks
+    yield "value-matches-point", ok, ""
 
 
 _CHECKERS = {
@@ -159,12 +158,13 @@ _CHECKERS = {
 }
 
 
-def verify_certificate(cert: Certificate) -> tuple[bool, list[tuple[str, bool, str]]]:
+def verify_certificate(cert: Certificate) -> tuple[bool, list[Check]]:
     """Re-check a certificate without re-optimizing.
 
     Returns (passed, checks); each check is (name, ok, detail).  Evidence
     that cannot be read (a missing field, a label of the wrong shape, a
-    point of the wrong length) fails the check ``evidence-well-formed``.
+    point of the wrong length) fails the check ``evidence-well-formed``,
+    after the checks made before it was reached.
     """
     checks = []
     anchored = cert.anchor in ANCHOR_INDEX
@@ -179,7 +179,8 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[tuple[str, bool, s
         checks.append(("config-matches-evidence", ok,
                        f"config r, k = {cert.config.get('r')}, {cert.config.get('k')}"))
         try:
-            checks.extend(checker(cert))
+            for check in checker(cert):
+                checks.append(check)
         except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
                 OverflowError) as exc:
             checks.append(("evidence-well-formed", False, f"{type(exc).__name__}: {exc}"))

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import entropy as ent
-from .certificates import ANCHOR_INDEX, Certificate, verify_certificate
+from .certificates import Certificate, verify_certificate
 from .homs import BudgetExceededError, SearchBudget, brute_force_ex
 from .homs import find_homomorphism, find_partial_homomorphism
 from .hypergraphs import (
@@ -36,6 +36,7 @@ from .region import (
     ceil_r_over_e,
     counterexample_point,
     floor_r_over_e,
+    fprime_zero,
     maximize_product,
     product_bound,
     rounded_eps,
@@ -73,8 +74,14 @@ def cli(ctx, seed, timeout, fmt):
     ctx.obj.update(seed=seed, timeout=timeout, fmt=fmt)
 
 
-def _config(ctx) -> dict:
-    return {k: ctx.obj[k] for k in ("seed", "timeout", "fmt")}
+def _write_certificate(ctx, path, claim: str, evidence: dict):
+    """Write the certificate of ``claim`` (also its anchor) for the
+    evidence's (r, k), with the run's configuration."""
+    config = {key: ctx.obj[key] for key in ("seed", "timeout", "fmt")}
+    config |= {key: evidence[key] for key in ("r", "k")}
+    cert = Certificate(claim=claim, anchor=claim, config=config, evidence=evidence)
+    with open(path, "w") as fh:
+        fh.write(cert.to_json() + "\n")
 
 
 # -- tent ------------------------------------------------------------------
@@ -219,18 +226,13 @@ def _max_evidence(rep) -> dict:
 def region_max(ctx, r, k, certificate, output):
     rep = maximize_product(r, k)
     payload = _report_payload(rep)
+    # a region point beats r!/r^r: decided exactly, whatever the float margin
+    payload["exceeds_bound"] = rep.bracket["lower"] > product_bound(r)
     _emit(payload, output)
     if certificate:
-        # below ceil(r/e) the theorem makes no claim, so the run is a probe
-        claim = "region-product-maximum" if k >= ceil_r_over_e(r) else "region-probe"
-        cert = Certificate(
-            claim=claim,
-            anchor=claim,
-            config=_config(ctx) | {"r": r, "k": k},
-            evidence=_max_evidence(rep),
-        )
-        with open(certificate, "w") as fh:
-            fh.write(cert.to_json() + "\n")
+        # with f'(0) > 0 the theorem makes no claim, so the run is a probe
+        claim = "region-product-maximum" if fprime_zero(r, k) <= 0 else "region-probe"
+        _write_certificate(ctx, certificate, claim, _max_evidence(rep))
 
 
 @region.command("counterexample")
@@ -262,15 +264,9 @@ def region_counterexample(ctx, r, k, eps, certificate, output):
     }
     _emit(payload, output)
     if certificate:
-        cert = Certificate(
-            claim="region-counterexample",
-            anchor="region-counterexample",
-            config=_config(ctx) | {"r": r, "k": k},
-            evidence={"r": r, "k": k, "x_exact": payload["x_exact"],
-                      "value": float(prod)},
-        )
-        with open(certificate, "w") as fh:
-            fh.write(cert.to_json() + "\n")
+        _write_certificate(ctx, certificate, "region-counterexample",
+                           {"r": r, "k": k, "x_exact": payload["x_exact"],
+                            "value": float(prod)})
 
 
 @region.command("segments")
@@ -290,22 +286,6 @@ def region_segments(ctx, point):
             for s in dec.segments
         ],
     })
-
-
-@region.command("probe-floor")
-@click.option("--r", type=int, required=True)
-@click.option("-o", "--output", default=None)
-@click.pass_context
-def region_probe_floor(ctx, r, output):
-    k = floor_r_over_e(r)
-    if k < 1:
-        raise ValueError(f"floor(r/e) < 1 for r={r}")
-    rep = maximize_product(r, k)
-    payload = _report_payload(rep)
-    payload["k"] = rep.argmax.k
-    # a region point beats r!/r^r: decided exactly, whatever the float margin
-    payload["exceeds_bound"] = rep.bracket["lower"] > product_bound(r)
-    _emit(payload, output)
 
 
 # -- entropy ---------------------------------------------------------------
@@ -416,14 +396,8 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
             "exact_tight": rep.kkt["exact"],
         })
         if cert_dir:
-            cert = Certificate(
-                claim="region-product-maximum",
-                anchor="region-product-maximum",
-                config=_config(ctx) | {"r": r, "k": k},
-                evidence=_max_evidence(rep),
-            )
-            with open(f"{cert_dir}/region-max-r{r}.json", "w") as fh:
-                fh.write(cert.to_json() + "\n")
+            _write_certificate(ctx, f"{cert_dir}/region-max-r{r}.json",
+                               "region-product-maximum", _max_evidence(rep))
     _write_table(rows, ctx.obj["fmt"], output)
 
 

@@ -30,6 +30,7 @@ DEFAULT_RESTARTS = 200
 _SEED = 20240817
 # a start stops when its step moves no coordinate by this much
 STEP_TOL = 1e-12
+GRID_POINTS = 200_000  # most nodes of the ``lagrangian_grid`` mesh
 
 
 @dataclass(frozen=True)
@@ -147,15 +148,15 @@ def _compositions(total: int, parts: int):
         yield comp
 
 
-def lagrangian_grid(H: Hypergraph, max_points: int = 200_000) -> float:
+def lagrangian_grid(H: Hypergraph) -> float:
     """Grid-refinement oracle: best edge-polynomial value over the coarsest
-    simplex mesh that stays under ``max_points`` nodes, then polished by
+    simplex mesh that stays under ``GRID_POINTS`` nodes, then polished by
     replicator ascent from the best mesh points."""
     if not H.edges:
         return 0.0
     n = H.n
     step = 40
-    while step > 2 and math.comb(step + n - 1, n - 1) > max_points:
+    while step > 2 and math.comb(step + n - 1, n - 1) > GRID_POINTS:
         step -= 1
     grid = np.array(list(_compositions(step, n)), dtype=float) / step
     edges = _edge_array(H)

@@ -10,7 +10,7 @@ by exact KKT multipliers; otherwise one scalar Newton solve finds eps, and
 the exact bend point is certified by the bracket L = prod x <= max <= U,
 U the geometric-programming dual bound of its nnls multipliers
 (Duffin, Peterson & Zener, 1967).  Segment structure, the improving
-perturbation and the below-threshold counterexample also live here.
+perturbation and the counterexample for f'(0) > 0 also live here.
 
 Rational points are checked exactly, as integer numerators over one common
 denominator.  At the exact linear point ``kkt_certificate`` builds its
@@ -36,6 +36,7 @@ import numpy as np
 
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
+TOL_SYM = 1e-6  # mirror sums x_j + x_{r-j} = 1 at a point ``perturb`` accepts
 TOL_KKT = 1e-8  # relative stationarity residual of an optimal float KKT fit
 # slack at or below which a row is active at a float point: one of the rows
 # kkt_certificate fits
@@ -43,6 +44,8 @@ TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
 
+# floor(r/e) and ceil(r/e) only set the ranges of the report tables (the
+# paper's k >= r/e); ``fprime_zero`` decides the threshold itself
 def floor_r_over_e(r: int) -> int:
     q = r / math.e
     if abs(q - round(q)) < 1e-9:  # impossible for integer r; defensive
@@ -368,7 +371,8 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     cert, fit = None, {}
     if fprime_zero(r, k) <= 0:
         point = linear_point(r, k, exact=True)
-        cert = kkt_certificate(point, fit)
+        cert = kkt_certificate(point)
+        fit = {"support": len(cert["active"])}
     lap("exact")
     if cert is not None and cert["optimal"]:
         eps, diagnostics = Fraction(0), {"path": "exact-linear-point"}
@@ -442,7 +446,7 @@ def _stick_cuts(r: int, k: int) -> dict | None:
     return {label: Fraction(x, D) for label, x in counts.items()}
 
 
-def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
+def kkt_certificate(point: FeasiblePoint) -> dict:
     """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
     with mu >= 0 on rows active at the point and nu on x_r = 1.
 
@@ -457,8 +461,7 @@ def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
     then ``residual`` is 0.0 and the multipliers are Fraction strings.
     Otherwise the exact point is not optimal, ``residual`` is None and
     nothing is fitted in floats instead.  Either way ``active`` is the
-    support, the rows with mu > 0.  ``work``, when a dict, receives the
-    exact support size; it is not part of the certificate.
+    support, the rows with mu > 0.
     """
     r = point.r
     model = RegionConstraints(r, point.k)
@@ -474,8 +477,6 @@ def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
         if not optimal:
             rows, mus = [], []
         residual = 0.0 if optimal else None
-        if work is not None:
-            work["support"] = len(rows)
     else:
         x = point.as_floats()
         g = 1.0 / x
@@ -503,10 +504,18 @@ def kkt_certificate(point: FeasiblePoint, work=None) -> dict:
 
 def fprime_zero(r: int, k: int) -> Fraction:
     """Exact linear coefficient of the product-ratio polynomial:
-    -k + sum_{i=k+1}^r (r-i)/i."""
+    f'(0) = -k + sum_{i=k+1}^r (r-i)/i, the one test of the threshold.
+
+    f'(0) > 0 exactly when a bend beats the linear point x_i = i/r
+    (``counterexample_point``); at f'(0) <= 0 ``maximize_product``
+    certifies the linear point as the region maximum, in every case
+    checked.  The sum is taken in Python ints over L = lcm(k+1..r), one
+    Fraction at the end.
+    """
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= r")
-    return -k + sum((Fraction(r - i, i) for i in range(k + 1, r + 1)), Fraction(0))
+    L = math.lcm(*range(k + 1, r + 1))
+    return Fraction(sum((r - i) * (L // i) for i in range(k + 1, r)) - k * L, L)
 
 
 def upper_bound_gap(r: int, k: int) -> float:
@@ -528,8 +537,9 @@ def rounded_eps(eps) -> Fraction:
 
 
 def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
-    """Feasible point with product exceeding r!/r^r, for k below the floor
-    threshold: the ``bend_point`` at eps.
+    """Feasible point with product exceeding r!/r^r, for every
+    1 <= k <= r/2 with f'(0) > 0 (``fprime_zero``): the ``bend_point`` at
+    eps.  Any other (r, k) raises ValueError.
 
     eps (default 1/(4r)) is rounded by ``rounded_eps``, then halved until
     exact-rational feasibility and strict product improvement both hold;
@@ -538,8 +548,9 @@ def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
     FeasiblePoint.  eps = 0 gives the unbent linear point, whose product
     is r!/r^r; any other eps that rounds to <= 0 raises ValueError.
     """
-    if not 1 <= k < floor_r_over_e(r):
-        raise ValueError(f"construction requires 1 <= k < {floor_r_over_e(r)} for r={r}")
+    if not (1 <= k <= r // 2 and fprime_zero(r, k) > 0):
+        raise ValueError(f"construction requires 1 <= k <= {r // 2} and f'(0; r, k) > 0, "
+                         f"not (r, k) = ({r}, {k})")
     if eps is not None and eps == 0:
         return bend_point(r, k, 0)
     eps = Fraction(1, 4 * r) if eps is None else rounded_eps(eps)
@@ -595,7 +606,7 @@ class SegmentDecomposition:
     initial_length: int
 
 
-def segments(point: FeasiblePoint, tol: float = TOL_SEG) -> SegmentDecomposition:
+def segments(point: FeasiblePoint) -> SegmentDecomposition:
     """All maximal intervals on which the coordinates advance in steps of
     x_1 (with x_0 = 0 prepended), classified by position."""
     r, k = point.r, point.k
@@ -604,7 +615,7 @@ def segments(point: FeasiblePoint, tol: float = TOL_SEG) -> SegmentDecomposition
 
     def uniform(L: int, R: int) -> bool:
         i = np.arange(L, R + 1)
-        return bool(np.all(np.abs(x[L:R + 1] - (x[L] + (i - L) * step)) <= tol))
+        return bool(np.all(np.abs(x[L:R + 1] - (x[L] + (i - L) * step)) <= TOL_SEG))
 
     rmax = np.zeros(r + 1, dtype=int)
     for L in range(r + 1):
@@ -629,7 +640,7 @@ def segments(point: FeasiblePoint, tol: float = TOL_SEG) -> SegmentDecomposition
     return SegmentDecomposition(segments=tuple(segs), initial_length=I)
 
 
-def perturb(point: FeasiblePoint, eps: float, sym_tol: float = 1e-6) -> np.ndarray:
+def perturb(point: FeasiblePoint, eps: float) -> np.ndarray:
     """Apply the endpoint-shift perturbation rules to a symmetric point
     whose initial segment is shorter than k; returns the shifted vector
     (x_1..x_r), feasible and product-improving for small eps.
@@ -637,7 +648,7 @@ def perturb(point: FeasiblePoint, eps: float, sym_tol: float = 1e-6) -> np.ndarr
     r, k = point.r, point.k
     x = np.concatenate([[0.0], point.as_floats()])
     for j in range(1, k + 1):
-        if abs(x[j] + x[r - j] - 1.0) > sym_tol:
+        if abs(x[j] + x[r - j] - 1.0) > TOL_SYM:
             raise ValueError(f"symmetry x_{j} + x_{r - j} = 1 fails")
     dec = segments(point)
     I = dec.initial_length
@@ -672,10 +683,10 @@ def perturb(point: FeasiblePoint, eps: float, sym_tol: float = 1e-6) -> np.ndarr
     return out[1:]
 
 
-def bisect_perturbation_eps(point: FeasiblePoint, hi: float = 0.1,
-                            iters: int = 60) -> float:
-    """Largest eps (by bisection) for which the perturbed vector stays
-    feasible and strictly beats the original product."""
+def bisect_perturbation_eps(point: FeasiblePoint) -> float:
+    """Largest eps in [0, 0.1] (by at most 60 bisection steps) for which the
+    perturbed vector stays feasible and strictly beats the original
+    product."""
     base = float(np.prod(point.as_floats()))
 
     def good(eps: float) -> bool:
@@ -684,9 +695,9 @@ def bisect_perturbation_eps(point: FeasiblePoint, hi: float = 0.1,
         ok, _ = check_feasible(y, point.r, point.k, tol=1e-12)
         return ok and float(np.prod(y)) > base
 
-    lo = 0.0
+    lo, hi = 0.0, 0.1
     if not good(hi):
-        for _ in range(iters):
+        for _ in range(60):
             mid = (lo + hi) / 2
             if mid == lo or mid == hi:
                 break
@@ -698,10 +709,10 @@ def bisect_perturbation_eps(point: FeasiblePoint, hi: float = 0.1,
     return hi
 
 
-def random_symmetric_point(r: int, k: int, rng, I: int | None = None,
-                           max_tries: int = 200) -> FeasiblePoint:
+def random_symmetric_point(r: int, k: int, rng) -> FeasiblePoint:
     """Random feasible point satisfying the perturbation-lemma hypotheses:
-    initial segment of length I <= k-1 and x_j + x_{r-j} = 1 for j in [k].
+    initial segment of random length I <= k-1 and x_j + x_{r-j} = 1 for
+    j in [k]; RuntimeError after 200 failed draws.
 
     Built from mirrored coordinate gaps: gaps nondecreasing up to k with a
     strict jump after position I, free middle mass at least the k-th gap,
@@ -709,11 +720,8 @@ def random_symmetric_point(r: int, k: int, rng, I: int | None = None,
     """
     if k < 2:
         raise ValueError("need k >= 2 so that I <= k-1 can hold with I >= 1")
-    if I is None:
-        I = int(rng.integers(1, k))
-    if not 1 <= I <= k - 1:
-        raise ValueError("need 1 <= I <= k-1")
-    for _ in range(max_tries):
+    I = int(rng.integers(1, k))
+    for _ in range(200):
         a = (0.3 + 0.5 * rng.random()) / r
         gaps = [a] * I
         g = a

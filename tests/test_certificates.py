@@ -19,6 +19,8 @@ from tentopt.region import (
     ceil_r_over_e,
     counterexample_point,
     dual_bound,
+    floor_r_over_e,
+    fprime_zero,
     maximize_product,
 )
 
@@ -56,7 +58,7 @@ def test_max_certificate_verifies():
     assert {"anchor-resolves", "point-feasible", "value-matches-point",
             "bracket-multipliers-nonnegative", "bracket-dual-feasible",
             "bracket-upper-matches", "bracket-closed-iff-exact",
-            "kkt-exact", "k-at-least-threshold", "value-equals-bound"} <= names
+            "kkt-exact", "fprime-nonpositive", "value-equals-bound"} <= names
     # (5, 2) is a theorem row, so its point and multipliers are exact
     assert cert.evidence["kkt"]["exact"] is True
     assert cert.evidence["x"] == ["1/5", "2/5", "3/5", "4/5", "1"]
@@ -226,14 +228,14 @@ def test_counterexample_value_is_relative():
 
 
 def test_theorem_hypotheses_checked_without_exact():
-    # the bound fails at (12, 2): k < ceil(12/e) = 5
+    # the bound fails at (12, 2): f'(0; 12, 2) > 0
     r, k = 12, 2
     evidence = evidence_copy(probe_certificate(r, k))
     config = {"seed": 42, "r": r, "k": k}
     cert = Certificate("region-product-maximum", "region-product-maximum", config, evidence)
     passed, v = verdicts(cert, evidence)
     assert not passed
-    assert v["k-at-least-threshold"] is False
+    assert v["fprime-nonpositive"] is False
     assert v["value-equals-bound"] is False
     assert v["kkt-exact"] is False
     # the bracket itself is sound: the point is a fine optimum
@@ -245,6 +247,34 @@ def test_theorem_hypotheses_checked_without_exact():
     for claim in ("region-product-maximum", "region-probe"):
         passed, v = verdicts(Certificate(claim, claim, config, evidence), evidence)
         assert not passed and v["evidence-well-formed"] is False
+
+
+@pytest.mark.parametrize("r", [5, 7, 12, 31, 40])
+def test_theorem_moved_to_positive_fprime_fails(r):
+    # the largest k below ceil(r/e) with f'(0) > 0 (floor(r/e), or one
+    # less where f'(0; r, floor(r/e)) <= 0): the linear point and its
+    # bracket may still check out there, but the claim's hypothesis fails
+    k = ceil_r_over_e(r) - 1
+    while fprime_zero(r, k) <= 0:
+        k -= 1
+    cert = theorem_certificate(r)
+    ev = evidence_copy(cert)
+    ev["k"] = k
+    moved = Certificate(cert.claim, cert.anchor, cert.config | {"k": k}, ev)
+    passed, checks = verify_certificate(moved)
+    v = {n: (ok, detail) for n, ok, detail in checks}
+    assert not passed and v["config-matches-evidence"][0] is True
+    assert v["fprime-nonpositive"] == (False, f"f'(0; {r}, {k}) = {fprime_zero(r, k)}")
+
+
+def test_certificate_at_floor_with_nonpositive_fprime_is_a_theorem():
+    # (6, 2), (9, 3) and (30, 11) sit at k = floor(r/e) < ceil(r/e) with
+    # f'(0) <= 0: their maximum is r!/r^r, stated and verified as the theorem
+    for r in (6, 9, 30):
+        k = floor_r_over_e(r)
+        assert k < ceil_r_over_e(r) and fprime_zero(r, k) <= 0
+        passed, checks = verify_certificate(max_certificate(r, k))
+        assert passed, (r, [c for c in checks if not c[1]])
 
 
 def test_config_must_match_evidence():

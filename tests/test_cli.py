@@ -137,10 +137,20 @@ def test_region_segments(tmp_path):
     assert len(d["segments"]) == 5
 
 
-def test_region_probe_floor():
-    res = invoke("region", "probe-floor", "--r", "6")
+def test_region_max_at_floor(tmp_path):
+    # k = floor(6/e) = 2 is below ceil(6/e) = 3, but f'(0; 6, 2) = -3/10 <= 0:
+    # the maximum is 6!/6^6 itself, and the certificate states the theorem
+    cert = tmp_path / "cert.json"
+    res = invoke("region", "max", "--r", "6", "--k", "2", "--certificate", str(cert))
     d = json.loads(res.output)
-    assert d["k"] == 2
+    assert d["argmax"]["k"] == 2 and d["exceeds_bound"] is False
+    d = json.loads(cert.read_text())
+    assert d["claim"] == d["anchor"] == "region-product-maximum"
+    assert d["evidence"]["x"] == [str(Fraction(i, 6)) for i in range(1, 7)]
+    vres = invoke("verify", str(cert))
+    checks = {c["name"]: c for c in json.loads(vres.output)["checks"]}
+    assert vres.exit_code == 0 and checks["fprime-nonpositive"]["ok"] is True
+    assert checks["fprime-nonpositive"]["detail"] == "f'(0; 6, 2) = -3/10"
 
 
 def test_entropy_density(tmp_path):
@@ -241,19 +251,25 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     assert json.loads(vres.output)["passed"] is True
 
 
-def test_probe_floor_exceeds_bound_is_relative():
+def test_region_max_exceeds_bound_is_relative():
     # at r = 31 the optimum beats r!/r^r ~ 5e-13 by 0.1%, far below 1e-8
-    d = json.loads(invoke("region", "probe-floor", "--r", "31").output)
-    assert d["k"] == 11 and d["exceeds_bound"] is True
+    d = json.loads(invoke("region", "max", "--r", "31", "--k", "11").output)
+    assert d["argmax"]["k"] == 11 and d["exceeds_bound"] is True
+    assert d["diagnostics"]["path"] == "bend"
 
 
-def test_probe_floor_verdict_is_exact():
+def test_region_max_exceeds_bound_is_exact():
     # at r = 30, k = floor(30/e) = 11 has f'(0) < 0: the maximum is r!/r^r
     # itself, so only an exact comparison can say it does not exceed it
-    d = json.loads(invoke("region", "probe-floor", "--r", "30").output)
-    assert d["k"] == 11 and d["exceeds_bound"] is False
+    d = json.loads(invoke("region", "max", "--r", "30", "--k", "11").output)
+    assert d["argmax"]["k"] == 11 and d["exceeds_bound"] is False
     assert d["diagnostics"] == {"path": "exact-linear-point",
                                 "fit": {"support": 29}}
+
+
+def test_probe_floor_removed():
+    res = runner.invoke(cli, ["region", "probe-floor", "--r", "6"], obj={})
+    assert res.exit_code != 0 and "No such command" in res.output
 
 
 def test_tol_option_removed():
@@ -422,7 +438,7 @@ def test_counterexample_rejects_nonpositive_eps(tmp_path):
     assert run_main("verify", str(cert)).returncode == 0
 
 
-def test_probe_floor_needs_a_tent():
-    # floor(2/e) = 0: there is no k to probe
-    proc = run_main("region", "probe-floor", "--r", "2")
-    assert proc.returncode == 3 and "floor(r/e) < 1" in proc.stderr
+def test_region_max_needs_a_tent():
+    # floor(2/e) = 0: at r = 2 no k below 1 has a region
+    proc = run_main("region", "max", "--r", "2", "--k", "0")
+    assert proc.returncode == 3 and "k must lie in [1, 1]" in proc.stderr

@@ -184,12 +184,11 @@ def test_exact_kkt_at_floor_follows_fprime_sign(r):
 @pytest.mark.parametrize("r", [60, 100, 200])
 def test_exact_kkt_certifies_beyond_the_table(r):
     k = ceil_r_over_e(r)
-    work = {}
-    kkt = kkt_certificate(linear_point(r, k, exact=True), work)
+    kkt = exact_kkt(r, k)
     assert kkt["optimal"] and kkt["exact"]
     assert all(Fraction(mu) > 0 for mu in kkt["multipliers"])
     assert not any(_exact_residual(r, k, kkt))
-    assert len(kkt["active"]) <= work["support"] <= r - 1
+    assert len(kkt["active"]) == maximize_product(r, k).diagnostics["fit"]["support"] <= r - 1
     model = RegionConstraints(r, k)
     rows = [model.index(label) for label in kkt["active"]]
     assert dual_bound(model, rows, [Fraction(mu) for mu in kkt["multipliers"]]) \
@@ -400,16 +399,49 @@ def test_counterexample_rejects_eps_that_rounds_to_zero():
 
 
 def test_counterexample_rejects_large_k():
-    with pytest.raises(ValueError):
-        counterexample_point(6, 2)  # floor(6/e) = 2, needs k < 2
-    with pytest.raises(ValueError):
-        counterexample_point(4, 1)  # floor(4/e) = 1, empty range
+    # the construction needs f'(0) > 0 and a tent, 1 <= k <= r/2
+    for r, k in [(6, 2), (6, 0), (6, 4)]:
+        with pytest.raises(ValueError):
+            counterexample_point(r, k)
+
+
+def test_counterexample_follows_fprime_sign():
+    # (7, 2) has f'(0) = 13/20 > 0 though 2 = floor(7/e), and (4, 1) has
+    # f'(0) = 1/3 though floor(4/e) = 1
+    assert fprime_zero(7, 2) == Fraction(13, 20)
+    for r, k in [(7, 2), (4, 1), (12, 4), (31, 11)]:
+        point = counterexample_point(r, k)
+        assert point.is_exact and math.prod(point.x) > product_bound(r), (r, k)
+        assert point.x == bend_point(r, k, 1 - r * point.x[0]).x
+    with pytest.raises(ValueError, match="f'"):
+        counterexample_point(6, 2)  # f'(0; 6, 2) = -3/10
+    # every tent count k <= r/2 at r <= 40: a point exactly when f'(0) > 0
+    for r in range(4, 41):
+        for k in range(1, r // 2 + 1):
+            if fprime_zero(r, k) > 0:
+                assert math.prod(counterexample_point(r, k).x) > product_bound(r), (r, k)
+            else:
+                with pytest.raises(ValueError):
+                    counterexample_point(r, k)
 
 
 def test_fprime_zero_values():
     assert fprime_zero(6, 1) == Fraction(27, 10)
     assert fprime_zero(4, 2) == Fraction(-5, 3)
     assert fprime_zero(5, 5) == -5
+
+
+def test_fprime_zero_matches_the_fraction_sum():
+    # every 1 <= k <= r <= 200 against -k + sum_{i>k} (r - i)/i, the sum
+    # accumulated in Fractions from i = r down
+    for r in range(1, 201):
+        tail = Fraction(0)
+        for k in range(r, 0, -1):
+            assert fprime_zero(r, k) == tail - k, (r, k)
+            tail += Fraction(r - k, k)
+    for r, k in [(5, 0), (5, 6)]:
+        with pytest.raises(ValueError):
+            fprime_zero(r, k)
 
 
 @pytest.mark.parametrize("r", range(4, 41))
