@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 import click
 import numpy as np
@@ -35,11 +34,9 @@ from .region import (
     FeasiblePoint,
     ceil_r_over_e,
     counterexample_point,
-    floor_r_over_e,
     fprime_zero,
     maximize_product,
     product_bound,
-    rounded_eps,
     segments,
 )
 
@@ -238,19 +235,11 @@ def region_max(ctx, r, k, certificate, output):
 @region.command("counterexample")
 @click.option("--r", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--eps", default=None, help="Starting epsilon > 0 (rational, e.g. 1/100).")
 @click.option("--certificate", default=None)
 @click.option("-o", "--output", default=None)
 @click.pass_context
-def region_counterexample(ctx, r, k, eps, certificate, output):
-    if eps is not None:
-        eps = Fraction(eps)
-        try:  # eps = 0 would give the linear point, whose product is r!/r^r
-            eps = rounded_eps(eps)
-        except ValueError:
-            raise click.UsageError(f"--eps must be positive after rounding to a "
-                                   f"denominator of at most 10^12, got {eps}") from None
-    point = counterexample_point(r, k, eps)
+def region_counterexample(ctx, r, k, certificate, output):
+    point = counterexample_point(r, k)
     prod = math.prod(point.x)
     bound = product_bound(r)
     payload = {
@@ -407,11 +396,13 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def report_counterexample_table(ctx, r_min, r_max, output):
-    if not 2 <= r_min <= r_max <= 40:
-        raise click.UsageError("supported range is 2 <= r-min <= r-max <= 40")
+    if not 2 <= r_min <= r_max <= 200:
+        raise click.UsageError("supported range is 2 <= r-min <= r-max <= 200")
     rows = []
     for r in range(r_min, r_max + 1):
-        for k in range(1, floor_r_over_e(r)):
+        for k in range(1, r // 2 + 1):
+            if fprime_zero(r, k) <= 0:
+                break  # f'(0) falls as k grows, so no larger k has a row
             point = counterexample_point(r, k)
             prod = math.prod(point.x)
             bound = product_bound(r)

@@ -9,8 +9,9 @@ eps = 0.  When f'(0) <= 0 the linear point x_i = i/r (eps = 0) is certified
 by exact KKT multipliers; otherwise one scalar Newton solve finds eps, and
 the exact bend point is certified by the bracket L = prod x <= max <= U,
 U the geometric-programming dual bound of its nnls multipliers
-(Duffin, Peterson & Zener, 1967).  Segment structure, the improving
-perturbation and the counterexample for f'(0) > 0 also live here.
+(Duffin, Peterson & Zener, 1967).  For f'(0) > 0 the counterexample is
+the bend point at eps = 1/m, m read off the first Newton step in closed
+form.  Segment structure and the improving perturbation also live here.
 
 Rational points are checked exactly, as integer numerators over one common
 denominator.  At the exact linear point ``kkt_certificate`` builds its
@@ -44,8 +45,8 @@ TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
 
-# floor(r/e) and ceil(r/e) only set the ranges of the report tables (the
-# paper's k >= r/e); ``fprime_zero`` decides the threshold itself
+# ceil(r/e) only sets the rows of the theorem table (the paper's k >= r/e),
+# and perfbench reads both; ``fprime_zero`` decides the threshold itself
 def floor_r_over_e(r: int) -> int:
     q = r / math.e
     if abs(q - round(q)) < 1e-9:  # impossible for integer r; defensive
@@ -502,6 +503,17 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
 # the below-threshold counterexample and its derivative bookkeeping
 
 
+def _fprime_sums(r: int, k: int) -> tuple[int, int, int]:
+    """(N, M, L) in Python ints over L = lcm(k+1..r):
+    f'(0) = sum_{i>k} (r - i)/i - k = N/L and
+    sum_{i>k} (r - i)/i^2 = M/L^2."""
+    if not 1 <= k <= r:
+        raise ValueError("need 1 <= k <= r")
+    L = math.lcm(*range(k + 1, r + 1))
+    terms = [(r - i, L // i) for i in range(k + 1, r)]
+    return (sum(a * q for a, q in terms) - k * L, sum(a * q * q for a, q in terms), L)
+
+
 def fprime_zero(r: int, k: int) -> Fraction:
     """Exact linear coefficient of the product-ratio polynomial:
     f'(0) = -k + sum_{i=k+1}^r (r-i)/i, the one test of the threshold.
@@ -509,13 +521,11 @@ def fprime_zero(r: int, k: int) -> Fraction:
     f'(0) > 0 exactly when a bend beats the linear point x_i = i/r
     (``counterexample_point``); at f'(0) <= 0 ``maximize_product``
     certifies the linear point as the region maximum, in every case
-    checked.  The sum is taken in Python ints over L = lcm(k+1..r), one
+    checked.  The sum is taken in Python ints (``_fprime_sums``), one
     Fraction at the end.
     """
-    if not 1 <= k <= r:
-        raise ValueError("need 1 <= k <= r")
-    L = math.lcm(*range(k + 1, r + 1))
-    return Fraction(sum((r - i) * (L // i) for i in range(k + 1, r)) - k * L, L)
+    N, _, L = _fprime_sums(r, k)
+    return Fraction(N, L)
 
 
 def upper_bound_gap(r: int, k: int) -> float:
@@ -525,45 +535,31 @@ def upper_bound_gap(r: int, k: int) -> float:
     return r * (math.log(r) - math.log(k) - 1.0)
 
 
-def rounded_eps(eps) -> Fraction:
-    """eps as a Fraction of denominator at most 10^12; ValueError unless
-    the rounded value is positive (a positive eps below about 5e-13 rounds
-    to 0)."""
-    out = Fraction(eps).limit_denominator(10**12)
-    if out <= 0:
-        raise ValueError(f"eps must be positive after rounding to a denominator "
-                         f"of at most 10^12, got {eps}")
-    return out
-
-
-def counterexample_point(r: int, k: int, eps=None) -> FeasiblePoint:
+def counterexample_point(r: int, k: int) -> FeasiblePoint:
     """Feasible point with product exceeding r!/r^r, for every
     1 <= k <= r/2 with f'(0) > 0 (``fprime_zero``): the ``bend_point`` at
-    eps.  Any other (r, k) raises ValueError.
+    eps = 1/m, m = 1 + ceil(r sum_{i>k} (r - i)/i^2 / f'(0)), in Python
+    ints (``_fprime_sums``).  Any other (r, k) raises ValueError.
 
-    eps (default 1/(4r)) is rounded by ``rounded_eps``, then halved until
-    exact-rational feasibility and strict product improvement both hold;
-    the positive linear coefficient guarantees termination.  Each candidate
-    is checked for feasibility once, exactly, by constructing its
-    FeasiblePoint.  eps = 0 gives the unbent linear point, whose product
-    is r!/r^r; any other eps that rounds to <= 0 raises ValueError.
+    Why it wins: with u = eps/(1 - eps), d/du log prod x = h(u)/(1 + u),
+    where h(u) = sum_{i>k} (r - i)/(i + r u) - k is convex and decreasing
+    with h(0) = f'(0) > 0 (``minimize``).  The first Newton step from 0,
+    u_1 = f'(0)/(r sum_{i>k} (r - i)/i^2), is at most the root u* of h,
+    since h lies above its tangent at 0, so h(u_1) >= 0.  So the log-product
+    rises strictly on [0, u*], and eps = u/(1 + u) rises with u, with
+    1/m <= u_1/(1 + u_1): the product at eps = 1/m exceeds r!/r^r.
+    Feasibility is still checked exactly, by constructing the
+    FeasiblePoint, and the product once against r!/r^r in Fractions.
     """
-    if not (1 <= k <= r // 2 and fprime_zero(r, k) > 0):
+    N, M, L = _fprime_sums(r, k) if 1 <= k <= r // 2 else (0, 0, 1)
+    if N <= 0:
         raise ValueError(f"construction requires 1 <= k <= {r // 2} and f'(0; r, k) > 0, "
                          f"not (r, k) = ({r}, {k})")
-    if eps is not None and eps == 0:
-        return bend_point(r, k, 0)
-    eps = Fraction(1, 4 * r) if eps is None else rounded_eps(eps)
-    bound = product_bound(r)
-    while True:
-        try:
-            point = bend_point(r, k, eps)
-        except ValueError:
-            pass  # infeasible: try a smaller bend
-        else:
-            if math.prod(point.x) > bound:
-                return point
-        eps = eps / 2
+    m = 1 - (-r * M // (N * L))
+    point = bend_point(r, k, Fraction(1, m))
+    if not math.prod(point.x) > product_bound(r):
+        raise RuntimeError(f"the bend at eps = 1/{m} does not beat {r}!/{r}^{r}")
+    return point
 
 
 def quartic_inequality(a: float, b: float, eps: float):

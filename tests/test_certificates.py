@@ -227,6 +227,18 @@ def test_counterexample_value_is_relative():
         assert v["value-matches-point"] is False
 
 
+def test_counterexample_value_is_exact():
+    # the stored value is float(prod x) itself, so one ulp off fails
+    cert = counterexample_certificate(9, 2)
+    value = cert.evidence["value"]
+    for tampered in (math.nextafter(value, math.inf), math.nextafter(value, 0)):
+        ev = evidence_copy(cert)
+        ev["value"] = tampered
+        passed, v = verdicts(cert, ev)
+        assert not passed and v["value-matches-point"] is False
+        assert v["product-exceeds-bound-exact"] is True
+
+
 def test_theorem_hypotheses_checked_without_exact():
     # the bound fails at (12, 2): f'(0; 12, 2) > 0
     r, k = 12, 2

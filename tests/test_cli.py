@@ -117,16 +117,6 @@ def test_region_counterexample_with_certificate(tmp_path):
     assert json.loads(vres.output)["passed"] is True
 
 
-def test_region_counterexample_eps_option():
-    res = invoke("region", "counterexample", "--r", "6", "--k", "1",
-                 "--eps", "1/100")
-    d = json.loads(res.output)
-    from fractions import Fraction
-    from tentopt.region import counterexample_point
-    expect = counterexample_point(6, 1, Fraction(1, 100))
-    assert d["x_exact"] == [str(v) for v in expect.x]
-
-
 def test_region_segments(tmp_path):
     p = tmp_path / "point.json"
     p.write_text(json.dumps(
@@ -226,8 +216,8 @@ def test_theorem_table_reaches_r_200(tmp_path):
     assert vres.exit_code == 0 and json.loads(vres.output)["passed"] is True
     res = runner.invoke(cli, ["report", "theorem-table", "--r-max", "201"], obj={})
     assert res.exit_code != 0 and "200" in res.output
-    res = runner.invoke(cli, ["report", "counterexample-table", "--r-max", "41"], obj={})
-    assert res.exit_code != 0 and "40" in res.output
+    res = runner.invoke(cli, ["report", "counterexample-table", "--r-max", "201"], obj={})
+    assert res.exit_code != 0 and "200" in res.output
 
 
 def test_region_max_below_threshold_writes_probe(tmp_path):
@@ -284,8 +274,12 @@ def test_counterexample_table_csv():
     lines = res.output.strip().splitlines()
     header = lines[0].split(",")
     assert {"r", "k", "eps", "margin"} <= set(header)
-    # rows exist exactly for k < floor(r/e): r=6,7,8 give k=1, r=9 gives k=1,2
-    assert len(lines) - 1 == 5
+    # rows exist exactly for f'(0; r, k) > 0: k = 1 at r = 6, k = 1, 2 at
+    # r = 7, 8 (floor(r/e) = 2 has f'(0) > 0 there) and k = 1, 2 at r = 9
+    assert len(lines) - 1 == 7
+    assert [tuple(line.split(",")[header.index(c)] for c in ("r", "k"))
+            for line in lines[1:]] == [("6", "1"), ("7", "1"), ("7", "2"), ("8", "1"),
+                                       ("8", "2"), ("9", "1"), ("9", "2")]
 
 
 def test_counterexample_table_feasibility_checked_once(monkeypatch):
@@ -297,8 +291,8 @@ def test_counterexample_table_feasibility_checked_once(monkeypatch):
     rows = json.loads(invoke("report", "counterexample-table",
                              "--r-min", "6", "--r-max", "9").output)
     assert all(row["feasible_exact"] is True for row in rows)
-    # one candidate per row: the default eps needs no halving here
-    assert len(calls) == len(rows) == 5
+    # one candidate per row, eps = 1/m
+    assert len(calls) == len(rows) == 7
 
 
 def test_json_output_deterministic():
@@ -423,19 +417,10 @@ def test_negative_restarts_are_bad_input(tmp_path, command):
     assert "restarts must be >= 0" in proc.stderr
 
 
-def test_counterexample_rejects_nonpositive_eps(tmp_path):
-    # eps = 0 is the linear point, whose product is r!/r^r: no counterexample;
-    # 1e-13 rounds to 0 at denominators up to 10^12
-    cert = tmp_path / "cert.json"
-    for eps in ("0", "-1/100", "1e-13"):
-        proc = run_main("region", "counterexample", "--r", "6", "--k", "1", "--eps", eps,
-                        "--certificate", str(cert))
-        assert proc.returncode == 3, proc.stderr
-        assert "--eps must be positive" in proc.stderr and not cert.exists()
-    proc = run_main("region", "counterexample", "--r", "6", "--k", "1", "--eps", "1/100",
-                    "--certificate", str(cert))
-    assert proc.returncode == 0 and json.loads(proc.stdout)["exceeds_bound"] is True
-    assert run_main("verify", str(cert)).returncode == 0
+def test_counterexample_eps_option_removed():
+    # eps = 1/m is fixed by (r, k): the start-eps option and its rounding are gone
+    proc = run_main("region", "counterexample", "--r", "6", "--k", "1", "--eps", "1/100")
+    assert proc.returncode == 3 and "--eps" in proc.stderr
 
 
 def test_region_max_needs_a_tent():

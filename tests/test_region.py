@@ -27,6 +27,7 @@ from tentopt.region import (
     kkt_certificate,
     linear_point,
     maximize_product,
+    minimize,
     perturb,
     product_bound,
     quartic_inequality,
@@ -383,21 +384,6 @@ def test_counterexample_exact(r, k):
     assert math.prod(p.x) > product_bound(r)
 
 
-def test_counterexample_eps_zero_degenerates():
-    p = counterexample_point(6, 1, 0)
-    assert p.x == tuple(Fraction(i, 6) for i in range(1, 7))
-
-
-def test_counterexample_rejects_eps_that_rounds_to_zero():
-    # a positive eps below about 5e-13 rounds to 0 at denominators up to
-    # 10^12, which would be the linear point, whose product is r!/r^r
-    with pytest.raises(ValueError, match="eps must be positive"):
-        counterexample_point(6, 1, 1e-13)
-    with pytest.raises(ValueError, match="eps must be positive"):
-        counterexample_point(6, 1, Fraction(-1, 100))
-    assert math.prod(counterexample_point(6, 1, 1e-11).x) > product_bound(6)
-
-
 def test_counterexample_rejects_large_k():
     # the construction needs f'(0) > 0 and a tent, 1 <= k <= r/2
     for r, k in [(6, 2), (6, 0), (6, 4)]:
@@ -483,7 +469,7 @@ def test_segments_linear_point():
 
 
 def test_segments_counterexample_point():
-    p = counterexample_point(6, 1, Fraction(1, 100))
+    p = bend_point(6, 1, Fraction(1, 100))
     q = FeasiblePoint(r=6, k=1, x=tuple(float(v) for v in p.x))
     dec = segments(q)
     assert dec.initial_length == 1
@@ -568,8 +554,7 @@ def test_infeasible_exact_point_raises():
 
 
 def test_counterexample_checks_each_candidate_once(monkeypatch):
-    """eps = 1 bends x_1 to 0, so halvings are needed; every candidate is
-    checked exactly once, with no tolerance."""
+    """One candidate, eps = 1/m, checked exactly once, with no tolerance."""
     calls = []
     real = region.check_feasible
 
@@ -578,11 +563,41 @@ def test_counterexample_checks_each_candidate_once(monkeypatch):
         return real(x, r, k, tol)
 
     monkeypatch.setattr(region, "check_feasible", spy)
-    p = counterexample_point(9, 2, eps=1)
-    eps = 1 - 9 * p.x[0]
-    halvings = (Fraction(1) / eps).numerator.bit_length() - 1
-    assert Fraction(1, 2 ** halvings) == eps and halvings >= 1
-    assert calls == [0] * (halvings + 1)
+    p = counterexample_point(9, 2)
+    assert 1 - 9 * p.x[0] == Fraction(1, 5)
+    assert calls == [0]
+
+
+def test_counterexample_eps_is_below_the_bend_optimum():
+    # eps = 1/m lies below the first Newton step u_1/(1 + u_1), so in
+    # (0, eps*] for the bend optimum eps* that ``minimize`` solves for
+    for r in range(4, 41):
+        for k in range(1, r // 2 + 1):
+            fp = fprime_zero(r, k)
+            if fp <= 0:
+                break
+            s2 = sum(Fraction(r - i, i * i) for i in range(k + 1, r + 1))
+            m = 1 + math.ceil(r * s2 / fp)
+            point = counterexample_point(r, k)
+            eps = 1 - r * point.x[0]
+            assert eps == Fraction(1, m), (r, k)
+            assert 0 < eps <= minimize(r, k).eps, (r, k)
+            assert math.prod(point.x) > product_bound(r), (r, k)
+    assert [1 - r * counterexample_point(r, k).x[0]
+            for r, k in [(6, 1), (7, 2), (31, 11), (200, 73)]] == [
+        Fraction(1, 5), Fraction(1, 9), Fraction(1, 97), Fraction(1, 206)]
+
+
+def test_counterexample_at_the_largest_k_up_to_r_200():
+    # the tent count just below the threshold, where the bend gains least:
+    # f'(0) falls as k grows, and the threshold is floor(r/e) or ceil(r/e)
+    for r in range(4, 201):
+        k = floor_r_over_e(r) - (fprime_zero(r, floor_r_over_e(r)) <= 0)
+        assert fprime_zero(r, k) > 0 >= fprime_zero(r, k + 1), r
+        point = counterexample_point(r, k)
+        assert point.is_exact and math.prod(point.x) > product_bound(r), (r, k)
+        with pytest.raises(ValueError, match="f'"):
+            counterexample_point(r, k + 1)
 
 
 # -- every consumer reads the same constraint rows ---------------------------
