@@ -5,23 +5,22 @@ with x_i + x_j <= x_{i+j} for every i in [k] and i <= j <= r - i (x_0 = 0
 implicitly).  The product of coordinates is maximized on the bend family
 x_i(eps) = (1 - eps) i/r + eps [i > k], which lies in the region for every
 0 <= eps < 1 and whose log-product is concave in eps with slope f'(0) at
-eps = 0.  When f'(0) <= 0 the linear point x_i = i/r (eps = 0) is certified
-by exact KKT multipliers; otherwise one scalar Newton solve finds eps, and
-the exact bend point is certified by the bracket L = prod x <= max <= U,
-U the geometric-programming dual bound of its nnls multipliers
-(Duffin, Peterson & Zener, 1967).  For f'(0) > 0 the counterexample is
-the bend point at eps = 1/m, m read off the first Newton step in closed
-form.  Segment structure and the improving perturbation also live here.
+eps = 0.  eps = 0, the linear point x_i = i/r, when f'(0) <= 0; otherwise
+one scalar Newton solve finds eps.  The exact bend point is certified by
+the bracket L = prod x <= max <= U, U the geometric-programming dual bound
+of its KKT multipliers (Duffin, Peterson & Zener, 1967).  For f'(0) > 0
+the counterexample is the bend point at eps = 1/m, m read off the first
+Newton step in closed form.  Segment structure and the improving
+perturbation also live here.
 
 Rational points are checked exactly, as integer numerators over one common
-denominator.  At the exact linear point ``kkt_certificate`` builds its
-multipliers as Fractions by one integer recursion, ``_stick_cuts``: mu on
-the tent row (i, j, s) is an amount of sticks of length s cut into pieces
-i and j, and r - 1 sticks of length r cut down to r/n pieces of each
-length n < r match the gradient r/i.  In every case checked it succeeds
-exactly when f'(0) <= 0.  scipy's nnls, for the bend point's float fit,
-is the one scipy call and is imported on first use: the exact linear
-point, the verifier and the counterexample construction never load scipy.
+denominator.  ``kkt_certificate`` builds every point's multipliers by one
+recursion, ``_stick_cuts``: mu on the tent row (i, j, s) is an amount of
+sticks of length s cut into pieces i and j, and r - 1 sticks of length r
+are cut down to 1/x_n pieces of each length n < r, along the rows tight
+at the bend.  At eps = 0 it runs in Python ints and certifies exactly, in
+every case checked exactly when f'(0) <= 0; at eps > 0 it runs in floats.
+The region code loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
 TOL_SYM = 1e-6  # mirror sums x_j + x_{r-j} = 1 at a point ``perturb`` accepts
 TOL_KKT = 1e-8  # relative stationarity residual of an optimal float KKT fit
-# slack at or below which a row is active at a float point: one of the rows
-# kkt_certificate fits
-TOL_ACT = 1e-6
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
 
@@ -234,12 +230,9 @@ def product_bound(r: int) -> Fraction:
 # product maximization
 
 
-# scipy.optimize is most of the import time of tentopt, so it is imported on
-# first call; tests and the benchmark's tracer patch these module-level names.
-# Nothing in tentopt calls linprog (the exact linear point's multipliers
-# come from ``_stick_cuts``), but perfbench/layers.py wraps
-# ``region.linprog`` by name and its tracer raises on a missing attribute,
-# so the name stays until the benchmark drops it.
+# Nothing in tentopt calls linprog or nnls: every point's multipliers come
+# from ``_stick_cuts``.  perfbench/layers.py wraps both names and its tracer
+# raises on a missing attribute, so they stay until the benchmark drops them.
 def linprog(*args, **kwargs):
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
@@ -349,18 +342,17 @@ class OptimizationReport:
 def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     """Global maximum of prod x_i over the region, certified exactly.
 
-    When f'(0) <= 0 the exact linear point x_i = i/r is tried first, and if
-    ``kkt_certificate`` certifies it the argmax is that point with exact
-    multipliers.  Otherwise ``minimize`` finds the bend eps, the argmax is
-    the exact ``bend_point`` and its multipliers come from
-    ``kkt_certificate`` (nnls) at the point's float copy.  ``bracket``
-    holds ``eps`` and ``region_bracket``'s exact ``lower`` and ``upper``;
-    ``value`` is float(lower).  ``status`` is "converged" exactly when
-    ``upper`` exists and (upper - lower)/lower <= TOL_REL; exact KKT
-    multipliers give upper = lower.  ``diagnostics``: the path taken, the
-    Newton steps, the exact multipliers' ``support`` size (``fit``, when
-    the exact step ran), wall seconds per phase.  ``seed`` has no
-    effect; nothing is random.
+    eps = 0 when f'(0) <= 0; otherwise ``minimize`` finds the bend eps.
+    The argmax is the exact ``bend_point`` at eps, and ``kkt_certificate``
+    builds its multipliers by the one stick-cut recursion: exact at
+    eps = 0, floats at eps > 0.  ``bracket`` holds ``eps`` and
+    ``region_bracket``'s exact ``lower`` and ``upper``; ``value`` is
+    float(lower).  ``status`` is "converged" exactly when ``upper`` exists
+    and (upper - lower)/lower <= TOL_REL; exact KKT multipliers give
+    upper = lower.  ``diagnostics``: the path, read off eps
+    ("exact-linear-point" at eps = 0, else "bend" with the Newton steps
+    ``nit``), the multipliers' ``support`` size (``fit``), wall seconds per
+    phase.  ``seed`` has no effect; nothing is random.
     """
     RegionConstraints(r, k)  # validates k
     seconds, clock = {}, [time.perf_counter()]
@@ -369,21 +361,13 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         clock.append(time.perf_counter())
         seconds[phase] = clock[-1] - clock[-2]
 
-    cert, fit = None, {}
-    if fprime_zero(r, k) <= 0:
-        point = linear_point(r, k, exact=True)
-        cert = kkt_certificate(point)
-        fit = {"support": len(cert["active"])}
-    lap("exact")
-    if cert is not None and cert["optimal"]:
-        eps, diagnostics = Fraction(0), {"path": "exact-linear-point"}
-    else:
-        res = minimize(r, k)
-        eps, diagnostics = res.eps, {"path": "bend", "nit": res.nit}
-        point = bend_point(r, k, eps)
-        lap("bend")
-        cert = kkt_certificate(FeasiblePoint(r=r, k=k, x=tuple(point.as_floats())))
-        lap("kkt")
+    res = minimize(r, k) if fprime_zero(r, k) > 0 else None
+    eps = res.eps if res else Fraction(0)
+    diagnostics = {"path": "bend", "nit": res.nit} if eps else {"path": "exact-linear-point"}
+    point = bend_point(r, k, eps)
+    lap("bend")
+    cert = kkt_certificate(point)
+    lap("kkt")
     bracket = region_bracket(point, cert) | {"eps": eps}
     lap("bracket")
     lower, upper = bracket["lower"], bracket["upper"]
@@ -395,106 +379,113 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         bracket=bracket,
         status="converged" if upper is not None and upper - lower <= TOL_REL * lower
         else "best-found",
-        diagnostics=diagnostics | ({"fit": fit} if fit else {}) | {"seconds": seconds},
+        diagnostics=diagnostics | {"fit": {"support": len(cert["active"])},
+                                   "seconds": seconds},
     )
 
 
-def _stick_cuts(r: int, k: int) -> dict | None:
-    """Exact KKT multipliers on the tent rows at the linear point x_i = i/r,
-    as {(i, j, s): mu}, or None when f'(0) > 0.
+def _stick_cuts(r: int, k: int, eps) -> dict:
+    """KKT multipliers on the tent rows at the bend point of ``eps``
+    (``bend_point``), as {(i, j, s): mu}: Fractions at eps = 0, the linear
+    point x_i = i/r, and floats at eps > 0.
 
     Read mu_(i,j,s) as an amount of sticks of length s cut into pieces i and
-    j.  The gradient r/i is then matched on coordinates 1..r-1 exactly when
-    r/n pieces of each length n < r are left over, which holds if r - 1
-    sticks of length r are cut, every cut's smaller piece at most k.  The
-    lengths are cut from n = r down, in Python ints over D = lcm(1..r-1):
-    the excess of length n over the r D/n pieces that stay is cut into
-    (n - m, m), m from n - 1 down to max(ceil(n/2), n - k), as far as
-    length m still lacks pieces, and what is left into (a, n - a),
-    a = min(k, floor(n/2)).  Every length above 1 ends with exactly the
-    pieces that stay, and length 1 follows, since cutting keeps the total
-    length (r - 1) r D.  A negative excess means no certificate.
+    j.  The gradient 1/x is then matched on coordinates 1..r-1 exactly when
+    1/x_n pieces of each length n < r are left over, and r - 1 sticks of
+    length r are cut.  Only cuts along tight rows count: every cut's smaller
+    piece is at most k, and at eps > 0, where x_i + x_j < x_{i+j} for
+    i, j <= k < i + j, a stick longer than k is cut into one piece of length
+    at most k and one longer than k.  The lengths are cut from n = r down,
+    over D = lcm(1..r-1) in Python ints at eps = 0 and in floats (D = 1)
+    otherwise: the excess of length n over the D/x_n pieces that stay is
+    cut into (n - m, m), m from n - 1 down to m_min (the least m those rules
+    allow), as far as length m still lacks pieces, and what is left at
+    m_min.  A deficit is left where it falls; ``kkt_certificate`` checks the
+    sums.  Each length's lack is kept, not its count, so a length that is
+    filled lacks exactly 0, in floats too, and no rounding crumb is cut.
 
-    f'(0) <= 0 is necessary: a cut whose smaller piece is at most k leaves
-    at most one piece longer than k, so each of the r - 1 cut trees from an
-    r-stick does too, and sum_{p=k+1}^{r-1} r/p <= r - 1, which is exactly
-    f'(0) <= 0.  The recursion certifies every (r, k) with f'(0) <= 0 that
-    has been checked (every k at r <= 250, and the k near r/e at r <= 1000).
+    At eps = 0, f'(0) <= 0 is necessary: under the cutting rule each of the
+    r - 1 cut trees from an r-stick ends in at most one piece longer than k,
+    and sum_{p=k+1}^{r-1} r/p <= r - 1 is exactly f'(0) <= 0.  The recursion
+    certifies every (r, k) with f'(0) <= 0 that has been checked (every k at
+    r <= 250, and the k near r/e at r <= 1000).  At eps > 0 each tree ends
+    in exactly one long piece, so sum_{k<n<r} 1/x_n = r - 1.  With
+    u = eps/(1 - eps), 1/x_n = r (1 + u)/(n + r u [n > k]), and that count
+    is the equation sum_{i>k} (r - i)/(i + r u) = k that ``minimize``
+    solves.
     """
-    D = math.lcm(*range(1, r))
-    stay = [0] + [r * D // n for n in range(1, r)] + [0]
-    have = [0] * (r + 1)
-    have[r] = (r - 1) * D
+    if eps:
+        u = float(eps / (1 - eps))
+        D = 1.0
+        lack = [r * (1 + u) / (n + (r * u if n > k else 0)) for n in range(1, r)]
+    else:
+        D = math.lcm(*range(1, r))
+        lack = [r * D // n for n in range(1, r)]
+    # pieces each length lacks: D/x_n stay at n < r, and r - 1 sticks of
+    # length r are all cut
+    lack = [0] + lack + [-(r - 1) * D]
     counts = {}
 
     def cut(i, j, n, x):
         counts[i, j, n] = counts.get((i, j, n), 0) + x
-        have[i] += x
-        have[j] += x
+        lack[i] -= x
+        lack[j] -= x
 
     for n in range(r, 1, -1):
-        excess = have[n] - stay[n]
-        if excess < 0:
-            return None
-        for m in range(n - 1, max((n + 1) // 2, n - k) - 1, -1):
-            x = min(excess, stay[m] - have[m])
+        excess = -lack[n]
+        m_min = max((n + 1) // 2, n - k, k + 1 if eps and n > k else 0)
+        for m in range(n - 1, m_min - 1, -1):
+            x = min(excess, lack[m])
             if x > 0:
                 cut(n - m, m, n, x)
                 excess -= x
-        if excess:
-            a = min(k, n // 2)
-            cut(a, n - a, n, excess)
-    return {label: Fraction(x, D) for label, x in counts.items()}
+        if excess > 0 and m_min < n:
+            cut(n - m_min, m_min, n, excess)
+    return {label: x if eps else Fraction(x, D) for label, x in counts.items()}
 
 
 def kkt_certificate(point: FeasiblePoint) -> dict:
     """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
-    with mu >= 0 on rows active at the point and nu on x_r = 1.
+    with mu >= 0 on rows tight at the point and nu on x_r = 1.
 
     mu is fitted on coordinates 1..r-1; nu, which closes coordinate r, is
-    not stored, since ``dual_bound`` derives its own.  At a float point
-    nnls fits mu over every row whose slack is at most TOL_ACT:
-    ``residual`` is the stationarity residual relative to |1/x|, and the
-    point is ``optimal`` when it is below TOL_KKT.  At an exact point
-    (``exact``) only the linear point x_i = i/r has multipliers, those of
-    ``_stick_cuts``, with no scipy and no float step; they are kept when
-    they are nonnegative and match 1/x on coordinates 1..r-1 exactly, and
-    then ``residual`` is 0.0 and the multipliers are Fraction strings.
-    Otherwise the exact point is not optimal, ``residual`` is None and
-    nothing is fitted in floats instead.  Either way ``active`` is the
-    support, the rows with mu > 0.
+    not stored, since ``dual_bound`` derives its own.  Only an exact bend
+    point (``bend_point``, eps = 1 - r x_1) has multipliers, those of
+    ``_stick_cuts``, with no scipy.  At eps = 0 they are Fractions, kept
+    when they match 1/x on coordinates 1..r-1 exactly; then ``residual`` is
+    0.0 and the multipliers are Fraction strings.  At eps > 0 they are
+    floats, kept when ``residual``, the stationarity residual relative to
+    |1/x|, is below TOL_KKT.  ``optimal`` says they were kept; otherwise
+    there are no multipliers, and ``residual`` is None unless it is a float
+    one.  ``exact`` is false exactly when floats were used: at a float
+    point, and at a bend with eps > 0.  ``active`` is the support, the rows
+    with mu > 0.
     """
-    r = point.r
-    model = RegionConstraints(r, point.k)
-    exact = point.is_exact
-    if exact:
-        g = [1 / Fraction(v) for v in point.x]
-        linear = all(v * r == i for i, v in enumerate(point.x, 1))
-        cuts = (_stick_cuts(r, point.k) if linear else None) or {}
-        fit = sorted((model.index(("tent", *label)), mu) for label, mu in cuts.items())
-        rows, mus = [t for t, _ in fit], [mu for _, mu in fit]
-        optimal = (all(mu >= 0 for mu in mus)
-                   and model.combine(rows, mus)[: r - 1] == g[: r - 1])
-        if not optimal:
-            rows, mus = [], []
-        residual = 0.0 if optimal else None
-    else:
-        x = point.as_floats()
-        g = 1.0 / x
-        rows = np.flatnonzero(model.slack(x) <= TOL_ACT)
-        if len(rows):
-            mus, resid = nnls(model.A[rows, : r - 1].T.astype(float), g[: r - 1])
-        else:  # nnls needs a column
-            mus, resid = np.zeros(0), np.linalg.norm(g[: r - 1])
-        rows, mus = rows[mus > 0], mus[mus > 0]  # the support, as when exact
-        residual = float(resid / max(np.linalg.norm(g), 1.0))
-        optimal = residual < TOL_KKT
-    fmt = str if exact else float
+    r, k, x = point.r, point.k, point.x
+    model = RegionConstraints(r, k)
+    eps = 1 - r * Fraction(x[0])
+    bend = point.is_exact and x == bend_coordinates(r, k, eps)
+    exact = point.is_exact and not (bend and eps)
+    fit = sorted((model.index(("tent", *label)), mu)
+                 for label, mu in (_stick_cuts(r, k, eps) if bend else {}).items())
+    rows, mus = [t for t, _ in fit], [mu for _, mu in fit]
+    residual = None
+    if bend:
+        combo = model.combine(rows, mus)[: r - 1]
+        if exact:
+            residual = 0.0 if combo == [1 / v for v in x[: r - 1]] else None
+        else:
+            g = np.array([float(1 / v) for v in x])
+            residual = float(np.linalg.norm(np.array(combo) - g[: r - 1])
+                             / max(np.linalg.norm(g), 1.0))
+    optimal = residual is not None and residual < TOL_KKT
+    if not optimal:
+        rows, mus = [], []
     return {
         "optimal": optimal,
         "residual": residual,
         "active": [list(model.labels[t]) for t in rows],
-        "multipliers": [fmt(mu) for mu in mus],
+        "multipliers": [(str if exact else float)(mu) for mu in mus],
         "exact": exact,
     }
 

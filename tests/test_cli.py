@@ -226,7 +226,9 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     assert res.exit_code == 0
     out = json.loads(res.output)
     assert out["status"] == "converged"
-    assert out["diagnostics"] == {"path": "bend", "nit": out["diagnostics"]["nit"]}
+    assert out["diagnostics"] == {"path": "bend", "nit": out["diagnostics"]["nit"],
+                                  "fit": {"support": len(out["kkt"]["active"])}}
+    assert 0 < len(out["kkt"]["active"]) <= 11 and out["kkt"]["exact"] is False
     assert 0 < out["diagnostics"]["nit"] < 100 and 0 <= out["bracket"]["gap"] <= 1e-20
     d = json.loads(cert.read_text())
     assert d["claim"] == d["anchor"] == "region-probe"

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -217,13 +220,19 @@ def test_exact_kkt_fails_below_threshold():
 
 
 def test_exact_kkt_at_non_optimal_point_has_no_float_fallback(monkeypatch):
+    # the counterexample is the bend at eps = 1/5, short of the optimum: the
+    # stick cuts leave a residual far above TOL_KKT, and no least-squares
+    # fit stands in
     def no_nnls(*args, **kwargs):
-        raise AssertionError("an exact point was fitted in floats")
+        raise AssertionError("kkt_certificate called nnls")
 
     monkeypatch.setattr(region, "nnls", no_nnls)
-    kkt = kkt_certificate(counterexample_point(6, 1))
-    assert kkt == {"optimal": False, "residual": None, "active": [], "multipliers": [],
-                   "exact": True}
+    point = counterexample_point(6, 1)
+    assert point.x == bend_point(6, 1, Fraction(1, 5)).x
+    kkt = kkt_certificate(point)
+    assert kkt["residual"] > TOL_KKT
+    assert kkt == {"optimal": False, "residual": kkt["residual"], "active": [],
+                   "multipliers": [], "exact": False}
 
 
 def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
@@ -244,48 +253,61 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
 
 
 def test_maximize_product_skips_exact_step_when_fprime_positive(monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the linear-point fit ran although f'(0) > 0")
-
-    monkeypatch.setattr(region, "_stick_cuts", no_fit)
+    # f'(0) > 0: the stick cuts run once, at the bend, and never at eps = 0
+    calls = []
+    real = region._stick_cuts
+    monkeypatch.setattr(region, "_stick_cuts",
+                        lambda r, k, eps: calls.append(eps) or real(r, k, eps))
     rep = maximize_product(6, 1)
     assert rep.value > float(product_bound(6))
-    assert "fit" not in rep.diagnostics
+    assert calls == [rep.bracket["eps"]] and rep.bracket["eps"] > 0
+    assert rep.diagnostics == {"path": "bend", "nit": rep.diagnostics["nit"],
+                               "fit": {"support": len(rep.kkt["active"])},
+                               "seconds": rep.diagnostics["seconds"]}
+    assert rep.kkt["exact"] is False and rep.kkt["optimal"]
 
 
-def test_maximize_product_runs_no_scipy_minimize(monkeypatch):
-    import scipy.optimize
+def test_region_grid_loads_no_scipy():
+    # a fresh interpreter runs maximize_product over the 280 region-sweep
+    # cases: every one converges, each bend in a few Newton steps, and no
+    # scipy module is loaded
+    code = ("import json, sys\n"
+            "from tentopt.region import floor_r_over_e, maximize_product\n"
+            "bad = []\n"
+            "grid = [(r, k) for r in range(4, 41)\n"
+            "        for k in range(1, min(floor_r_over_e(r), r // 2) + 1)]\n"
+            "for r, k in grid:\n"
+            "    rep = maximize_product(r, k)\n"
+            "    nit = rep.diagnostics.get('nit')\n"
+            "    if rep.status != 'converged' or not (nit is None or 1 <= nit < 100):\n"
+            "        bad.append((r, k))\n"
+            "print(json.dumps([len(grid), bad,\n"
+            "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [280, [], []]
 
-    def no_minimize(*args, **kwargs):
-        raise AssertionError("maximize_product called scipy.optimize.minimize")
 
-    monkeypatch.setattr(scipy.optimize, "minimize", no_minimize)
-    for r in range(4, 17):
-        for k in range(1, r // 2 + 1):
-            rep = maximize_product(r, k)
-            assert rep.status == "converged", (r, k)
-            if rep.diagnostics["path"] == "bend":
-                assert 1 <= rep.diagnostics["nit"] < 100, (r, k)
+def _last_bend_k(r):
+    return max(k for k in range(1, r // 2 + 1) if fprime_zero(r, k) > 0)
 
 
-def test_maximize_product_falls_back_to_the_bend(monkeypatch):
-    # exact multipliers that are not found leave the linear point to the
-    # bracket: the bend at eps = 0 is that point, certified by its nnls
-    # multipliers.  A float fit never closes the bracket exactly, so its
-    # certificate is a probe: a theorem certificate needs exact multipliers
-    monkeypatch.setattr(region, "_stick_cuts", lambda r, k: None)
-    for r, k in [(9, 4), (12, 5), (40, 15)]:
-        rep = maximize_product(r, k)
-        assert rep.kkt["exact"] is False
-        assert rep.diagnostics["fit"]["support"] == 0
-        assert rep.diagnostics["path"] == "bend" and rep.diagnostics["nit"] == 0
-        assert rep.bracket["eps"] == 0 and rep.argmax.x == linear_point(r, k, exact=True).x
-        assert rep.bracket["lower"] == product_bound(r) and rep.value == float(product_bound(r))
-        assert 0 < rep.bracket["upper"] - rep.bracket["lower"] <= TOL_REL * rep.bracket["lower"]
-        assert rep.status == "converged"
-        for claim, ok in (("region-probe", True), ("region-product-maximum", False)):
-            cert = Certificate(claim, claim, {"r": r, "k": k}, _max_evidence(rep))
-            assert verify_certificate(cert)[0] is ok, (r, k, claim)
+@pytest.mark.parametrize("r, k", [(r, k) for r in (60, 100, 200) for k in (1, _last_bend_k(r))])
+def test_bend_certifies_beyond_the_grid(monkeypatch, r, k):
+    def no_nnls(*args, **kwargs):
+        raise AssertionError("maximize_product called nnls")
+
+    monkeypatch.setattr(region, "nnls", no_nnls)
+    rep = maximize_product(r, k)
+    lower, upper = rep.bracket["lower"], rep.bracket["upper"]
+    assert rep.status == "converged" and rep.diagnostics["path"] == "bend"
+    assert lower <= upper <= (1 + Fraction(1, 10**20)) * lower
+    assert rep.diagnostics["fit"]["support"] == len(rep.kkt["active"]) <= r - 1
+    assert rep.kkt["residual"] < TOL_KKT and rep.kkt["exact"] is False
+    probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, _max_evidence(rep))
+    passed, checks = verify_certificate(probe)
+    assert passed, [check for check in checks if not check[1]]
 
 
 def test_bend_bracket_certifies_the_grid():
@@ -337,7 +359,7 @@ def test_status_agrees_with_kkt(r):
 def test_single_solve_certifies(r, k):
     # an earlier multistart SLSQP solver left these uncertified or up to
     # 1e-9 outside the region, and at (37, 1) 3e-7 above the optimum; the
-    # bend point's float KKT fit must certify them too
+    # bend point's stick-cut multipliers must certify them too
     rep = maximize_product(r, k)
     assert rep.status == "converged" and rep.kkt["residual"] < TOL_KKT
     assert RegionConstraints(r, k).slack(rep.argmax.as_floats()).min() >= -1e-12
@@ -355,21 +377,22 @@ def test_optimum_exceeds_bound_is_relative():
 
 
 def test_kkt_certificate_at_optimum():
-    cert = kkt_certificate(linear_point(5, 2))
-    assert cert["optimal"]
-    assert all(m >= -1e-12 for m in cert["multipliers"])
+    cert = kkt_certificate(linear_point(5, 2, exact=True))
+    assert cert["optimal"] and cert["exact"] and cert["residual"] == 0.0
+    assert all(Fraction(m) > 0 for m in cert["multipliers"])
+    # only an exact bend point is fitted: its float copy gets no multipliers
+    assert kkt_certificate(linear_point(5, 2)) == {
+        "optimal": False, "residual": None, "active": [], "multipliers": [], "exact": False}
 
 
 def test_kkt_interior_point_improves_by_gradient():
     # strictly increasing gaps leave every tent constraint slack, so only
-    # the x_r = 1 face is active and the gradient itself improves
+    # the x_r = 1 face is active and the gradient itself improves; the point
+    # is off the bend, so nothing is fitted, in floats or exactly
     x = tuple(np.cumsum(np.arange(1, 7)) / 21)
-    p = FeasiblePoint(r=6, k=1, x=x)
-    cert = kkt_certificate(p)
+    cert = kkt_certificate(FeasiblePoint(r=6, k=1, x=x))
     assert not cert["optimal"] and cert["active"] == [] and cert["multipliers"] == []
-    # nothing can absorb the gradient off coordinate r
-    g = 1 / p.as_floats()
-    assert cert["residual"] == pytest.approx(np.linalg.norm(g[:-1]) / np.linalg.norm(g))
+    assert cert["residual"] is None and cert["exact"] is False
     exact = FeasiblePoint(r=6, k=1, x=tuple(Fraction(v, 21) for v in (1, 3, 6, 10, 15, 21)))
     cert = kkt_certificate(exact)
     assert cert["exact"] and not cert["optimal"] and cert["active"] == []
