@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import CERTIFIED, replicator_batch, start_diagnostics
+from ._kernels import CERTIFIED, POLISHED, replicator_batch, start_diagnostics
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
 from .lagrangian import _SEED, lagrangian
@@ -324,9 +324,9 @@ MAX_STEPS = 2000
 class EntropicDensityResult:
     value: float
     witness: EdgeDistribution
-    # "converged" when the best start stopped ``certified``: its replicator
-    # fixed-point residual fell below ``_kernels.CERTIFIED_RESIDUAL``;
-    # otherwise "best-found"
+    # "converged" when the best start stopped ``certified`` or ``polished``:
+    # its replicator fixed-point residual fell below
+    # ``_kernels.CERTIFIED_RESIDUAL``; otherwise "best-found"
     status: str
     # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
@@ -378,7 +378,7 @@ def entropic_density(H: Hypergraph, restarts: int = 100,
     return EntropicDensityResult(
         value=math.exp(values[best]),
         witness=EdgeDistribution(H, tuple(W[:, best])),
-        status="converged" if stops[best] == CERTIFIED else "best-found",
+        status="converged" if stops[best] in (CERTIFIED, POLISHED) else "best-found",
         diagnostics=start_diagnostics(np.exp(values), steps, stops))
 
 

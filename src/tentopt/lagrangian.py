@@ -2,8 +2,9 @@
 
 The Lagrangian is the maximum of the edge polynomial over the probability
 simplex; blowup density rescales it by r!.  Ascent uses multistart
-replicator dynamics (Baum-Eagon guarantees monotone objective), with a
-coarse simplex-grid oracle for small vertex counts.
+replicator dynamics (Baum-Eagon guarantees monotone objective), each start
+finished by Newton's method on its face, with a coarse simplex-grid oracle
+for small vertex counts.
 """
 
 from __future__ import annotations
@@ -95,8 +96,13 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
     point; deterministic for a fixed seed (restart results reduced by value,
     then lexicographically smallest witness).  Each start stops on its own
-    (see ``_kernels``); ``diagnostics`` says how.  ValueError when
-    ``restarts`` is negative.
+    (see ``_kernels``); ``diagnostics`` says how.  Every 100 iterations the
+    kernel polishes each running start by Newton's method on its face, and
+    a start stops ``polished`` only if that point is nonnegative, has a
+    fixed-point residual below ``_kernels.CERTIFIED_RESIDUAL``, a value no
+    lower than the start's and a negative semidefinite tangent Hessian.
+    ``status`` is "converged" when the witness's fixed-point residual is
+    below 1e-8.  ValueError when ``restarts`` is negative.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")

@@ -177,9 +177,21 @@ def test_lagrangian_diagnostics():
     res = lagrangian(H, restarts=40)
     d = res.diagnostics
     assert sum(d["stopped"].values()) == res.restarts_used == 41
-    assert set(d["stopped"]) == {"certified", "delta", "reach", "cap"}
+    assert set(d["stopped"]) == {"certified", "delta", "reach", "cap", "polished"}
     assert 1 <= d["iterations_min"] <= d["iterations_median"] <= d["iterations_max"] <= 20000
     assert 1 <= d["reached_best"] <= res.restarts_used
     # the diagnostics do not take part in equality
     assert res == lagrangian(H, restarts=40)
 
+
+def test_lagrangian_on_a_degenerate_maximum_converges():
+    # contains K4^(3) on {0, 1, 3, 5} (Lagrangian 1/16), where vertex 2 has
+    # ratio exactly 1: plain ascent drains its weight like 1/t, and the face
+    # polish certifies the maximum instead
+    H = Hypergraph(r=3, n=6, edges=[(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 2, 5),
+                                    (0, 3, 5), (1, 2, 3), (1, 3, 4), (1, 3, 5),
+                                    (2, 4, 5)])
+    res = lagrangian(H)
+    assert res.status == "converged"
+    assert res.value == pytest.approx(1 / 16, rel=1e-12)
+    assert res.diagnostics["iterations_max"] <= 1000
