@@ -33,12 +33,14 @@ ANCHOR_INDEX = {
     "region-product-maximum": (
         "For f'(0; r, k) = -k + sum_{i>k} (r - i)/i <= 0, the maximum of prod x_i "
         "over the (r, k) region is r!/r^r, attained exactly at x_i = i/r.  "
-        "f'(0) <= 0 holds for every k >= ceil(r/e) and fails for every k < floor(r/e)."
+        "Since f'(0) = r (H_r - H_k - 1), f'(0) <= 0 holds for every k >= ceil(r/e) "
+        "and fails for every k < floor(r/e) (proved in region.fprime_zero)."
     ),
     "region-counterexample": (
         "For f'(0; r, k) = -k + sum_{i>k} (r - i)/i > 0, the (r, k) region "
         "contains a point with prod x_i strictly greater than r!/r^r.  "
-        "f'(0) > 0 holds for every k < floor(r/e) and fails for every k >= ceil(r/e)."
+        "Since f'(0) = r (H_r - H_k - 1), f'(0) > 0 holds for every k < floor(r/e) "
+        "and fails for every k >= ceil(r/e) (proved in region.fprime_zero)."
     ),
     "region-probe": (
         "For the stated (r, k), the maximum of prod x_i over the region lies "

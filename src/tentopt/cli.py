@@ -4,6 +4,11 @@ tables, and certificate verification.
 Exit codes: 0 success, 1 verification failure, 2 budget exhaustion,
 3 bad input.  JSON (sorted keys) is the canonical output format; CSV is a
 lossy convenience view for the tables.
+
+Only the exact modules the certificate commands need (``certificates``,
+``region``) are imported here; every other command imports its own module
+when it runs, so ``--help``, the two report tables and ``verify`` start
+without numpy.
 """
 
 from __future__ import annotations
@@ -11,25 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 
 import click
-import numpy as np
 
-from . import entropy as ent
+from ._base import _SEED, BudgetExceededError
 from .certificates import Certificate, verify_certificate
-from .homs import BudgetExceededError, SearchBudget, brute_force_ex
-from .homs import find_homomorphism, find_partial_homomorphism
-from .hypergraphs import (
-    Hypergraph,
-    PartialHypergraph,
-    TentSpec,
-    make_general_tent,
-    make_tent,
-    tent_family,
-)
-from .lagrangian import _SEED, lagrangian
 from .region import (
     FeasiblePoint,
     ceil_r_over_e,
@@ -50,12 +42,14 @@ def _emit(data, out=None):
         click.echo(text)
 
 
-def _load_hypergraph(path: str) -> Hypergraph:
+def _load_hypergraph(path: str):
+    from .hypergraphs import Hypergraph
     with open(path) as fh:
         return Hypergraph.from_json(fh.read())
 
 
-def _budget(ctx) -> SearchBudget:
+def _budget(ctx):
+    from .homs import SearchBudget
     return SearchBudget(timeout=ctx.obj["timeout"])
 
 
@@ -95,6 +89,7 @@ def tent():
 @click.option("--lam", default=None, help="Comma-separated partition of r, e.g. 3,1.")
 @click.option("-o", "--output", default=None)
 def tent_make(r, i, lam, output):
+    from .hypergraphs import TentSpec, make_general_tent, make_tent
     if (i is None) == (lam is None):
         raise click.UsageError("give exactly one of --i or --lam")
     if lam is not None:
@@ -112,6 +107,7 @@ def tent_make(r, i, lam, output):
 @click.option("--k", type=int, required=True)
 @click.option("-o", "--output", default=None)
 def tent_family_cmd(r, k, output):
+    from .hypergraphs import tent_family
     fam = tent_family(r, k)
     _emit([json.loads(H.to_json()) for H in fam.members], output)
 
@@ -131,6 +127,8 @@ def hom():
               help="Treat SOURCE as maximal edges of a partial hypergraph.")
 @click.pass_context
 def hom_check(ctx, source, host, partial):
+    from .homs import find_homomorphism, find_partial_homomorphism
+    from .hypergraphs import PartialHypergraph
     H = _load_hypergraph(host)
     if partial:
         with open(source) as fh:
@@ -151,6 +149,8 @@ def hom_check(ctx, source, host, partial):
 @click.option("-o", "--output", default=None)
 @click.pass_context
 def hom_exact_turan(ctx, n, r, k, output):
+    from .homs import brute_force_ex
+    from .hypergraphs import tent_family
     value, extremal = brute_force_ex(n, tent_family(r, k), _budget(ctx))
     _emit({
         "n": n, "r": r, "k": k,
@@ -168,6 +168,7 @@ def hom_exact_turan(ctx, n, r, k, output):
 @click.option("--restarts", default=200, show_default=True)
 @click.pass_context
 def lagrangian_cmd(ctx, hypergraph, restarts):
+    from .lagrangian import lagrangian
     H = _load_hypergraph(hypergraph)
     res = lagrangian(H, restarts=restarts, seed=ctx.obj["seed"])
     _emit({
@@ -240,7 +241,7 @@ def region_max(ctx, r, k, certificate, output):
 @click.pass_context
 def region_counterexample(ctx, r, k, certificate, output):
     point = counterexample_point(r, k)
-    prod = math.prod(point.x)
+    prod = point.product()
     bound = product_bound(r)
     payload = {
         "r": r, "k": k,
@@ -290,6 +291,7 @@ def entropy_grp():
 @click.option("--restarts", default=100, show_default=True)
 @click.pass_context
 def entropy_density(ctx, hypergraph, restarts):
+    from . import entropy as ent
     H = _load_hypergraph(hypergraph)
     res = ent.entropic_density(H, restarts=restarts, seed=ctx.obj["seed"])
     _emit({
@@ -304,6 +306,7 @@ def entropy_density(ctx, hypergraph, restarts):
 @click.argument("hypergraph", type=click.Path(exists=True))
 @click.argument("weights", type=click.Path(exists=True))
 def entropy_ratio(hypergraph, weights):
+    from . import entropy as ent
     H = _load_hypergraph(hypergraph)
     with open(weights) as fh:
         w = json.load(fh)
@@ -321,6 +324,8 @@ def entropy_ratio(hypergraph, weights):
 @click.option("--trials", default=100, show_default=True)
 @click.pass_context
 def entropy_verify_ratio(ctx, hypergraph, family_spec, trials):
+    from . import entropy as ent
+    from .hypergraphs import tent_family
     r, k = (int(v) for v in family_spec.split(","))
     H = _load_hypergraph(hypergraph)
     report = ent.verify_ratio_constraints(H, tent_family(r, k), trials=trials,
@@ -372,8 +377,7 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
             continue
         rep = maximize_product(r, k)
         bound = product_bound(r)
-        dev = float(np.abs(rep.argmax.as_floats()
-                           - np.arange(1, r + 1) / r).max())
+        dev = max(abs(float(v) - i / r) for i, v in enumerate(rep.argmax.x, 1))
         rows.append({
             "r": r,
             "k": k,
@@ -400,12 +404,12 @@ def report_counterexample_table(ctx, r_min, r_max, output):
         raise click.UsageError("supported range is 2 <= r-min <= r-max <= 200")
     rows = []
     for r in range(r_min, r_max + 1):
+        bound = product_bound(r)
         for k in range(1, r // 2 + 1):
             if fprime_zero(r, k) <= 0:
                 break  # f'(0) falls as k grows, so no larger k has a row
             point = counterexample_point(r, k)
-            prod = math.prod(point.x)
-            bound = product_bound(r)
+            prod = point.product()
             eps = 1 - r * point.x[0]  # x_1 = (1 - eps)/r
             rows.append({
                 "r": r,

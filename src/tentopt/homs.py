@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._base import BudgetExceededError
 from .hypergraphs import Family, Hypergraph, PartialHypergraph, extend
 
 
@@ -28,10 +29,6 @@ from .hypergraphs import Family, Hypergraph, PartialHypergraph, extend
 def milp(*args, **kwargs):
     from scipy.optimize import milp
     return milp(*args, **kwargs)
-
-
-class BudgetExceededError(RuntimeError):
-    """Search stopped before the tree was fully explored."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._base import _SEED
 from ._kernels import (
     edge_gradient,
     edge_poly_batch,
@@ -28,7 +29,6 @@ from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
 from .region import product_bound
 
 DEFAULT_RESTARTS = 200
-_SEED = 20240817
 # a start stops when its step moves no coordinate by this much
 STEP_TOL = 1e-12
 GRID_POINTS = 200_000  # most nodes of the ``lagrangian_grid`` mesh

@@ -20,7 +20,10 @@ sticks of length s cut into pieces i and j, and r - 1 sticks of length r
 are cut down to 1/x_n pieces of each length n < r, along the rows tight
 at the bend.  At eps = 0 it runs in Python ints and certifies exactly, in
 every case checked exactly when f'(0) <= 0; at eps > 0 it runs in floats.
-The region code loads no scipy.
+The region code loads no scipy, and its exact path no numpy: row indices
+are Python lists and a rational point's slacks Python ints.  Only the
+float code (float slacks, ``A``, ``as_floats``, ``minimize``, the float
+KKT residual, segments and the perturbation) imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 TOL_FEAS = 1e-9
 TOL_SEG = 1e-7
@@ -59,11 +60,10 @@ def is_rational(x) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in x)
 
 
-def tent_constraints(r: int, k: int) -> np.ndarray:
+def tent_constraints(r: int, k: int) -> list[tuple[int, int, int]]:
     """Index triples (i, j, i+j) of the pairwise sum constraints, one row
     each: i in [k] ascending, then j from i to r - i."""
-    return np.array([(i, j, i + j) for i in range(1, k + 1)
-                     for j in range(i, r - i + 1)]).reshape(-1, 3)
+    return [(i, j, i + j) for i in range(1, k + 1) for j in range(i, r - i + 1)]
 
 
 class RegionConstraints:
@@ -75,25 +75,26 @@ class RegionConstraints:
     equality row, with normal e_r; x_1 > 0 is left to ``check_feasible``.
     ``slack``, ``scaled_slack`` and ``combine`` read the two or three
     coordinates of each row; rational points go through ``scaled_slack``,
-    in Python ints.
+    in Python ints, and only float points and ``A`` use numpy.
     """
 
     def __init__(self, r: int, k: int):
         if not 1 <= k <= r // 2:
             raise ValueError(f"k must lie in [1, {r // 2}]")
         self.r, self.k = r, k
-        # 0-based coordinates of the tent rows, one array per column
-        self._i, self._j, self._s = tent_constraints(r, k).T - 1
-        self.n_tent = len(self._i)
+        tents = tent_constraints(r, k)
+        # 0-based coordinates of the tent rows, one list per column
+        self._i, self._j, self._s = ([v - 1 for v in col] for col in zip(*tents))
+        self.n_tent = len(tents)
 
     @cached_property
     def labels(self) -> list:
-        tents = zip(self._i.tolist(), self._j.tolist(), self._s.tolist())
-        return ([("tent", i + 1, j + 1, s + 1) for i, j, s in tents]
+        return ([("tent", i + 1, j + 1, s + 1) for i, j, s in zip(self._i, self._j, self._s)]
                 + [("monotone", i, i + 1) for i in range(1, self.r)])
 
     @cached_property
-    def A(self) -> np.ndarray:
+    def A(self):
+        import numpy as np
         E = np.eye(self.r, dtype=np.int64)
         return np.vstack([E[self._i] + E[self._j] - E[self._s], E[:-1] - E[1:]])
 
@@ -109,24 +110,25 @@ class RegionConstraints:
             raise ValueError(
                 f"{label!r} is not a constraint of the ({self.r}, {self.k}) region") from None
 
-    def slack(self, x) -> np.ndarray:
-        """-A @ x for every row, nonnegative on the region: a float array for
-        float x, an object array of Fractions for rational x."""
+    def slack(self, x):
+        """-A @ x for every row, nonnegative on the region: a list of
+        Fractions for rational x, a float ndarray otherwise."""
         if is_rational(x):
             N, D = self.scaled_slack(x)
-            return np.array([Fraction(n, D) for n in N], dtype=object)
-        return self._rows(np.asarray(x))
+            return [Fraction(n, D) for n in N]
+        import numpy as np
+        return np.array(self._rows([float(v) for v in x]))
 
-    def scaled_slack(self, x) -> tuple[np.ndarray, int]:
+    def scaled_slack(self, x) -> tuple[list[int], int]:
         """(N, D) with -A @ x = N / D for rational x: D is the least common
-        denominator of x and N an object array of Python ints, so a sign
-        test on a row builds no Fraction."""
+        denominator of x and N a list of Python ints, so a sign test on a
+        row builds no Fraction."""
         D = math.lcm(*(v.denominator for v in x))
-        return self._rows(np.array([v.numerator * (D // v.denominator) for v in x],
-                                   dtype=object)), D
+        return self._rows([v.numerator * (D // v.denominator) for v in x]), D
 
-    def _rows(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([x[self._s] - x[self._i] - x[self._j], x[1:] - x[:-1]])
+    def _rows(self, x: list) -> list:
+        return ([x[s] - x[i] - x[j] for i, j, s in zip(self._i, self._j, self._s)]
+                + [b - a for a, b in zip(x, x[1:])])
 
     def combine(self, rows, weights) -> list:
         """sum_t weights[t] * A[rows[t]] as a list of r coordinates."""
@@ -167,11 +169,12 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
     if is_rational(x):
         N, D = model.scaled_slack(x)
         t = Fraction(tol)  # N/D < -t, in integers
-        bad = np.flatnonzero(N * t.denominator < -t.numerator * D if t else N < 0)
+        q, limit = t.denominator, -t.numerator * D
+        bad = [row for row, n in enumerate(N) if n * q < limit]
         slacks = {row: Fraction(N[row], D) for row in bad}
     else:
         slacks = model.slack(x)
-        bad = np.flatnonzero(slacks < -tol)
+        bad = (slacks < -tol).nonzero()[0]
     for row in bad:
         violations.append((_describe(model.labels[row]), slacks[row]))
     return not violations, violations
@@ -201,14 +204,17 @@ class FeasiblePoint:
     def is_exact(self) -> bool:
         return is_rational(self.x)
 
-    def as_floats(self) -> np.ndarray:
+    def as_floats(self):
+        import numpy as np
         return np.array([float(v) for v in self.x])
 
     def product(self):
-        p = self.x[0]
-        for v in self.x[1:]:
-            p = p * v
-        return p
+        """prod x_i: one Fraction of the products of the numerators and of
+        the denominators, reduced once, when the point is exact."""
+        if not self.is_exact:
+            return math.prod(self.x)
+        return Fraction(math.prod(v.numerator for v in self.x),
+                        math.prod(v.denominator for v in self.x))
 
 
 def linear_point(r: int, k: int, exact: bool = False) -> FeasiblePoint:
@@ -278,6 +284,7 @@ def minimize(r: int, k: int) -> BendSolve:
     region-optimizer span (``region.slsqp``, named when SLSQP ran here) and
     reads the result's ``fun``, ``nit`` and ``success``.
     """
+    import numpy as np
     i = np.arange(k + 1, r + 1, dtype=float)
     u, nit, done = 0.0, 0, False
     while not done and nit < 100:
@@ -323,9 +330,7 @@ def region_bracket(point: FeasiblePoint, kkt: dict) -> dict:
     model = RegionConstraints(point.r, point.k)
     rows = [model.index(label) for label in kkt["active"]]
     mus = [Fraction(mu) if isinstance(mu, str) else mu for mu in kkt["multipliers"]]
-    x = point.x
-    lower = Fraction(math.prod(v.numerator for v in x), math.prod(v.denominator for v in x))
-    return {"lower": lower, "upper": dual_bound(model, rows, mus)}
+    return {"lower": point.product(), "upper": dual_bound(model, rows, mus)}
 
 
 @dataclass(frozen=True)
@@ -475,6 +480,7 @@ def kkt_certificate(point: FeasiblePoint) -> dict:
         if exact:
             residual = 0.0 if combo == [1 / v for v in x[: r - 1]] else None
         else:
+            import numpy as np
             g = np.array([float(1 / v) for v in x])
             residual = float(np.linalg.norm(np.array(combo) - g[: r - 1])
                              / max(np.linalg.norm(g), 1.0))
@@ -514,6 +520,22 @@ def fprime_zero(r: int, k: int) -> Fraction:
     certifies the linear point as the region maximum, in every case
     checked.  The sum is taken in Python ints (``_fprime_sums``), one
     Fraction at the end.
+
+    Closed form: f'(0) = r (H_r - H_k - 1), H_n the n-th harmonic number.
+    Proof: (r - i)/i = r/i - 1, so the sum over the r - k terms i > k is
+    r (H_r - H_k) - (r - k), and subtracting k leaves r (H_r - H_k) - r.
+
+    So the threshold is k*(r) = min{k : H_r - H_k <= 1}: H_r - H_k falls
+    strictly as k grows, f'(0) <= 0 for every k >= k* and f'(0) > 0 for
+    every k < k*.  And k* lies in {floor(r/e), ceil(r/e)} for every r >= 2,
+    by two integral bounds (r/e is never an integer, e being irrational):
+      * 1/i < integral_{i-1}^{i} dt/t, so H_r - H_k < ln(r/k) for k < r.
+        At k = ceil(r/e) > r/e this is below 1: k* <= ceil(r/e).
+      * 1/i > integral_{i}^{i+1} dt/t, so H_r - H_k > ln((r + 1)/(k + 1)).
+        At k = floor(r/e) - 1, k + 1 < r/e, so this is above 1, and
+        k* >= floor(r/e) (trivially so when floor(r/e) <= 1).
+    Hence f'(0) <= 0 for every k >= ceil(r/e) and f'(0) > 0 for every
+    k < floor(r/e); only the sign at k = floor(r/e) varies with r.
     """
     N, _, L = _fprime_sums(r, k)
     return Fraction(N, L)
@@ -548,7 +570,7 @@ def counterexample_point(r: int, k: int) -> FeasiblePoint:
                          f"not (r, k) = ({r}, {k})")
     m = 1 - (-r * M // (N * L))
     point = bend_point(r, k, Fraction(1, m))
-    if not math.prod(point.x) > product_bound(r):
+    if not point.product() > product_bound(r):
         raise RuntimeError(f"the bend at eps = 1/{m} does not beat {r}!/{r}^{r}")
     return point
 
@@ -596,6 +618,7 @@ class SegmentDecomposition:
 def segments(point: FeasiblePoint) -> SegmentDecomposition:
     """All maximal intervals on which the coordinates advance in steps of
     x_1 (with x_0 = 0 prepended), classified by position."""
+    import numpy as np
     r, k = point.r, point.k
     x = np.concatenate([[0.0], point.as_floats()])
     step = x[1]
@@ -627,11 +650,12 @@ def segments(point: FeasiblePoint) -> SegmentDecomposition:
     return SegmentDecomposition(segments=tuple(segs), initial_length=I)
 
 
-def perturb(point: FeasiblePoint, eps: float) -> np.ndarray:
+def perturb(point: FeasiblePoint, eps: float):
     """Apply the endpoint-shift perturbation rules to a symmetric point
     whose initial segment is shorter than k; returns the shifted vector
     (x_1..x_r), feasible and product-improving for small eps.
     """
+    import numpy as np
     r, k = point.r, point.k
     x = np.concatenate([[0.0], point.as_floats()])
     for j in range(1, k + 1):
@@ -674,6 +698,7 @@ def bisect_perturbation_eps(point: FeasiblePoint) -> float:
     """Largest eps in [0, 0.1] (by at most 60 bisection steps) for which the
     perturbed vector stays feasible and strictly beats the original
     product."""
+    import numpy as np
     base = float(np.prod(point.as_floats()))
 
     def good(eps: float) -> bool:
@@ -705,6 +730,7 @@ def random_symmetric_point(r: int, k: int, rng) -> FeasiblePoint:
     strict jump after position I, free middle mass at least the k-th gap,
     and the top k gaps mirroring the bottom ones.
     """
+    import numpy as np
     if k < 2:
         raise ValueError("need k >= 2 so that I <= k-1 can hold with I >= 1")
     I = int(rng.integers(1, k))

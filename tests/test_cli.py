@@ -350,6 +350,37 @@ def test_theorem_table_loads_no_scipy(tmp_path):
     assert len(list(certs.iterdir())) == 37
 
 
+def test_certificate_commands_load_no_numpy(tmp_path):
+    # the certificate commands are exact integer and Fraction work, so each
+    # starts and runs without numpy or scipy; verify reads the certificates
+    # that the table and `region counterexample` wrote
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    counter = tmp_path / "counter.json"
+    invoke("region", "counterexample", "--r", "12", "--k", "2", "--certificate", str(counter))
+    commands = [["--help"],
+                ["report", "theorem-table", "--r-max", "40", "--cert-dir", str(certs)],
+                ["report", "counterexample-table", "--r-max", "40"],
+                ["verify", str(certs / "region-max-r40.json")],
+                ["verify", str(counter)]]
+    for args in commands:
+        code = ("import sys\n"
+                "import tentopt.cli\n"
+                f"sys.argv = ['tentopt', *{args!r}]\n"
+                "try:\n"
+                "    tentopt.cli.main()\n"
+                "finally:\n"
+                "    print(sorted(m for m in sys.modules\n"
+                "                 if m.split('.')[0] in ('numpy', 'scipy')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "[]", args
+        if args[0] == "verify":
+            assert json.loads("\n".join(proc.stdout.splitlines()[:-1]))["passed"] is True
+    assert len(list(certs.iterdir())) == 37
+
+
 def test_hom_check_loads_no_scipy(tmp_path):
     # the backtracker needs no scipy; scipy.sparse is for brute_force_ex only
     src = write_host(tmp_path, make_tent(3, 1), "src.json")

@@ -71,6 +71,36 @@ def test_feasible_point_validation():
     assert p.product() == pytest.approx(720 / 6 ** 6)
 
 
+def test_exact_product_is_one_fraction():
+    # an exact point's product is one Fraction, equal to the product of its
+    # coordinates; a float point's is the float product
+    for r in range(4, 41):
+        for k in range(1, r // 2 + 1):
+            p = (counterexample_point(r, k) if fprime_zero(r, k) > 0
+                 else linear_point(r, k, exact=True))
+            assert type(p.product()) is Fraction and p.product() == math.prod(p.x), (r, k)
+    p = linear_point(6, 2)
+    assert type(p.product()) is float and p.product() == math.prod(p.x)
+    assert FeasiblePoint(r=4, k=1, x=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+                         ).product() == Fraction(3, 32)
+
+
+def test_exact_region_path_loads_no_numpy():
+    # rational points, their slacks and the stick-cut multipliers are
+    # Python ints and Fractions: a theorem row and a counterexample need
+    # no numpy
+    code = ("import sys\n"
+            "from tentopt.region import counterexample_point, maximize_product\n"
+            "rep = maximize_product(40, 15)\n"
+            "assert rep.kkt['exact'] and rep.bracket['lower'] == rep.bracket['upper']\n"
+            "assert counterexample_point(40, 5).is_exact\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("r", range(4, 13))
 def test_optimum_at_threshold_k(r):
     k = ceil_r_over_e(r)
@@ -453,6 +483,30 @@ def test_fprime_zero_matches_the_fraction_sum():
             fprime_zero(r, k)
 
 
+def test_fprime_zero_is_r_times_harmonic_tail():
+    # f'(0) = r (H_r - H_k - 1), the closed form proved in its docstring
+    H = [Fraction(0)]
+    for n in range(1, 121):
+        H.append(H[-1] + Fraction(1, n))
+    for r in range(1, 121):
+        for k in range(1, r + 1):
+            assert fprime_zero(r, k) == r * (H[r] - H[k] - 1), (r, k)
+
+
+def test_threshold_is_floor_or_ceil_of_r_over_e():
+    # k*(r) = min{k : H_r - H_k <= 1}, found from k = r down with the tail
+    # H_r - H_k kept as an integer over L = lcm(1..r)
+    for r in range(3, 401):
+        L = math.lcm(*range(1, r + 1))
+        k, tail = r, 0
+        while tail + L // k <= L:
+            tail += L // k
+            k -= 1
+        assert k in (floor_r_over_e(r), ceil_r_over_e(r)), r
+        assert fprime_zero(r, k) <= 0, r
+        assert k == 1 or fprime_zero(r, k - 1) > 0, r
+
+
 @pytest.mark.parametrize("r", range(4, 41))
 def test_fprime_sign_structure(r):
     assert fprime_zero(r, ceil_r_over_e(r)) <= 0
@@ -692,8 +746,9 @@ def test_integer_exact_slack_matches_fraction_slack(point, tol):
     model = RegionConstraints(r, k)
     want = _fraction_slack(model, x)
     N, D = model.scaled_slack(x)
+    assert type(N) is list and all(type(n) is int for n in N)
     assert D > 0 and [Fraction(n, D) for n in N] == want
-    assert list(model.slack(x)) == want
+    assert model.slack(x) == want
     ok, bad = check_feasible(x, r, k, tol)
     rows = [(name, v) for name, v in bad if name not in ("x_1 > 0", "x_r = 1")]
     expected = _expected_violations(model, x, tol)
