@@ -2,43 +2,44 @@
 
 Pure numpy.  The edge polynomial's gradient is one matrix product: a 0/1
 matrix that maps each edge slot to its vertex (``slot_matrix``) times the
-leave-one-out products of every slot.  Its Hessian is another: a 0/1 matrix
-that maps each ordered pair of slots of an edge to its vertex pair
-(``pair_matrix``) times the leave-two-out products.
-``lagrangian._fixed_point_residual`` uses the same gradient and residual,
-and the benchmark's traced run (``perfbench/run.py --trace 1``) times the
-kernels as the ``kernels.*`` layer.
+leave-one-out products of every slot.  Its Hessian sums the leave-two-out
+products of each pair of slots of an edge onto its vertex pair, one sorted
+``np.add.reduceat`` per slot over an index built once (``pair_index``), and
+adds the transpose.  The benchmark's traced run (``perfbench/run.py --trace
+1``) times the kernels as the ``kernels.*`` layer.
 
 ``replicator_batch`` has two callers.  ``lagrangian.lagrangian`` ascends
 the edge polynomial itself.  ``entropy.entropic_density`` ascends the vertex
 marginals m of its edge distributions: the concave-convex step
 w_e ∝ ∏_{v∈e} m_v has the marginal m_v ∂_v P(m) / (r P(m)), one replicator
-step.  Both summarise their starts with ``start_diagnostics``.
+step.  Both summarise their starts with ``start_diagnostics`` and take their
+status from the best start's stop reason.
 
 Replicator ascent converges only linearly near a maximum, and like 1/t
-where a vanishing coordinate has ratio exactly 1, so every ``REACH_EVERY``
-iterations each running start is polished on its face (``face_newton``):
-replicator ascent finds the face, Newton's method finishes it.  Each start
-stops on its own, for the first of five reasons (``STOP_REASONS``):
+where a vanishing coordinate has ratio exactly 1, so every
+``POLISH_EVERY`` iterations each running start is polished by Newton's
+method (``face_newton``) on two faces: its coordinates above
+``POLISH_FACE`` times its largest, and, where that fails, the same face
+without its lowest-ratio coordinate, which certifies a start crawling
+toward a degenerate maximum on the smaller face.  Replicator ascent finds
+the face, Newton's method finishes it.  Each start stops on its own, for
+the first of four reasons (``STOP_REASONS``):
 
 * ``certified``: the fixed-point (KKT) residual at the current point is
-  below ``CERTIFIED_RESIDUAL``;
+  below ``CERTIFIED_RESIDUAL`` and the tangent Hessian on its support is
+  negative semidefinite within ``NSD_REL``.  A first-order point that fails
+  the second test is a saddle: it is stepped along the top eigenvector of
+  that Hessian (``saddle_escape``) and goes on ascending;
 * ``delta``: the step moved no coordinate by ``tol`` or more;
-* ``polished``: its polished point is nonnegative, has a fixed-point
-  residual below ``CERTIFIED_RESIDUAL`` (the same test as ``certified``), a
-  value at least that of the start where it was polished, and a tangent
-  Hessian on the face that is negative semidefinite within ``NSD_REL``.
-  The start ends at that point; a start whose polish fails any check goes
-  on ascending unchanged;
-* ``reach``: every ``REACH_EVERY`` iterations, once some start has stopped
-  certified or polished at value v*, a start whose value plus its mean
-  gain over the last ``REACH_EVERY`` iterations times the iterations left
-  stays below v* (1 - ``REACH_REL``) is dropped: it cannot catch up at its
-  own pace.  A start is kept whose gain grew since the check before, or
-  with a coordinate below the face that grows onto it at its current ratio
-  before the cap, because it may be leaving a saddle or a plateau and the
-  projection underestimates it;
+* ``polished``: its polished point passes the same two tests as
+  ``certified`` (on the polish's face) and has a value at least that of the
+  start where it was polished.  The start ends at that point; a start whose
+  polish fails goes on ascending unchanged;
 * ``cap``: it ran all ``iters`` iterations.
+
+So ``certified`` and ``polished`` state one second-order condition: the
+start ends at a local maximum to within these tolerances, not necessarily
+the global one.  Each start runs the same way in any batch.
 """
 
 from __future__ import annotations
@@ -49,20 +50,20 @@ import numpy as np
 CERTIFIED_RESIDUAL = 1e-10
 # coordinates above this count as the support in the residual
 SUPPORT_TOL = 1e-9
-# the reach rule runs every REACH_EVERY iterations and keeps a start whose
-# projection comes within REACH_REL (relative) of the best certified value
-REACH_EVERY = 100
-REACH_REL = 1e-12
 
-# the polish's face: the coordinates above this share of the column's largest
+# every POLISH_EVERY iterations the running starts are polished on their
+# faces: the coordinates above POLISH_FACE times the column's largest
+POLISH_EVERY = 100
 POLISH_FACE = 1e-3
 POLISH_STEPS = 4
-# a polished point's tangent Hessian may have eigenvalues up to this share
-# of its largest eigenvalue magnitude above 0
+# a tangent Hessian may have eigenvalues up to this share of its largest
+# eigenvalue magnitude above 0 and still count as negative semidefinite
 NSD_REL = 1e-9
+# a saddle's escape tries this many halvings of the step to the boundary
+ESCAPE_HALVINGS = 8
 
-STOP_REASONS = ("certified", "delta", "reach", "cap", "polished")
-CERTIFIED, DELTA, REACH, CAP, POLISHED = range(len(STOP_REASONS))
+STOP_REASONS = ("certified", "delta", "cap", "polished")
+CERTIFIED, DELTA, CAP, POLISHED = range(len(STOP_REASONS))
 # a start "reached the best" when its value is within this share of the best
 BEST_REL = 1e-9
 
@@ -109,37 +110,49 @@ def _leave_one_out(f):
     return out
 
 
-def pair_matrix(edges: np.ndarray, n: int) -> np.ndarray:
-    """0/1 matrix of shape (r (r - 1) m, n n): row (p m + e), for the p-th
-    ordered slot pair (j, k) with j != k, marks edges[e, j] n + edges[e, k]."""
+def pair_index(edges: np.ndarray, n: int) -> list:
+    """For each slot j < r - 1, its slot pairs (j, k), k > j, grouped by
+    vertex pair for ``np.add.reduceat``: (order, keys, starts), where row
+    (k - j - 1) m + e of slot j's leave-two-out products, taken in
+    ``order``, adds to the flat Hessian entry edges[e, j] n + edges[e, k]
+    = keys[i] from starts[i] to starts[i + 1]."""
     m, r = edges.shape
-    j, k = np.nonzero(~np.eye(r, dtype=bool))
-    T = np.zeros((len(j) * m, n * n))
-    T[np.arange(len(j) * m), (edges[:, j] * n + edges[:, k]).T.ravel()] = 1.0
-    return T
+    index = []
+    for j in range(r - 1):
+        flat = (edges[:, j] * n + edges[:, j + 1:].T).ravel()
+        order = np.argsort(flat, kind="stable")
+        keys, starts = np.unique(flat[order], return_index=True)
+        index.append((order, keys, starts))
+    return index
 
 
-def edge_hessian(edges: np.ndarray, T: np.ndarray, Xt: np.ndarray):
+def edge_hessian(edges: np.ndarray, index: list, Xt: np.ndarray):
     """Hessian of the edge polynomial at each column of Xt, shape (n, n, R);
-    ``T`` is ``pair_matrix(edges, n)``.
+    ``index`` is ``pair_index(edges, n)``.
 
-    The rows of T for the pairs (j, k) with one j are contiguous, and the
-    leave-two-out products of those pairs are the leave-one-out products of
-    the factors with slot j set to 1, so one slot's pairs are scattered at a
-    time.
+    The leave-two-out product of slots j < k is the product of the factors
+    before j, those between j and k and those after k.  Each unordered pair
+    is summed onto one vertex pair, one slot j at a time, and the transpose
+    adds the other.
     """
     n, R = Xt.shape
     m, r = edges.shape
     f = Xt[edges.T]  # (r, m, R)
-    g = f.copy()
+    after = np.ones_like(f)  # after[k]: the product of the factors after k
+    for k in range(r - 2, -1, -1):
+        np.multiply(after[k + 1], f[k + 1], out=after[k])
     hess = np.zeros((n * n, R))
-    rows = (r - 1) * m
-    for j in range(r):
-        g[j] = 1.0
-        lto = np.delete(_leave_one_out(g), j, axis=0)
-        hess += T[j * rows:(j + 1) * rows].T @ lto.reshape(rows, R)
-        g[j] = f[j]
-    return hess.reshape(n, n, R)
+    before = np.ones((m, R))
+    for j, (order, keys, starts) in enumerate(index):
+        lto = np.empty((r - 1 - j, m, R))
+        run = before.copy()
+        for k in range(j + 1, r):
+            np.multiply(run, after[k], out=lto[k - j - 1])
+            run *= f[k]
+        hess[keys] += np.add.reduceat(lto.reshape(len(order), R)[order], starts, axis=0)
+        before *= f[j]
+    hess = hess.reshape(n, n, R)
+    return hess + hess.transpose(1, 0, 2)
 
 
 def edge_gradient(edges: np.ndarray, S: np.ndarray, Xt: np.ndarray):
@@ -151,7 +164,7 @@ def edge_gradient(edges: np.ndarray, S: np.ndarray, Xt: np.ndarray):
     factors = Xt[edges.T]  # (r, m, R)
     loo = _leave_one_out(factors)
     P = (factors[0] * loo[0]).sum(axis=0)
-    grad = S.T @ loo.reshape(-1, Xt.shape[1])
+    grad = S.T @ loo.reshape(S.shape[0], Xt.shape[1])
     return P, grad
 
 
@@ -162,27 +175,30 @@ def fixed_point_residual(Xt: np.ndarray, ratio: np.ndarray) -> np.ndarray:
     return np.where(Xt > SUPPORT_TOL, np.abs(dev), np.maximum(dev, 0.0)).max(axis=0)
 
 
-def face_newton(edges: np.ndarray, S: np.ndarray, T: np.ndarray,
-                Xt: np.ndarray, P: np.ndarray):
-    """Polish each column of Xt (values P) on its face by Newton's method.
+def tangent_hessian(edges: np.ndarray, index: list, Xt: np.ndarray, on: np.ndarray):
+    """The Hessian of the edge polynomial at each column of Xt, projected
+    onto the directions d with sum d = 0 that vanish off the column's
+    coordinates marked in ``on`` (shape (R, n)); shape (R, n, n)."""
+    n = Xt.shape[0]
+    diag = np.arange(n)
+    proj = np.where(on[:, :, None] & on[:, None, :], -1.0 / on.sum(axis=1)[:, None, None], 0.0)
+    proj[:, diag, diag] += on
+    return proj @ edge_hessian(edges, index, Xt).transpose(2, 0, 1) @ proj
 
-    The face F of a column is its coordinates above ``POLISH_FACE`` times its
-    largest.  ``POLISH_STEPS`` Newton steps solve the face's KKT system
-    grad_F P = mu, sum x_F = 1 from mu = r P, with the other coordinates
-    pinned to 0; all columns are one stacked bordered system, solved by
-    pseudo-inverse, so a singular face Hessian (a segment of maximisers)
-    takes the minimum-norm step.  A column whose step moves a coordinate by
-    more than 1 stops moving and is rejected.  Coordinates that end within
-    ``SUPPORT_TOL`` of 0 are set to 0, as the residual counts them off the
-    support, and the point is renormalised.  A column is accepted when that
-    point is nonnegative, has ``fixed_point_residual`` below
-    ``CERTIFIED_RESIDUAL``, a value at least P and a tangent Hessian on F
-    (projected onto sum d = 0) negative semidefinite within ``NSD_REL``.
-    Returns (accepted, points as columns, values).
-    """
+
+def negative_semidefinite(M: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack M: whether its largest eigenvalue is at most
+    ``NSD_REL`` times its largest eigenvalue magnitude."""
+    lam = np.linalg.eigvalsh(M)
+    return lam[:, -1] <= NSD_REL * np.abs(lam).max(axis=1)
+
+
+def _newton_on_face(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarray,
+                    P: np.ndarray, face: np.ndarray):
+    """``face_newton`` on the given face of each column: (accepted, points
+    as columns, values)."""
     n, R = Xt.shape
     r = edges.shape[1]
-    face = Xt > POLISH_FACE * Xt.max(axis=0)
     on = face.T  # (R, n)
     Y = np.where(face, Xt, 0.0)
     mu = r * P
@@ -196,7 +212,7 @@ def face_newton(edges: np.ndarray, S: np.ndarray, T: np.ndarray,
     sane = np.ones(R, dtype=bool)
     for _ in range(POLISH_STEPS):
         _, grad = edge_gradient(edges, S, Y)
-        A[:, :n, :n] = np.where(both, edge_hessian(edges, T, Y).transpose(2, 0, 1), 0.0)
+        A[:, :n, :n] = np.where(both, edge_hessian(edges, index, Y).transpose(2, 0, 1), 0.0)
         A[:, diag, diag] += ~on
         b[:, :n] = np.where(on, mu[:, None] - grad.T, 0.0)
         b[:, n] = 1.0 - Y.sum(axis=0)
@@ -213,23 +229,78 @@ def face_newton(edges: np.ndarray, S: np.ndarray, T: np.ndarray,
         residual = fixed_point_residual(Y, grad / (r * Q))
     ok = sane & (Y >= 0.0).all(axis=0) & (residual < CERTIFIED_RESIDUAL) & (Q >= P)
     if ok.any():
-        # the projection onto sum d = 0 within the face
-        f = on[ok]
-        proj = np.where(both[ok], -1.0 / f.sum(axis=1)[:, None, None], 0.0)
-        proj[:, diag, diag] += f
-        hess = edge_hessian(edges, T, Y[:, ok]).transpose(2, 0, 1)
-        lam = np.linalg.eigvalsh(proj @ hess @ proj)
-        ok[ok] = lam[:, -1] <= NSD_REL * np.abs(lam).max(axis=1)
+        ok[ok] = negative_semidefinite(tangent_hessian(edges, index, Y[:, ok], on[ok]))
     return ok, Y, Q
 
 
-def _joins_face(Xt: np.ndarray, ratio: np.ndarray, left: int) -> np.ndarray:
-    """Per column: whether some coordinate below the polish's face grows at
-    its current ratio onto the face within ``left`` steps."""
-    face = POLISH_FACE * Xt.max(axis=0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        needed = np.log(face / Xt) / np.log(ratio)
-    return ((Xt < face) & (ratio > 1.0) & (needed <= left)).any(axis=0)
+def face_newton(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarray,
+                P: np.ndarray, ratio: np.ndarray):
+    """Polish each column of Xt (values P, replicator ratios ``ratio``) on
+    its face by Newton's method, trying a second face where the first fails.
+
+    The first face F of a column is its coordinates above ``POLISH_FACE``
+    times its largest; the second is F without its lowest-ratio coordinate,
+    the one that vanishes when the start crawls toward a degenerate maximum
+    on a smaller face.  A column with a coordinate off F above
+    ``SUPPORT_TOL`` whose ratio is above 1 is not polished: that coordinate
+    is growing, so the start is leaving its face.
+
+    On a face, ``POLISH_STEPS`` Newton steps solve the KKT system
+    grad_F P = mu, sum x_F = 1 from mu = r P, with the other coordinates
+    pinned to 0; all columns are one stacked bordered system, solved by
+    pseudo-inverse, so a singular face Hessian (a segment of maximisers)
+    takes the minimum-norm step.  A column whose step moves a coordinate by
+    more than 1 stops moving and is rejected.  Coordinates that end within
+    ``SUPPORT_TOL`` of 0 are set to 0, as the residual counts them off the
+    support, and the point is renormalised.  A column is accepted when that
+    point is nonnegative, has ``fixed_point_residual`` below
+    ``CERTIFIED_RESIDUAL``, a value at least P and a tangent Hessian on the
+    face (``tangent_hessian``) that is ``negative_semidefinite``.
+    Returns (accepted, points as columns, values); a column rejected on both
+    faces keeps its first face's point.
+    """
+    face = Xt > POLISH_FACE * Xt.max(axis=0)
+    leaving = ((Xt > SUPPORT_TOL) & ~face & (ratio > 1.0)).any(axis=0)
+    ok = np.zeros(Xt.shape[1], dtype=bool)
+    Y, Q = Xt.copy(), P.copy()
+    cols = np.flatnonzero(~leaving)
+    ok[cols], Y[:, cols], Q[cols] = _newton_on_face(edges, S, index, Xt[:, cols], P[cols],
+                                                    face[:, cols])
+    cols = cols[~ok[cols] & (face[:, cols].sum(axis=0) > 1)]
+    if len(cols):
+        face = face[:, cols]
+        face[np.where(face, ratio[:, cols], np.inf).argmin(axis=0), np.arange(len(cols))] = False
+        good, Y2, Q2 = _newton_on_face(edges, S, index, Xt[:, cols], P[cols], face)
+        cols = cols[good]
+        ok[cols], Y[:, cols], Q[cols] = True, Y2[:, good], Q2[good]
+    return ok, Y, Q
+
+
+def saddle_escape(edges: np.ndarray, index: list, Xt: np.ndarray, P: np.ndarray):
+    """The second-order test at first-order (KKT) points, columns of Xt with
+    values P: whether the tangent Hessian on the support (x > SUPPORT_TOL)
+    is ``negative_semidefinite``.  A column that fails sits at a saddle; it
+    is stepped along the top eigenvector v of that Hessian, to the best of
+    x ± t v over t = t_max 2^-k, k = 1..``ESCAPE_HALVINGS``, where t_max
+    takes x ± t v to the boundary of the simplex.  Returns (passed, the
+    failed columns' escape points, whether each escape point's value is
+    above P)."""
+    M = tangent_hessian(edges, index, Xt, (Xt > SUPPORT_TOL).T)
+    nsd = negative_semidefinite(M)
+    x = Xt[:, ~nsd]
+    v = np.linalg.eigh(M[~nsd])[1][:, :, -1].T  # (n, columns)
+    halvings = 2.0 ** -np.arange(1, ESCAPE_HALVINGS + 1)
+    tries = []
+    for d in (v, -v):
+        t_max = np.divide(x, -d, out=np.full_like(x, np.inf), where=d < 0).min(axis=0)
+        tries += [x + h * t_max * d for h in halvings]
+    tries = np.stack(tries)  # (tries, n, columns)
+    values = edge_poly_batch(edges, tries.transpose(0, 2, 1).reshape(-1, len(Xt)))
+    values = values.reshape(len(tries), -1)
+    best = values.argmax(axis=0)
+    cols = np.arange(x.shape[1])
+    Z = tries[best, :, cols].T
+    return nsd, Z / Z.sum(axis=0), values[best, cols] > P[~nsd]
 
 
 def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
@@ -244,17 +315,12 @@ def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
     R = X.shape[0]
     r = edges.shape[1]
     S = slot_matrix(edges, n)
+    index = pair_index(edges, n)
     steps = np.full(R, iters, dtype=np.int64)
     stop = np.full(R, CAP, dtype=np.int8)
-    # the running starts: their rows of X, their points as columns and, for
-    # the reach rule, their values and gains at the last check (NaN until
-    # known, so no start is dropped before its gain was seen twice)
+    # the running starts: their rows of X and their points as columns
     idx = np.arange(R)
     Xt = X.T.copy()
-    checkpoint = np.full(R, np.nan)
-    last_gain = np.full(R, np.nan)
-    best_certified = -np.inf
-    T = None  # the slot-pair matrix, built at the first polish
     for it in range(iters):
         if not len(idx):
             break
@@ -264,48 +330,34 @@ def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
             # ascent direction vanished; restart from uniform
             Xt[:, dead] = 1.0 / n
             P, grad = edge_gradient(edges, S, Xt)
-        if it % REACH_EVERY == 0:
-            if it:
-                if T is None:
-                    T = pair_matrix(edges, n)
-                ok, Y, Q = face_newton(edges, S, T, Xt, P)
-                if ok.any():
-                    X[idx[ok]] = Y[:, ok].T
-                    steps[idx[ok]] = it
-                    stop[idx[ok]] = POLISHED
-                    best_certified = max(best_certified, float(Q[ok].max()))
-                    keep = ~ok
-                    idx, Xt, P, grad = idx[keep], Xt[:, keep], P[keep], grad[:, keep]
-                    checkpoint, last_gain = checkpoint[keep], last_gain[keep]
-                    if not len(idx):
-                        break
-            gain = (P - checkpoint) / REACH_EVERY
-            if best_certified > -np.inf:
-                behind = ((gain <= last_gain) & ~_joins_face(Xt, grad / (r * P), iters - it)
-                          & (P + gain * (iters - it) < best_certified * (1 - REACH_REL)))
-                if behind.any():
-                    X[idx[behind]] = Xt[:, behind].T
-                    steps[idx[behind]] = it
-                    stop[idx[behind]] = REACH
-                    keep = ~behind
-                    idx, Xt, P, grad, gain = (idx[keep], Xt[:, keep], P[keep],
-                                              grad[:, keep], gain[keep])
-            checkpoint, last_gain = P, gain
         ratio = grad / (r * P)
+        if it and it % POLISH_EVERY == 0:
+            ok, Y, Q = face_newton(edges, S, index, Xt, P, ratio)
+            if ok.any():
+                X[idx[ok]] = Y[:, ok].T
+                steps[idx[ok]] = it
+                stop[idx[ok]] = POLISHED
+                keep = ~ok
+                idx, Xt, P, ratio = idx[keep], Xt[:, keep], P[keep], ratio[:, keep]
+                if not len(idx):
+                    break
         certified = fixed_point_residual(Xt, ratio) < CERTIFIED_RESIDUAL
         newXt = Xt * ratio
         newXt /= newXt.sum(axis=0)
+        if certified.any():
+            kkt = np.flatnonzero(certified)
+            nsd, Z, up = saddle_escape(edges, index, Xt[:, kkt], P[kkt])
+            saddle = kkt[~nsd]
+            certified[saddle] = False
+            newXt[:, saddle[up]] = Z[:, up]
         done = certified | (np.abs(newXt - Xt).max(axis=0) < tol)
         Xt = newXt
         if done.any():
             X[idx[done]] = Xt[:, done].T
             steps[idx[done]] = it + 1
             stop[idx[done]] = np.where(certified[done], CERTIFIED, DELTA)
-            if certified.any():
-                best_certified = max(best_certified, float(P[certified].max()))
             keep = ~done
             idx, Xt = idx[keep], Xt[:, keep]
-            checkpoint, last_gain = checkpoint[keep], last_gain[keep]
     X[idx] = Xt.T
     values = edge_poly_batch(edges, X)
     return values, X, steps, stop

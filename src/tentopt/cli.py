@@ -26,6 +26,7 @@ from .region import (
     FeasiblePoint,
     ceil_r_over_e,
     counterexample_point,
+    floor_r_over_e,
     fprime_zero,
     maximize_product,
     product_bound,
@@ -405,9 +406,13 @@ def report_counterexample_table(ctx, r_min, r_max, output):
     rows = []
     for r in range(r_min, r_max + 1):
         bound = product_bound(r)
-        for k in range(1, r // 2 + 1):
-            if fprime_zero(r, k) <= 0:
-                break  # f'(0) falls as k grows, so no larger k has a row
+        # f'(0) falls as k grows, and the least k with f'(0) <= 0 is k* in
+        # {floor(r/e), ceil(r/e)} (``fprime_zero``): one test at floor(r/e)
+        # gives k*, and exactly the k < k* have rows
+        k_star = floor_r_over_e(r)
+        if not k_star or fprime_zero(r, k_star) > 0:
+            k_star += 1
+        for k in range(1, k_star):
             point = counterexample_point(r, k)
             prod = point.product()
             eps = 1 - r * point.x[0]  # x_1 = (1 - eps)/r

@@ -326,7 +326,8 @@ class EntropicDensityResult:
     witness: EdgeDistribution
     # "converged" when the best start stopped ``certified`` or ``polished``:
     # its replicator fixed-point residual fell below
-    # ``_kernels.CERTIFIED_RESIDUAL``; otherwise "best-found"
+    # ``_kernels.CERTIFIED_RESIDUAL`` and its tangent Hessian is negative
+    # semidefinite, a local maximum of the ascent; otherwise "best-found"
     status: str
     # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._base import _SEED
-from ._kernels import (
-    edge_gradient,
-    edge_poly_batch,
-    fixed_point_residual,
-    replicator_batch,
-    slot_matrix,
-    start_diagnostics,
-)
+from ._kernels import CERTIFIED, POLISHED, edge_poly_batch, replicator_batch, start_diagnostics
 from .hypergraphs import Family, Hypergraph
 from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
 from .region import product_bound
@@ -61,7 +54,11 @@ class LagrangianResult:
     value: float
     witness: SimplexPoint
     blowup_density: float
-    status: str  # "converged" or "budget-limited"
+    # "converged" when the witness's start stopped ``certified`` or
+    # ``polished``: it passed the kernel's first- and second-order local
+    # tests, so it is a local maximum, not necessarily the global one;
+    # otherwise "budget-limited"
+    status: str
     restarts_used: int
     # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
@@ -80,29 +77,27 @@ def edge_polynomial(H: Hypergraph, x: SimplexPoint) -> float:
     return float(edge_poly_batch(_edge_array(H), x.as_array()[None, :])[0])
 
 
-def _fixed_point_residual(edges: np.ndarray, r: int, x: np.ndarray) -> float:
-    """Max KKT violation: derivative/(r P) must be 1 on the support, <= 1 off."""
-    xt = x[:, None]
-    P, grad = edge_gradient(edges, slot_matrix(edges, len(x)), xt)
-    if P[0] <= 0:
-        return math.inf
-    return float(fixed_point_residual(xt, grad / (r * P[0]))[0])
-
-
 def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
                seed: int = _SEED) -> LagrangianResult:
     """Best local maximum of the edge polynomial over the simplex.
 
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
     point; deterministic for a fixed seed (restart results reduced by value,
-    then lexicographically smallest witness).  Each start stops on its own
-    (see ``_kernels``); ``diagnostics`` says how.  Every 100 iterations the
-    kernel polishes each running start by Newton's method on its face, and
-    a start stops ``polished`` only if that point is nonnegative, has a
-    fixed-point residual below ``_kernels.CERTIFIED_RESIDUAL``, a value no
-    lower than the start's and a negative semidefinite tangent Hessian.
-    ``status`` is "converged" when the witness's fixed-point residual is
-    below 1e-8.  ValueError when ``restarts`` is negative.
+    then lexicographically smallest witness).  Each start stops on its own,
+    for one of four reasons (see ``_kernels``); ``diagnostics`` says how.
+    A start stops ``certified`` at a point whose fixed-point residual is
+    below ``_kernels.CERTIFIED_RESIDUAL`` and whose tangent Hessian on the
+    support is negative semidefinite; a first-order point that fails the
+    second test is a saddle, and the start steps off it and goes on.  Every
+    100 iterations the kernel polishes each running start by Newton's
+    method on its face and on that face without its lowest-ratio vertex,
+    and a start stops ``polished`` when that point passes the same two
+    tests and is no lower than the start.  ``status`` is "converged" when
+    the witness's start stopped ``certified`` or ``polished``, else
+    "budget-limited".  "converged" says the witness is a local maximum to
+    these tolerances, not that it is the global one; for r = 2
+    ``motzkin_straus_value`` is the exact check.  ValueError when
+    ``restarts`` is negative.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -123,13 +118,11 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
             best = idx
     value = float(values[best])
     witness = xs[best]
-    residual = _fixed_point_residual(edges, H.r, witness)
-    status = "converged" if residual < 1e-8 else "budget-limited"
     return LagrangianResult(
         value=value,
         witness=SimplexPoint(tuple(witness)),
         blowup_density=math.factorial(H.r) * value,
-        status=status,
+        status="converged" if stops[best] in (CERTIFIED, POLISHED) else "budget-limited",
         restarts_used=len(starts),
         diagnostics=start_diagnostics(values, steps, stops),
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -295,6 +296,19 @@ def test_counterexample_table_feasibility_checked_once(monkeypatch):
     assert all(row["feasible_exact"] is True for row in rows)
     # one candidate per row, eps = 1/m
     assert len(calls) == len(rows) == 7
+
+
+def test_counterexample_table_tests_the_threshold_once_per_r(monkeypatch):
+    import tentopt.cli as climod
+    calls = []
+    real = climod.fprime_zero
+    monkeypatch.setattr(climod, "fprime_zero",
+                        lambda r, k: calls.append((r, k)) or real(r, k))
+    rows = json.loads(invoke("report", "counterexample-table",
+                             "--r-min", "2", "--r-max", "9").output)
+    # r = 2 has floor(r/e) = 0 and no test; each other r tests floor(r/e)
+    assert calls == [(r, int(r / math.e)) for r in range(3, 10)]
+    assert len(rows) == 2 + 7  # (4, 1), (5, 1) and the seven rows with 6 <= r <= 9
 
 
 def test_json_output_deterministic():

@@ -53,6 +53,16 @@ def ref_residual(edges, r, x):
                for xv, q in zip(x, ratio))
 
 
+def ref_tangent_nsd(edges, x):
+    """Whether the Hessian on the support, projected onto sum d = 0, is
+    negative semidefinite (with ten times the kernel's relative slack)."""
+    support = [v for v, xv in enumerate(x) if xv > _kernels.SUPPORT_TOL]
+    hess = np.array(ref_hessian(edges, x))[np.ix_(support, support)]
+    proj = np.eye(len(support)) - 1.0 / len(support)
+    lam = np.linalg.eigvalsh(proj @ hess @ proj)
+    return lam[-1] <= 10 * _kernels.NSD_REL * np.abs(lam).max()
+
+
 def ref_step(edges, r, x):
     P = ref_poly(edges, x)
     new = [xv * g / (r * P) for xv, g in zip(x, ref_gradient(edges, x))]
@@ -62,7 +72,7 @@ def ref_step(edges, r, x):
 
 # ---------------------------------------------------------------------------
 # no-early-stop reference: the replicator ascent as it ran before the
-# certified stop and the reach rule, gradient by scatter-add
+# certified and polished stops, gradient by scatter-add
 
 
 def full_ascent(edges, n, starts, iters, tol):
@@ -113,7 +123,7 @@ def test_edge_hessian_matches_reference(H):
     pts = rng.dirichlet(np.ones(H.n), size=20)
     pts[0, 0] = 0.0
     edges = _edge_array(H)
-    hess = _kernels.edge_hessian(edges, _kernels.pair_matrix(edges, H.n), pts.T)
+    hess = _kernels.edge_hessian(edges, _kernels.pair_index(edges, H.n), pts.T)
     assert hess.shape == (H.n, H.n, len(pts))
     np.testing.assert_allclose(
         hess.transpose(2, 0, 1), [ref_hessian(H.sorted_edges, list(p)) for p in pts],
@@ -124,9 +134,10 @@ def check_against_reference(H, starts, iters):
     """Run the kernel and check each start against the Python reference: a
     start that did not stop polished ends where as many reference steps take
     it, and one that stopped certified has a reference residual below the
-    bound.  A polished start ends at a nonnegative simplex point with a
-    reference residual below the bound and a value at least that of the
-    reference after as many plain steps.  Returns the stop reasons."""
+    bound and a negative semidefinite reference tangent Hessian on its
+    support.  A polished start ends at a nonnegative simplex point with the
+    same two properties and a value at least that of the reference after as
+    many plain steps.  Returns the stop reasons."""
     edges = _edge_array(H)
     values, X, steps, stops = _kernels.replicator_batch(edges, H.n, starts, iters=iters, tol=1e-14)
     assert len(values) == len(X) == len(steps) == len(stops) == len(starts)
@@ -137,6 +148,7 @@ def check_against_reference(H, starts, iters):
         if stops[s] == _kernels.POLISHED:
             assert (X[s] >= 0).all() and X[s].sum() == pytest.approx(1.0, abs=1e-15)
             assert ref_residual(H.sorted_edges, H.r, list(X[s])) < _kernels.CERTIFIED_RESIDUAL
+            assert ref_tangent_nsd(H.sorted_edges, list(X[s]))
             assert values[s] == pytest.approx(ref_poly(H.sorted_edges, list(X[s])), rel=1e-14)
             assert values[s] >= ref_poly(H.sorted_edges, x)
             continue
@@ -145,6 +157,7 @@ def check_against_reference(H, starts, iters):
         if stops[s] == _kernels.CERTIFIED:
             # the residual was certified at the point before the last step
             assert ref_residual(H.sorted_edges, H.r, prev) < 2 * _kernels.CERTIFIED_RESIDUAL
+            assert ref_tangent_nsd(H.sorted_edges, prev)
     return stops
 
 
@@ -189,8 +202,8 @@ DEGENERATE_HOST = [(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 2, 5), (0, 3, 5),
 # weight of 1e-9 grows by about 1.2% a step and the start leaves for the
 # global maximum (0.0672760) only after some 1 400 iterations of tiny but
 # growing gain.  PLATEAU_STARTS[0] is polished at a lower local maximum
-# (0.0626175) at iteration 100, so the reach rule runs from then on and must
-# keep the plateau start, whose vertex 3 joins the face in time.
+# (0.0626175) at iteration 100; the plateau start is not polished while
+# vertex 3, off its face, still grows.
 PLATEAU_HOST = [(0, 1, 4), (0, 1, 6), (0, 2, 3), (0, 2, 6), (0, 3, 5), (0, 3, 6),
                 (0, 4, 6), (0, 5, 6), (1, 3, 6), (1, 4, 6), (1, 5, 6), (2, 3, 4),
                 (2, 3, 6), (2, 4, 5), (2, 4, 6), (2, 5, 6), (3, 4, 6), (4, 5, 6)]
@@ -241,16 +254,18 @@ CRAWL_HOST = [(0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 2, 3), (0, 2, 5), (0, 2, 6),
 # host-densities' random 3-graph (perfbench DRAW_SEED), on which some starts
 # crawl toward a lower local maximum where one vertex's weight decays like
 # 1/t; Newton's method converges only linearly along that vanishing
-# direction, so the polish would certify them only after some 5 000
-# iterations, and the reach rule stops them first
-REACH_HOST = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7),
-              (0, 1, 8), (0, 2, 4), (0, 2, 6), (0, 2, 7), (0, 3, 5), (0, 3, 7),
-              (0, 3, 8), (0, 4, 8), (0, 5, 7), (0, 5, 8), (0, 6, 8), (1, 2, 5),
-              (1, 3, 4), (1, 3, 8), (1, 4, 8), (1, 5, 6), (1, 6, 7), (1, 6, 8),
-              (1, 7, 8), (2, 3, 5), (2, 3, 8), (2, 4, 6), (2, 4, 8), (2, 5, 7),
-              (2, 6, 7), (2, 6, 8), (2, 7, 8), (3, 4, 6), (3, 4, 7), (3, 4, 8),
-              (3, 5, 7), (3, 5, 8), (3, 6, 7), (3, 6, 8), (3, 7, 8), (4, 5, 7),
-              (4, 5, 8), (4, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
+# direction, so the polish on the face that keeps the vertex would certify
+# them only after some 5 000 iterations, and the face without it certifies
+# them within a few hundred
+VANISHING_HOST = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7),
+                  (0, 1, 8), (0, 2, 4), (0, 2, 6), (0, 2, 7), (0, 3, 5), (0, 3, 7),
+                  (0, 3, 8), (0, 4, 8), (0, 5, 7), (0, 5, 8), (0, 6, 8), (1, 2, 5),
+                  (1, 3, 4), (1, 3, 8), (1, 4, 8), (1, 5, 6), (1, 6, 7), (1, 6, 8),
+                  (1, 7, 8), (2, 3, 5), (2, 3, 8), (2, 4, 6), (2, 4, 8), (2, 5, 7),
+                  (2, 6, 7), (2, 6, 8), (2, 7, 8), (3, 4, 6), (3, 4, 7), (3, 4, 8),
+                  (3, 5, 7), (3, 5, 8), (3, 6, 7), (3, 6, 8), (3, 7, 8), (4, 5, 7),
+                  (4, 5, 8), (4, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
+VANISHING_STARTS = np.random.default_rng(1).dirichlet(np.ones(9), size=60)
 
 
 @pytest.mark.parametrize("edges", [DEGENERATE_HOST, CRAWL_HOST, PLATEAU_HOST],
@@ -272,15 +287,16 @@ def test_polish_rejects_a_saddle_and_a_lower_value():
     edges = np.array([(0, 1), (2, 3)], dtype=np.int64)
     Xt = np.array([[0.25] * 4, [0.4999, 0.4999, 1e-4, 1e-4]]).T
     S = _kernels.slot_matrix(edges, 4)
-    T = _kernels.pair_matrix(edges, 4)
-    P = _kernels.edge_gradient(edges, S, Xt)[0]
-    ok, Y, Q = _kernels.face_newton(edges, S, T, Xt, P)
+    index = _kernels.pair_index(edges, 4)
+    P, grad = _kernels.edge_gradient(edges, S, Xt)
+    ratio = grad / (2 * P)
+    ok, Y, Q = _kernels.face_newton(edges, S, index, Xt, P, ratio)
     assert ok.tolist() == [False, True]
     assert ref_residual(edges.tolist(), 2, list(Y[:, 0])) < _kernels.CERTIFIED_RESIDUAL
     assert Q[0] >= P[0]
     np.testing.assert_allclose(Y[:, 1], [0.5, 0.5, 0.0, 0.0], atol=1e-15)
     assert Q[1] == pytest.approx(0.25, rel=1e-15)
-    assert not _kernels.face_newton(edges, S, T, Xt, P + [0.0, 0.1])[0].any()
+    assert not _kernels.face_newton(edges, S, index, Xt, P + [0.0, 0.1], ratio)[0].any()
 
 
 def test_polish_certifies_crawling_starts():
@@ -296,20 +312,47 @@ def test_polish_certifies_crawling_starts():
                                          rel=1e-9)
 
 
-def test_reach_rule_drops_starts_behind_a_certified_best():
-    """The starts crawling toward a point the polish cannot certify stop by
-    the reach rule long before the cap, and the best value stays that of
-    the full ascent."""
-    edges = np.array(REACH_HOST, dtype=np.int64)
-    starts = np.random.default_rng(1).dirichlet(np.ones(9), size=60)
-    values, _, steps, stops = _kernels.replicator_batch(edges, 9, starts, 20000, 1e-12)
-    assert (stops == _kernels.REACH).sum() >= 5
-    assert set(stops) <= {_kernels.CERTIFIED, _kernels.POLISHED, _kernels.REACH}
-    assert steps.max() < 1000
-    ref = full_ascent(edges, 9, starts, 20000, 1e-12)[0]
+def test_polish_certifies_starts_vanishing_toward_a_lower_maximum():
+    """The starts whose full ascent still crawls toward a lower degenerate
+    maximum after 20 000 steps stop polished, every start within 1 000
+    iterations, each no lower than the full ascent, and the best value
+    stays that of the full ascent."""
+    edges = np.array(VANISHING_HOST, dtype=np.int64)
+    values, _, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS, 20000, 1e-12)
+    ref, active = full_ascent(edges, 9, VANISHING_STARTS, 20000, 1e-12)
+    crawling = active & (ref < values.max() * (1 - 1e-6))
+    assert crawling.sum() >= 5
+    assert (stops[crawling] == _kernels.POLISHED).all()
+    assert set(stops) <= {_kernels.CERTIFIED, _kernels.POLISHED}
+    assert steps.max() <= 1000
+    assert (values >= ref * (1 - 1e-15)).all()
     assert values.max() == pytest.approx(ref.max(), rel=1e-9)
-    # every dropped start was headed below the certified best
-    assert (ref[stops == _kernels.REACH] < values.max() * (1 - 1e-6)).all()
+
+
+def test_each_start_runs_as_if_alone():
+    """Each start run alone ends with the same value, point, stop reason and
+    iterations as in the batch: no stop depends on the other starts."""
+    edges = np.array(VANISHING_HOST, dtype=np.int64)
+    values, X, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS, 20000, 1e-12)
+    for s, start in enumerate(VANISHING_STARTS):
+        value, x, step, stop = _kernels.replicator_batch(edges, 9, start[None], 20000, 1e-12)
+        assert (step[0], stop[0]) == (steps[s], stops[s])
+        assert value[0] == pytest.approx(values[s], rel=1e-13)
+        np.testing.assert_allclose(x[0], X[s], atol=1e-13)
+
+
+def test_saddle_escape_leaves_a_saddle():
+    """On two disjoint edges the uniform point is a KKT point whose tangent
+    Hessian has the eigenvalue +1: it fails the second-order test and its
+    escape point is higher; the maximum on one edge passes."""
+    edges = np.array([(0, 1), (2, 3)], dtype=np.int64)
+    Xt = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]]).T
+    P = _kernels.edge_poly_batch(edges, Xt.T)
+    nsd, Z, up = _kernels.saddle_escape(edges, _kernels.pair_index(edges, 4), Xt, P)
+    assert nsd.tolist() == [False, True]
+    assert Z.shape == (4, 1) and up.tolist() == [True]
+    assert (Z >= 0).all() and Z.sum() == pytest.approx(1.0, abs=1e-15)
+    assert _kernels.edge_poly_batch(edges, Z.T)[0] > P[0]
 
 
 def test_lagrangian_polishes_crawling_starts():
