@@ -38,7 +38,7 @@ _EXPORTS = {
         "FeasiblePoint", "OptimizationReport", "RegionConstraints", "SegmentDecomposition",
         "bend_point", "check_feasible", "counterexample_point", "fprime_zero",
         "kkt_certificate", "maximize_product", "perturb", "quartic_inequality",
-        "region_bracket", "segments", "upper_bound_gap",
+        "segments", "upper_bound_gap",
     ),
     "certificates": ("ANCHOR_INDEX", "Certificate", "verify_certificate"),
     "isomorphism": ("find_isomorphism", "is_isomorphic"),

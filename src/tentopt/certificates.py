@@ -4,9 +4,9 @@ A certificate records a machine-readable claim, an anchor into the claim
 index below, the run configuration, and enough evidence to be re-checked
 without re-running any optimizer.  For a region maximum that evidence is
 the exact point, its value, the KKT multipliers and the exact bracket
-L = prod x <= max <= U: the verifier recomputes U, the
-geometric-programming dual bound of the multipliers, in Fractions, and
-the bracket is the one proof it checks.
+L = prod x <= max <= U: the verifier recomputes U in Fractions with
+``region.dual_bound``, the same call the solver makes, from the stored
+labels and multipliers, and the bracket is the one proof it checks.
 """
 
 from __future__ import annotations
@@ -96,18 +96,18 @@ def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
     coordinates at ``eps`` (their feasibility is ``point-feasible``'s
     check), ``lower`` is prod x, and ``upper`` is the dual bound
     recomputed from the stored multipliers, which must be nonnegative and
-    give c > 0.  ``exact`` must hold exactly when upper == lower, so the
-    bracket proves the maximum.  A label outside the region raises, since
-    its row has no normal, and fails ``evidence-well-formed``."""
+    give c > 0; ``dual_bound`` reads them as stored.  ``exact`` must hold
+    exactly when upper == lower, so the bracket proves the maximum.  A label
+    outside the region raises in ``dual_bound``, since its row has no
+    normal, and fails ``evidence-well-formed``."""
     r, k = model.r, model.k
     eps = Fraction(bracket["eps"])
     ok = 0 <= eps < 1 and x == list(bend_coordinates(r, k, eps))
     yield "bracket-point-is-bend", ok, f"eps={eps}"
-    rows = [model.index(lab) for lab in kkt.get("active", [])]
-    mus = [Fraction(v) for v in kkt.get("multipliers", [])]
-    ok = len(mus) == len(rows) and all(mu >= 0 for mu in mus)
+    labels, mus = kkt.get("active", []), kkt.get("multipliers", [])
+    ok = len(mus) == len(labels) and all(Fraction(mu) >= 0 for mu in mus)
     yield "bracket-multipliers-nonnegative", ok, ""
-    upper = dual_bound(model, rows, mus) if ok else None
+    upper = dual_bound(model, labels, mus) if ok else None
     yield "bracket-dual-feasible", upper is not None, "c = A^T mu + nu e_r > 0"
     lower = math.prod(x)
     yield "bracket-lower-is-product", Fraction(bracket["lower"]) == lower, ""

@@ -229,8 +229,9 @@ def region_max(ctx, r, k, certificate, output):
     payload["exceeds_bound"] = rep.bracket["lower"] > product_bound(r)
     _emit(payload, output)
     if certificate:
-        # with f'(0) > 0 the theorem makes no claim, so the run is a probe
-        claim = "region-product-maximum" if fprime_zero(r, k) <= 0 else "region-probe"
+        # eps = 0 exactly when f'(0) <= 0; above it the theorem makes no claim
+        exact = rep.diagnostics["path"] == "exact-linear-point"
+        claim = "region-product-maximum" if exact else "region-probe"
         _write_certificate(ctx, certificate, claim, _max_evidence(rep))
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._base import _SEED
-from ._kernels import CERTIFIED, POLISHED, edge_poly_batch, replicator_batch, start_diagnostics
+from ._kernels import (BEST_REL, CERTIFIED, POLISHED, edge_poly_batch, replicator_batch,
+                       start_diagnostics)
 from .hypergraphs import Family, Hypergraph
 from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
 from .region import product_bound
@@ -83,6 +84,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
 
     Multistart replicator ascent from Dirichlet(1) samples plus the uniform
     point; deterministic for a fixed seed (restart results reduced by value,
+    within ``_kernels.BEST_REL`` relative as ``reached_best`` counts it,
     then lexicographically smallest witness).  Each start stops on its own,
     for one of four reasons (see ``_kernels``); ``diagnostics`` says how.
     A start stops ``certified`` at a point whose fixed-point residual is
@@ -110,9 +112,9 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
                         rng.dirichlet(np.ones(H.n), size=restarts)])
     values, xs, steps, stops = replicator_batch(edges, H.n, starts, iters=20000, tol=STEP_TOL)
     order = np.argsort(-values)
-    best = order[0]
+    best = top = order[0]
     for idx in order:
-        if values[best] - values[idx] > 1e-13:
+        if values[top] - values[idx] > BEST_REL * abs(values[top]):
             break
         if tuple(xs[idx]) < tuple(xs[best]):
             best = idx

@@ -14,16 +14,18 @@ Newton step in closed form.  Segment structure and the improving
 perturbation also live here.
 
 Rational points are checked exactly, as integer numerators over one common
-denominator.  ``kkt_certificate`` builds every point's multipliers by one
-recursion, ``_stick_cuts``: mu on the tent row (i, j, s) is an amount of
-sticks of length s cut into pieces i and j, and r - 1 sticks of length r
-are cut down to 1/x_n pieces of each length n < r, along the rows tight
-at the bend.  At eps = 0 it runs in Python ints and certifies exactly, in
-every case checked exactly when f'(0) <= 0; at eps > 0 it runs in floats.
-The region code loads no scipy, and its exact path no numpy: row indices
-are Python lists and a rational point's slacks Python ints.  Only the
-float code (float slacks, ``A``, ``as_floats``, ``minimize``, the float
-KKT residual, segments and the perturbation) imports numpy, when called.
+denominator.  ``kkt_certificate(model, eps)`` builds the multipliers of the
+bend at eps by one recursion, ``_stick_cuts``: mu on the tent row (i, j, s)
+is an amount of sticks of length s cut into pieces i and j, and r - 1
+sticks of length r are cut down to 1/x_n pieces of each length n < r,
+along the rows tight at the bend.  At eps = 0 it runs in Python ints and
+certifies exactly, in every case checked exactly when f'(0) <= 0; at
+eps > 0 it runs in floats.  ``dual_bound`` reads them as the certificate
+stores them, in the solver and the verifier alike.  The region code loads
+no scipy, and its exact path no numpy: row indices are Python lists and a
+rational point's slacks Python ints.  Only the float code (float slacks,
+``A``, ``as_floats``, ``minimize``, the float KKT residual, segments and
+the perturbation) imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -301,18 +303,22 @@ def minimize(r: int, k: int) -> BendSolve:
                      success=nit < 100)
 
 
-def dual_bound(model: RegionConstraints, rows, mus) -> Fraction | None:
-    """U >= prod x_i over the region, from multipliers mu >= 0 on ``rows``
-    (Fractions): with a = A^T mu, nu = -r a_r/(r - 1) and
-    c = a + nu e_r > 0, every region point has c^T x <= nu, so AM-GM gives
-    prod x_i <= (nu/r)^r / prod c_i = U, the geometric-programming dual
-    (Duffin, Peterson & Zener, 1967; nu minimizes U).  None unless mu >= 0
-    and c > 0.  U is homogeneous of degree 0 in (mu, nu), so mu (floats or
-    Fractions) is scaled to integers and U is one Fraction of Python ints."""
+def dual_bound(model: RegionConstraints, labels, mus) -> Fraction | None:
+    """U >= prod x_i over the region, from multipliers mu >= 0 on the rows
+    ``labels``, as a KKT certificate stores them: with a = A^T mu,
+    nu = -r a_r/(r - 1) and c = a + nu e_r > 0, every region point has
+    c^T x <= nu, so AM-GM gives prod x_i <= (nu/r)^r / prod c_i = U, the
+    geometric-programming dual (Duffin, Peterson & Zener, 1967; nu
+    minimizes U).  None unless mu >= 0 and c > 0; ValueError for a label
+    that is not a row of the region.  mu may be Fraction strings, floats or
+    Fractions, each read exactly.  U is homogeneous of degree 0 in (mu, nu),
+    so mu is scaled to integers and U is one Fraction of Python ints."""
     r = model.r
+    rows = [model.index(label) for label in labels]
+    mus = [Fraction(mu) for mu in mus]
     if any(mu < 0 for mu in mus):
         return None
-    support = [(t, *mu.as_integer_ratio()) for t, mu in zip(rows, mus) if mu]
+    support = [(t, mu.numerator, mu.denominator) for t, mu in zip(rows, mus) if mu]
     scale = (r - 1) * math.lcm(*(q for _, _, q in support))
     a = model.combine([t for t, _, _ in support], [p * (scale // q) for _, p, q in support])
     nu = -r * (a[-1] // (r - 1))
@@ -320,17 +326,6 @@ def dual_bound(model: RegionConstraints, rows, mus) -> Fraction | None:
     if nu <= 0 or min(c) <= 0:
         return None
     return Fraction(nu**r, r**r * math.prod(c))
-
-
-def region_bracket(point: FeasiblePoint, kkt: dict) -> dict:
-    """Exact bracket L <= max prod x <= U at an exact point: ``lower`` is
-    L = prod x, ``upper`` the ``dual_bound`` of the certificate's
-    multipliers, floats or Fraction strings (None when they give no
-    bound)."""
-    model = RegionConstraints(point.r, point.k)
-    rows = [model.index(label) for label in kkt["active"]]
-    mus = [Fraction(mu) if isinstance(mu, str) else mu for mu in kkt["multipliers"]]
-    return {"lower": point.product(), "upper": dual_bound(model, rows, mus)}
 
 
 @dataclass(frozen=True)
@@ -348,18 +343,19 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     """Global maximum of prod x_i over the region, certified exactly.
 
     eps = 0 when f'(0) <= 0; otherwise ``minimize`` finds the bend eps.
-    The argmax is the exact ``bend_point`` at eps, and ``kkt_certificate``
-    builds its multipliers by the one stick-cut recursion: exact at
-    eps = 0, floats at eps > 0.  ``bracket`` holds ``eps`` and
-    ``region_bracket``'s exact ``lower`` and ``upper``; ``value`` is
-    float(lower).  ``status`` is "converged" exactly when ``upper`` exists
-    and (upper - lower)/lower <= TOL_REL; exact KKT multipliers give
+    The argmax is the exact ``bend_point`` at eps; ``kkt_certificate``
+    builds its multipliers by the one stick-cut recursion (exact at
+    eps = 0, floats at eps > 0), and one ``RegionConstraints`` serves it and
+    ``dual_bound``.  ``bracket`` holds ``eps``, the exact ``lower`` = prod x
+    and ``dual_bound``'s ``upper``; ``value`` is float(lower).  ``status``
+    is "converged" exactly when ``upper`` exists and
+    (upper - lower)/lower <= TOL_REL; exact KKT multipliers give
     upper = lower.  ``diagnostics``: the path, read off eps
     ("exact-linear-point" at eps = 0, else "bend" with the Newton steps
     ``nit``), the multipliers' ``support`` size (``fit``), wall seconds per
     phase.  ``seed`` has no effect; nothing is random.
     """
-    RegionConstraints(r, k)  # validates k
+    model = RegionConstraints(r, k)  # validates k
     seconds, clock = {}, [time.perf_counter()]
 
     def lap(phase):  # wall seconds since the previous lap
@@ -371,11 +367,11 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     diagnostics = {"path": "bend", "nit": res.nit} if eps else {"path": "exact-linear-point"}
     point = bend_point(r, k, eps)
     lap("bend")
-    cert = kkt_certificate(point)
+    cert = kkt_certificate(model, eps)
     lap("kkt")
-    bracket = region_bracket(point, cert) | {"eps": eps}
+    lower, upper = point.product(), dual_bound(model, cert["active"], cert["multipliers"])
+    bracket = {"lower": lower, "upper": upper, "eps": eps}
     lap("bracket")
-    lower, upper = bracket["lower"], bracket["upper"]
     return OptimizationReport(
         value=float(lower),
         argmax=point,
@@ -449,41 +445,34 @@ def _stick_cuts(r: int, k: int, eps) -> dict:
     return {label: x if eps else Fraction(x, D) for label, x in counts.items()}
 
 
-def kkt_certificate(point: FeasiblePoint) -> dict:
-    """Express the log-product gradient 1/x as sum_t mu_t A[t] + nu e_r
-    with mu >= 0 on rows tight at the point and nu on x_r = 1.
+def kkt_certificate(model: RegionConstraints, eps) -> dict:
+    """Express the log-product gradient 1/x at the bend point of ``eps``
+    (``bend_point``) as sum_t mu_t A[t] + nu e_r, with mu >= 0 on rows
+    tight there and nu on x_r = 1.
 
-    mu is fitted on coordinates 1..r-1; nu, which closes coordinate r, is
-    not stored, since ``dual_bound`` derives its own.  Only an exact bend
-    point (``bend_point``, eps = 1 - r x_1) has multipliers, those of
-    ``_stick_cuts``, with no scipy.  At eps = 0 they are Fractions, kept
-    when they match 1/x on coordinates 1..r-1 exactly; then ``residual`` is
-    0.0 and the multipliers are Fraction strings.  At eps > 0 they are
-    floats, kept when ``residual``, the stationarity residual relative to
-    |1/x|, is below TOL_KKT.  ``optimal`` says they were kept; otherwise
-    there are no multipliers, and ``residual`` is None unless it is a float
-    one.  ``exact`` is false exactly when floats were used: at a float
-    point, and at a bend with eps > 0.  ``active`` is the support, the rows
-    with mu > 0.
+    mu, from ``_stick_cuts`` with no scipy, is fitted on coordinates
+    1..r-1; nu, which closes coordinate r, is not stored, since
+    ``dual_bound`` derives its own.  ``exact`` is eps == 0: the multipliers
+    are Fractions, kept when they match 1/x on coordinates 1..r-1 exactly,
+    and then ``residual`` is 0.0 and the multipliers Fraction strings, else
+    None.  At eps > 0 they are floats, kept when ``residual``, the
+    stationarity residual relative to |1/x|, is below TOL_KKT.  ``optimal``
+    says they were kept; otherwise there are none.  ``active`` is the
+    support, the rows with mu > 0.
     """
-    r, k, x = point.r, point.k, point.x
-    model = RegionConstraints(r, k)
-    eps = 1 - r * Fraction(x[0])
-    bend = point.is_exact and x == bend_coordinates(r, k, eps)
-    exact = point.is_exact and not (bend and eps)
+    r, k = model.r, model.k
+    exact = not eps
     fit = sorted((model.index(("tent", *label)), mu)
-                 for label, mu in (_stick_cuts(r, k, eps) if bend else {}).items())
+                 for label, mu in _stick_cuts(r, k, eps).items())
     rows, mus = [t for t, _ in fit], [mu for _, mu in fit]
-    residual = None
-    if bend:
-        combo = model.combine(rows, mus)[: r - 1]
-        if exact:
-            residual = 0.0 if combo == [1 / v for v in x[: r - 1]] else None
-        else:
-            import numpy as np
-            g = np.array([float(1 / v) for v in x])
-            residual = float(np.linalg.norm(np.array(combo) - g[: r - 1])
-                             / max(np.linalg.norm(g), 1.0))
+    combo = model.combine(rows, mus)[: r - 1]
+    if exact:  # 1/x_i = r/i at the linear point
+        residual = 0.0 if combo == [Fraction(r, i) for i in range(1, r)] else None
+    else:
+        import numpy as np
+        g = np.array([float(1 / v) for v in bend_coordinates(r, k, eps)])
+        residual = float(np.linalg.norm(np.array(combo) - g[: r - 1])
+                         / max(np.linalg.norm(g), 1.0))
     optimal = residual is not None and residual < TOL_KKT
     if not optimal:
         rows, mus = [], []

@@ -1,7 +1,7 @@
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -43,6 +43,39 @@ def counterexample_certificate(r=6, k=1):
         evidence={"r": r, "k": k, "x_exact": [str(v) for v in p.x],
                   "value": float(math.prod(p.x))},
     )
+
+
+def count_model_builds(monkeypatch):
+    """Count RegionConstraints builds and builds of its cached ``labels``
+    and ``_row_of``, the costly part of a model."""
+    counts = dict.fromkeys(("models", "labels", "_row_of"), 0)
+    init = RegionConstraints.__init__
+
+    def counted_init(self, r, k):
+        counts["models"] += 1
+        init(self, r, k)
+
+    monkeypatch.setattr(RegionConstraints, "__init__", counted_init)
+    for name in ("labels", "_row_of"):
+        def build(self, name=name, real=getattr(RegionConstraints, name).func):
+            counts[name] += 1
+            return real(self)
+
+        prop = cached_property(build)
+        prop.__set_name__(RegionConstraints, name)
+        monkeypatch.setattr(RegionConstraints, name, prop)
+    return counts
+
+
+def test_one_row_index_per_solve_and_per_verification(monkeypatch):
+    counts = count_model_builds(monkeypatch)
+    cert = max_certificate(40, 15)
+    # the solver's own model, and check_feasible's for the bend point,
+    # which reads no label at a feasible point
+    assert counts == {"models": 2, "labels": 1, "_row_of": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    assert verify_certificate(cert)[0]
+    assert counts == {"models": 2, "labels": 1, "_row_of": 1}
 
 
 def test_anchor_index_is_plain_prose():
@@ -181,9 +214,7 @@ def test_forged_dual_fails_the_bracket(r):
     ev = evidence_copy(cert)
     kkt = ev["kkt"]
     kkt["multipliers"][0] = str(Fraction(1001, 1000) * Fraction(kkt["multipliers"][0]))
-    model = RegionConstraints(r, ev["k"])
-    upper = dual_bound(model, [model.index(lab) for lab in kkt["active"]],
-                       [Fraction(mu) for mu in kkt["multipliers"]])
+    upper = dual_bound(RegionConstraints(r, ev["k"]), kkt["active"], kkt["multipliers"])
     assert upper > Fraction(ev["bracket"]["lower"])
     ev["bracket"]["upper"] = str(upper)
     passed, v = verdicts(cert, ev)

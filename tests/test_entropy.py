@@ -540,13 +540,13 @@ def test_verify_ratio_constraints_makes_one_suffix_entropy_call(monkeypatch):
                                      (make_turan_graph(3, 6), 1)])
 def test_worst_slack_is_min_of_model_tent_slacks(monkeypatch, host, k):
     checked = []
-    real = ent.check_feasible
+    real = RegionConstraints.slack
 
-    def spy(x, r, k, tol):
+    def spy(model, x):
         checked.append(list(x))
-        return real(x, r, k, tol)
+        return real(model, x)
 
-    monkeypatch.setattr(ent, "check_feasible", spy)
+    monkeypatch.setattr(RegionConstraints, "slack", spy)
     rep = verify_ratio_constraints(host, tent_family(host.r, k), trials=10,
                                    assume_hom_free=True)
     assert rep["checked"] == len(checked) == 12

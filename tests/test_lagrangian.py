@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -70,6 +71,20 @@ def test_lagrangian_leaves_the_saddle_of_two_disjoint_edges():
     assert res.status == "converged"
     assert res.value == pytest.approx(0.25, rel=1e-12)
     assert res.value == pytest.approx(motzkin_straus_value(H), rel=1e-12)
+
+
+def test_lagrangian_ties_are_relative_to_the_best_value():
+    # the complete 13-graph on 14 vertices has Lagrangian 14^-12, its
+    # disjoint 13-edge 13^-13, both below 1e-13: an absolute tie margin
+    # let every start tie and the smallest end point, on the lower edge,
+    # win although most starts reach 14^-12
+    r = 13
+    clique = [tuple(e) for e in itertools.combinations(range(r + 1), r)]
+    H = Hypergraph(r=r, n=2 * r + 1, edges=clique + [tuple(range(r + 1, 2 * r + 1))])
+    res = lagrangian(H, restarts=40)
+    assert res.status == "converged"
+    assert res.value == pytest.approx(14.0**-12, rel=1e-9)
+    assert not any(res.witness.weights[r + 1:])
 
 
 def test_lagrangian_empty():

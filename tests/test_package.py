@@ -21,7 +21,7 @@ ALL = [
     "homs", "hypergraphs", "is_hom_free", "is_isomorphic", "isomorphism", "kkt_certificate",
     "lagrangian", "make_general_tent", "make_partial_tent", "make_tent", "make_turan_graph",
     "maximize_product", "mixture", "mixture_bound_witness", "perturb", "quartic_inequality",
-    "ratio_sequence", "region", "region_bracket", "segments", "suffix_entropy_matrix",
+    "ratio_sequence", "region", "segments", "suffix_entropy_matrix",
     "tent_family", "tree_sampler_entropy", "upper_bound_gap", "verify_certificate",
     "verify_extension_equivalence", "verify_ratio_constraints",
 ]

@@ -184,7 +184,7 @@ def test_region_constraints_lookup():
 
 
 def exact_kkt(r, k):
-    return kkt_certificate(linear_point(r, k, exact=True))
+    return kkt_certificate(RegionConstraints(r, k), 0)
 
 
 def _exact_residual(r, k, kkt):
@@ -223,9 +223,7 @@ def test_exact_kkt_certifies_beyond_the_table(r):
     assert all(Fraction(mu) > 0 for mu in kkt["multipliers"])
     assert not any(_exact_residual(r, k, kkt))
     assert len(kkt["active"]) == maximize_product(r, k).diagnostics["fit"]["support"] <= r - 1
-    model = RegionConstraints(r, k)
-    rows = [model.index(label) for label in kkt["active"]]
-    assert dual_bound(model, rows, [Fraction(mu) for mu in kkt["multipliers"]]) \
+    assert dual_bound(RegionConstraints(r, k), kkt["active"], kkt["multipliers"]) \
         == product_bound(r)
 
 
@@ -238,9 +236,8 @@ def test_stick_cuts_certify_exactly_when_fprime_nonpositive():
             assert kkt["optimal"] == (fprime_zero(r, k) <= 0), (r, k)
             if kkt["optimal"]:
                 model = RegionConstraints(r, k)
-                rows = [model.index(label) for label in kkt["active"]]
-                mus = [Fraction(mu) for mu in kkt["multipliers"]]
-                assert dual_bound(model, rows, mus) == product_bound(r), (r, k)
+                assert dual_bound(model, kkt["active"], kkt["multipliers"]) \
+                    == product_bound(r), (r, k)
 
 
 def test_exact_kkt_fails_below_threshold():
@@ -259,7 +256,7 @@ def test_exact_kkt_at_non_optimal_point_has_no_float_fallback(monkeypatch):
     monkeypatch.setattr(region, "nnls", no_nnls)
     point = counterexample_point(6, 1)
     assert point.x == bend_point(6, 1, Fraction(1, 5)).x
-    kkt = kkt_certificate(point)
+    kkt = kkt_certificate(RegionConstraints(6, 1), Fraction(1, 5))
     assert kkt["residual"] > TOL_KKT
     assert kkt == {"optimal": False, "residual": kkt["residual"], "active": [],
                    "multipliers": [], "exact": False}
@@ -365,14 +362,13 @@ def test_bend_bracket_certifies_the_grid():
 def test_dual_bound_needs_nonnegative_multipliers_and_positive_c():
     model = RegionConstraints(6, 3)
     assert dual_bound(model, [], []) is None  # nu = 0
-    assert dual_bound(model, [model.index(("tent", 1, 1, 2))], [Fraction(-1)]) is None
+    assert dual_bound(model, [("tent", 1, 1, 2)], [Fraction(-1)]) is None
     # exact KKT multipliers at the linear point make c = 1/x and U = L, and U
     # does not change when mu is scaled
     kkt = exact_kkt(6, 3)
-    rows = [model.index(lab) for lab in kkt["active"]]
-    mus = [Fraction(mu) for mu in kkt["multipliers"]]
-    assert dual_bound(model, rows, mus) == product_bound(6)
-    assert dual_bound(model, rows, [mu / 3 for mu in mus]) == product_bound(6)
+    assert dual_bound(model, kkt["active"], kkt["multipliers"]) == product_bound(6)
+    assert dual_bound(model, kkt["active"], [Fraction(mu) / 3 for mu in kkt["multipliers"]]) \
+        == product_bound(6)
 
 
 @pytest.mark.parametrize("r", range(4, 17))
@@ -407,25 +403,9 @@ def test_optimum_exceeds_bound_is_relative():
 
 
 def test_kkt_certificate_at_optimum():
-    cert = kkt_certificate(linear_point(5, 2, exact=True))
+    cert = kkt_certificate(RegionConstraints(5, 2), 0)
     assert cert["optimal"] and cert["exact"] and cert["residual"] == 0.0
     assert all(Fraction(m) > 0 for m in cert["multipliers"])
-    # only an exact bend point is fitted: its float copy gets no multipliers
-    assert kkt_certificate(linear_point(5, 2)) == {
-        "optimal": False, "residual": None, "active": [], "multipliers": [], "exact": False}
-
-
-def test_kkt_interior_point_improves_by_gradient():
-    # strictly increasing gaps leave every tent constraint slack, so only
-    # the x_r = 1 face is active and the gradient itself improves; the point
-    # is off the bend, so nothing is fitted, in floats or exactly
-    x = tuple(np.cumsum(np.arange(1, 7)) / 21)
-    cert = kkt_certificate(FeasiblePoint(r=6, k=1, x=x))
-    assert not cert["optimal"] and cert["active"] == [] and cert["multipliers"] == []
-    assert cert["residual"] is None and cert["exact"] is False
-    exact = FeasiblePoint(r=6, k=1, x=tuple(Fraction(v, 21) for v in (1, 3, 6, 10, 15, 21)))
-    cert = kkt_certificate(exact)
-    assert cert["exact"] and not cert["optimal"] and cert["active"] == []
 
 
 @pytest.mark.parametrize("r,k", [(6, 1), (9, 1), (9, 2), (12, 3), (15, 4)])
