@@ -23,23 +23,23 @@ method (``face_newton``) on two faces: its coordinates above
 without its lowest-ratio coordinate, which certifies a start crawling
 toward a degenerate maximum on the smaller face.  Replicator ascent finds
 the face, Newton's method finishes it.  Each start stops on its own, for
-the first of four reasons (``STOP_REASONS``):
+the first of three reasons (``STOP_REASONS``):
 
 * ``certified``: the fixed-point (KKT) residual at the current point is
   below ``CERTIFIED_RESIDUAL`` and the tangent Hessian on its support is
   negative semidefinite within ``NSD_REL``.  A first-order point that fails
   the second test is a saddle: it is stepped along the top eigenvector of
   that Hessian (``saddle_escape``) and goes on ascending;
-* ``delta``: the step moved no coordinate by ``tol`` or more;
 * ``polished``: its polished point passes the same two tests as
   ``certified`` (on the polish's face) and has a value at least that of the
   start where it was polished.  The start ends at that point; a start whose
   polish fails goes on ascending unchanged;
-* ``cap``: it ran all ``iters`` iterations.
+* ``cap``: it ran all ``iters`` iterations, ``MAX_ITERS`` by default.
 
 So ``certified`` and ``polished`` state one second-order condition: the
 start ends at a local maximum to within these tolerances, not necessarily
-the global one.  Each start runs the same way in any batch.
+the global one.  No start stops for a small step, as one leaving a saddle
+takes.  Each start runs the same way in any batch.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ NSD_REL = 1e-9
 # a saddle's escape tries this many halvings of the step to the boundary
 ESCAPE_HALVINGS = 8
 
-STOP_REASONS = ("certified", "delta", "cap", "polished")
-CERTIFIED, DELTA, CAP, POLISHED = range(len(STOP_REASONS))
+MAX_ITERS = 20_000  # a start that runs this many iterations stops ``cap``
+STOP_REASONS = ("certified", "cap", "polished")
+CERTIFIED, CAP, POLISHED = range(len(STOP_REASONS))
 # a start "reached the best" when its value is within this share of the best
 BEST_REL = 1e-9
 
@@ -84,6 +85,7 @@ def start_diagnostics(values: np.ndarray, steps: np.ndarray, stops: np.ndarray) 
 
 
 def backend_name() -> str:
+    """The kernel backend; the benchmark records it with each run."""
     return "numpy"
 
 
@@ -303,8 +305,7 @@ def saddle_escape(edges: np.ndarray, index: list, Xt: np.ndarray, P: np.ndarray)
     return nsd, Z / Z.sum(axis=0), values[best, cols] > P[~nsd]
 
 
-def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
-                     iters: int = 5000, tol: float = 1e-14):
+def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray, iters: int = MAX_ITERS):
     """Run replicator ascent from each start.
 
     Returns (values, end points, iterations run per start, stop reason per
@@ -350,14 +351,12 @@ def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray,
             saddle = kkt[~nsd]
             certified[saddle] = False
             newXt[:, saddle[up]] = Z[:, up]
-        done = certified | (np.abs(newXt - Xt).max(axis=0) < tol)
         Xt = newXt
-        if done.any():
-            X[idx[done]] = Xt[:, done].T
-            steps[idx[done]] = it + 1
-            stop[idx[done]] = np.where(certified[done], CERTIFIED, DELTA)
-            keep = ~done
-            idx, Xt = idx[keep], Xt[:, keep]
+        if certified.any():
+            X[idx[certified]] = Xt[:, certified].T
+            steps[idx[certified]] = it + 1
+            stop[idx[certified]] = CERTIFIED
+            idx, Xt = idx[~certified], Xt[:, ~certified]
     X[idx] = Xt.T
     values = edge_poly_batch(edges, X)
     return values, X, steps, stop

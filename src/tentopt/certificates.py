@@ -70,6 +70,23 @@ class Certificate:
             raise ValueError(f"malformed certificate: missing {missing}") from None
 
 
+def max_evidence(rep) -> dict:
+    """Evidence of a region maximum from its ``OptimizationReport``: the
+    exact argmax as Fraction strings, the value, the KKT certificate and the
+    exact bracket."""
+    p = rep.argmax
+    bracket = {key: None if v is None else str(v) for key, v in rep.bracket.items()}
+    return {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
+            "kkt": rep.kkt, "bracket": bracket}
+
+
+def counterexample_evidence(point) -> dict:
+    """Evidence of a counterexample from its exact ``FeasiblePoint``: the
+    point as Fraction strings and its product."""
+    return {"r": point.r, "k": point.k, "x_exact": [str(v) for v in point.x],
+            "value": float(point.product())}
+
+
 def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
     """The point's exact feasibility, its product against the claimed value,
     the ``optimal`` flag and the exact bracket, all in Fractions with no

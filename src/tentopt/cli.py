@@ -21,7 +21,7 @@ import sys
 import click
 
 from ._base import _SEED, BudgetExceededError
-from .certificates import Certificate, verify_certificate
+from .certificates import Certificate, counterexample_evidence, max_evidence, verify_certificate
 from .region import (
     FeasiblePoint,
     ceil_r_over_e,
@@ -207,15 +207,6 @@ def _report_payload(rep) -> dict:
     }
 
 
-def _max_evidence(rep) -> dict:
-    """Certificate evidence of a report: the exact argmax as Fraction
-    strings, the value, the KKT certificate and the exact bracket."""
-    p = rep.argmax
-    bracket = {key: None if v is None else str(v) for key, v in rep.bracket.items()}
-    return {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
-            "kkt": rep.kkt, "bracket": bracket}
-
-
 @region.command("max")
 @click.option("--r", type=int, required=True)
 @click.option("--k", type=int, required=True)
@@ -232,7 +223,7 @@ def region_max(ctx, r, k, certificate, output):
         # eps = 0 exactly when f'(0) <= 0; above it the theorem makes no claim
         exact = rep.diagnostics["path"] == "exact-linear-point"
         claim = "region-product-maximum" if exact else "region-probe"
-        _write_certificate(ctx, certificate, claim, _max_evidence(rep))
+        _write_certificate(ctx, certificate, claim, max_evidence(rep))
 
 
 @region.command("counterexample")
@@ -243,22 +234,20 @@ def region_max(ctx, r, k, certificate, output):
 @click.pass_context
 def region_counterexample(ctx, r, k, certificate, output):
     point = counterexample_point(r, k)
+    evidence = counterexample_evidence(point)
     prod = point.product()
     bound = product_bound(r)
-    payload = {
+    _emit({
         "r": r, "k": k,
         "x": [float(v) for v in point.x],
-        "x_exact": [str(v) for v in point.x],
+        "x_exact": evidence["x_exact"],
         "product": str(prod),
         "bound": str(bound),
         "margin": float(prod - bound),
         "exceeds_bound": prod > bound,
-    }
-    _emit(payload, output)
+    }, output)
     if certificate:
-        _write_certificate(ctx, certificate, "region-counterexample",
-                           {"r": r, "k": k, "x_exact": payload["x_exact"],
-                            "value": float(prod)})
+        _write_certificate(ctx, certificate, "region-counterexample", evidence)
 
 
 @region.command("segments")
@@ -373,10 +362,8 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
         raise click.UsageError("supported range is 2 <= r-min <= r-max <= 200")
     rows = []
     for r in range(r_min, r_max + 1):
-        k = ceil_r_over_e(r)
-        if k > r // 2:
-            rows.append({"r": r, "note": f"skipped: ceil(r/e)={k} exceeds floor(r/2)"})
-            continue
+        # ceil(r/e) <= r // 2 for r >= 4; at r = 3 it is 2, and f'(0; 3, 1) < 0
+        k = min(ceil_r_over_e(r), r // 2)
         rep = maximize_product(r, k)
         bound = product_bound(r)
         dev = max(abs(float(v) - i / r) for i, v in enumerate(rep.argmax.x, 1))
@@ -392,7 +379,7 @@ def report_theorem_table(ctx, r_min, r_max, cert_dir, output):
         })
         if cert_dir:
             _write_certificate(ctx, f"{cert_dir}/region-max-r{r}.json",
-                               "region-product-maximum", _max_evidence(rep))
+                               "region-product-maximum", max_evidence(rep))
     _write_table(rows, ctx.obj["fmt"], output)
 
 

@@ -314,12 +314,6 @@ def ratio_sequence(d: EdgeDistribution) -> RatioSequence:
 # entropic density
 
 
-# the replicator ascent on the marginals stops a start when no marginal moved
-# by STEP_TOL, or after MAX_STEPS
-STEP_TOL = 1e-14
-MAX_STEPS = 2000
-
-
 @dataclass(frozen=True)
 class EntropicDensityResult:
     value: float
@@ -327,7 +321,8 @@ class EntropicDensityResult:
     # "converged" when the best start stopped ``certified`` or ``polished``:
     # its replicator fixed-point residual fell below
     # ``_kernels.CERTIFIED_RESIDUAL`` and its tangent Hessian is negative
-    # semidefinite, a local maximum of the ascent; otherwise "best-found"
+    # semidefinite, a local maximum of the ascent; "best-found" when it
+    # stopped ``cap``
     status: str
     # how the starts ran, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
@@ -353,8 +348,9 @@ def entropic_density(H: Hypergraph, restarts: int = 100,
     step on m, so the ascent is ``replicator_batch`` on the marginals.  The
     starts are the Lagrangian witness, then the marginals of the uniform and
     ``restarts`` Dirichlet edge distributions; ``seed`` drives both the
-    Dirichlet starts and the Lagrangian.  Each end point m gives the edge
-    distribution w_e ∝ ∏_{v∈e} m_v, and the best of these is the witness.
+    Dirichlet starts and the Lagrangian.  Each start stops ``certified``,
+    ``polished`` or ``cap`` (see ``_kernels``).  Each end point m gives the
+    edge distribution w_e ∝ ∏_{v∈e} m_v, and the best of these is the witness.
     ValueError when ``restarts`` is negative.
     """
     if restarts < 0:
@@ -371,7 +367,7 @@ def entropic_density(H: Hypergraph, restarts: int = 100,
     W0 = np.column_stack([np.full(m_edges, 1.0 / m_edges),
                           rng.dirichlet(np.ones(m_edges), size=restarts).T])
     starts = np.vstack([lag.witness.as_array(), (B @ W0 / r).T])
-    P, M, steps, stops = replicator_batch(edges, n, starts, iters=MAX_STEPS, tol=STEP_TOL)
+    P, M, steps, stops = replicator_batch(edges, n, starts)
     # the columns of products over each edge sum to the edge polynomial P
     W = M[:, edges].prod(axis=2).T / P
     values = _log_density(B, W, r)

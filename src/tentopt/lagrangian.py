@@ -23,8 +23,6 @@ from .homs import DEFAULT_BUDGET, SearchBudget, find_homomorphism, is_hom_free
 from .region import product_bound
 
 DEFAULT_RESTARTS = 200
-# a start stops when its step moves no coordinate by this much
-STEP_TOL = 1e-12
 GRID_POINTS = 200_000  # most nodes of the ``lagrangian_grid`` mesh
 
 
@@ -58,7 +56,7 @@ class LagrangianResult:
     # "converged" when the witness's start stopped ``certified`` or
     # ``polished``: it passed the kernel's first- and second-order local
     # tests, so it is a local maximum, not necessarily the global one;
-    # otherwise "budget-limited"
+    # "budget-limited" when it stopped ``cap``
     status: str
     restarts_used: int
     # how the starts ran, in ``_kernels.start_diagnostics``' format
@@ -86,7 +84,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     point; deterministic for a fixed seed (restart results reduced by value,
     within ``_kernels.BEST_REL`` relative as ``reached_best`` counts it,
     then lexicographically smallest witness).  Each start stops on its own,
-    for one of four reasons (see ``_kernels``); ``diagnostics`` says how.
+    for one of three reasons (see ``_kernels``); ``diagnostics`` says how.
     A start stops ``certified`` at a point whose fixed-point residual is
     below ``_kernels.CERTIFIED_RESIDUAL`` and whose tangent Hessian on the
     support is negative semidefinite; a first-order point that fails the
@@ -94,11 +92,12 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     100 iterations the kernel polishes each running start by Newton's
     method on its face and on that face without its lowest-ratio vertex,
     and a start stops ``polished`` when that point passes the same two
-    tests and is no lower than the start.  ``status`` is "converged" when
-    the witness's start stopped ``certified`` or ``polished``, else
-    "budget-limited".  "converged" says the witness is a local maximum to
-    these tolerances, not that it is the global one; for r = 2
-    ``motzkin_straus_value`` is the exact check.  ValueError when
+    tests and is no lower than the start.  A start that does neither within
+    ``_kernels.MAX_ITERS`` iterations stops ``cap``.  ``status`` is
+    "converged" when the witness's start stopped ``certified`` or
+    ``polished``, else "budget-limited".  "converged" says the witness is a
+    local maximum to these tolerances, not that it is the global one; for
+    r = 2 ``motzkin_straus_value`` is the exact check.  ValueError when
     ``restarts`` is negative.
     """
     if restarts < 0:
@@ -110,7 +109,7 @@ def lagrangian(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
     rng = np.random.default_rng(seed)
     starts = np.vstack([np.full((1, H.n), 1.0 / H.n),
                         rng.dirichlet(np.ones(H.n), size=restarts)])
-    values, xs, steps, stops = replicator_batch(edges, H.n, starts, iters=20000, tol=STEP_TOL)
+    values, xs, steps, stops = replicator_batch(edges, H.n, starts)
     order = np.argsort(-values)
     best = top = order[0]
     for idx in order:
@@ -163,7 +162,7 @@ def lagrangian_grid(H: Hypergraph) -> float:
     edges = _edge_array(H)
     vals = edge_poly_batch(edges, grid)
     top = np.argsort(-vals)[:32]
-    values = replicator_batch(edges, n, grid[top] + 1e-9, iters=20000, tol=1e-14)[0]
+    values = replicator_batch(edges, n, grid[top] + 1e-9)[0]
     return float(max(vals.max(), values.max()))
 
 

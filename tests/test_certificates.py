@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from tentopt.certificates import (
     ANCHOR_INDEX,
     Certificate,
+    counterexample_evidence,
+    max_evidence,
     verify_certificate,
 )
-from tentopt.cli import _max_evidence
 from tentopt.region import (
     RegionConstraints,
     ceil_r_over_e,
@@ -30,18 +31,16 @@ def max_certificate(r=5, k=2, claim="region-product-maximum"):
         claim=claim,
         anchor=claim,
         config={"seed": 42, "r": r, "k": k},
-        evidence=_max_evidence(maximize_product(r, k)),
+        evidence=max_evidence(maximize_product(r, k)),
     )
 
 
 def counterexample_certificate(r=6, k=1):
-    p = counterexample_point(r, k)
     return Certificate(
         claim="region-counterexample",
         anchor="region-counterexample",
         config={"seed": 42, "r": r, "k": k},
-        evidence={"r": r, "k": k, "x_exact": [str(v) for v in p.x],
-                  "value": float(math.prod(p.x))},
+        evidence=counterexample_evidence(counterexample_point(r, k)),
     )
 
 
@@ -145,10 +144,8 @@ def test_tampered_value_fails_named_check():
 
 def test_tampered_counterexample_point_fails():
     cert = counterexample_certificate()
-    ev = dict(cert.evidence)
-    x = [Fraction(s) for s in ev["x_exact"]]
-    x[0] = x[2]  # breaks monotonicity
-    ev["x_exact"] = [str(v) for v in x]
+    ev = evidence_copy(cert)
+    ev["x_exact"][0] = ev["x_exact"][2]  # breaks monotonicity
     passed, checks = verify_certificate(
         Certificate(cert.claim, cert.anchor, cert.config, ev))
     assert not passed

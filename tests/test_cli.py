@@ -185,6 +185,21 @@ def test_theorem_table_with_certs(tmp_path):
         assert json.loads(vres.output)["passed"] is True
 
 
+def test_theorem_table_rows_below_four(tmp_path):
+    # ceil(3/e) = 2 exceeds floor(3/2), so r = 3 takes k = 1, where
+    # f'(0; 3, 1) = -1/2: the maximum is 3!/3^3 all the same
+    certs = tmp_path / "certs"
+    certs.mkdir()
+    res = invoke("report", "theorem-table", "--r-min", "2", "--r-max", "3",
+                 "--cert-dir", str(certs))
+    rows = json.loads(res.output)
+    assert [(row["r"], row["k"]) for row in rows] == [(2, 1), (3, 1)]
+    assert all(row["relative_gap"] == 0 and row["exact_tight"] for row in rows)
+    for r in (2, 3):
+        vres = invoke("verify", str(certs / f"region-max-r{r}.json"))
+        assert vres.exit_code == 0 and json.loads(vres.output)["passed"] is True
+
+
 def test_theorem_table_certificates_are_exact(tmp_path):
     from tentopt.certificates import Certificate, verify_certificate
 

@@ -4,6 +4,8 @@ replicator step, and a replicator ascent that stops only when no coordinate
 moves."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +141,7 @@ def check_against_reference(H, starts, iters):
     same two properties and a value at least that of the reference after as
     many plain steps.  Returns the stop reasons."""
     edges = _edge_array(H)
-    values, X, steps, stops = _kernels.replicator_batch(edges, H.n, starts, iters=iters, tol=1e-14)
+    values, X, steps, stops = _kernels.replicator_batch(edges, H.n, starts, iters=iters)
     assert len(values) == len(X) == len(steps) == len(stops) == len(starts)
     for s in range(len(starts)):
         prev = x = list(starts[s])
@@ -175,7 +177,7 @@ def test_replicator_monotone_objective():
     x = rng.dirichlet(np.ones(H.n))[None, :]
     prev = -np.inf
     for iters in (1, 5, 20, 100, 500):
-        val = _kernels.replicator_batch(edges, H.n, x, iters=iters, tol=0.0)[0]
+        val = _kernels.replicator_batch(edges, H.n, x, iters=iters)[0]
         assert val[0] >= prev - 1e-12
         prev = val[0]
 
@@ -218,11 +220,12 @@ PLATEAU_MAX = 0.06727599372435
 def test_early_stop_keeps_best_value():
     """On 50 seeded random hosts and on a host with a plateau the best value
     of the early-stopping kernel is within 1e-9 (relative) of the ascent
-    that stops only on delta.  Where that ascent's best start runs all its
-    steps, it stops short of the maximum (two random hosts whose maximum is
-    a degenerate K4^(3), as in ``DEGENERATE_HOST``, 2.8e-9 below 1/16, and
-    the plateau host, 3.9e-9 below ``PLATEAU_MAX``); there the kernel's best
-    start is certified or polished, no lower, and at that maximum."""
+    that stops only when no coordinate moves by 1e-12.  Where that ascent's
+    best start runs all its steps, it stops short of the maximum (two random
+    hosts whose maximum is a degenerate K4^(3), as in ``DEGENERATE_HOST``,
+    2.8e-9 below 1/16, and the plateau host, 3.9e-9 below ``PLATEAU_MAX``);
+    there the kernel's best start is certified or polished, no lower, and at
+    that maximum."""
     rng = np.random.default_rng(11)
     cases = []
     for H in random_hosts(50, 10):
@@ -233,7 +236,7 @@ def test_early_stop_keeps_best_value():
                   starts / starts.sum(axis=1)[:, None], PLATEAU_MAX))
     budget_limited = 0
     for edges, n, starts, maximum in cases:
-        values, _, _, stops = _kernels.replicator_batch(edges, n, starts, iters=20000, tol=1e-12)
+        values, _, _, stops = _kernels.replicator_batch(edges, n, starts)
         ref, active = full_ascent(edges, n, starts, 20000, 1e-12)
         if not active[ref.argmax()]:
             assert values.max() == pytest.approx(ref.max(), rel=1e-9), edges.tolist()
@@ -304,7 +307,7 @@ def test_polish_certifies_crawling_starts():
     the best value stays that of the full ascent."""
     edges = np.array(CRAWL_HOST, dtype=np.int64)
     starts = np.random.default_rng(1).dirichlet(np.ones(7), size=30)
-    values, _, steps, stops = _kernels.replicator_batch(edges, 7, starts, 20000, 1e-12)
+    values, _, steps, stops = _kernels.replicator_batch(edges, 7, starts)
     assert (stops == _kernels.POLISHED).sum() >= 5
     assert set(stops) <= {_kernels.CERTIFIED, _kernels.POLISHED}
     assert steps.max() <= 1000
@@ -318,7 +321,7 @@ def test_polish_certifies_starts_vanishing_toward_a_lower_maximum():
     iterations, each no lower than the full ascent, and the best value
     stays that of the full ascent."""
     edges = np.array(VANISHING_HOST, dtype=np.int64)
-    values, _, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS, 20000, 1e-12)
+    values, _, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS)
     ref, active = full_ascent(edges, 9, VANISHING_STARTS, 20000, 1e-12)
     crawling = active & (ref < values.max() * (1 - 1e-6))
     assert crawling.sum() >= 5
@@ -333,9 +336,9 @@ def test_each_start_runs_as_if_alone():
     """Each start run alone ends with the same value, point, stop reason and
     iterations as in the batch: no stop depends on the other starts."""
     edges = np.array(VANISHING_HOST, dtype=np.int64)
-    values, X, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS, 20000, 1e-12)
+    values, X, steps, stops = _kernels.replicator_batch(edges, 9, VANISHING_STARTS)
     for s, start in enumerate(VANISHING_STARTS):
-        value, x, step, stop = _kernels.replicator_batch(edges, 9, start[None], 20000, 1e-12)
+        value, x, step, stop = _kernels.replicator_batch(edges, 9, start[None])
         assert (step[0], stop[0]) == (steps[s], stops[s])
         assert value[0] == pytest.approx(values[s], rel=1e-13)
         np.testing.assert_allclose(x[0], X[s], atol=1e-13)
@@ -367,6 +370,29 @@ def test_lagrangian_polishes_crawling_starts():
     starts = np.random.default_rng(1).dirichlet(np.ones(7), size=30)
     ref = full_ascent(np.array(CRAWL_HOST, dtype=np.int64), 7, starts, 20000, 1e-12)[0]
     assert res.value == pytest.approx(ref.max(), rel=1e-9)
+
+
+def test_a_start_beside_a_saddle_is_not_stopped_by_its_small_step():
+    """On K4 the triangle point is a saddle of the edge polynomial (value
+    1/3) where the fourth vertex has ratio 1.5: a start there with that
+    vertex at 1e-14 takes tiny steps at first, and still ends certified or
+    polished at the Motzkin-Straus value 3/8."""
+    edges = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.int64)
+    start = np.array([[1 / 3, 1 / 3, 1 / 3, 1e-14]])
+    values, _, _, stops = _kernels.replicator_batch(edges, 4, start / start.sum())
+    assert stops[0] in (_kernels.CERTIFIED, _kernels.POLISHED)
+    assert values[0] == pytest.approx(3 / 8, rel=1e-12)
+
+
+def test_readme_lists_every_stop_reason():
+    """README's kernel section names each stop reason in one bullet, and
+    counts them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    count, section = re.search(r"the first of (\w+) reasons:\n\n(.*?)\n\n", readme,
+                               re.S).groups()
+    bullets = re.findall(r"^- `(\w+)`:", section, re.M)
+    assert sorted(bullets) == sorted(_kernels.STOP_REASONS)
+    assert count == ("one", "two", "three", "four", "five")[len(bullets) - 1]
 
 
 def test_default_backend_reported():

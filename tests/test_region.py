@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tentopt.region as region
-from tentopt.certificates import Certificate, verify_certificate
-from tentopt.cli import _max_evidence
+from tentopt.certificates import Certificate, max_evidence, verify_certificate
 from tentopt.region import (
     TOL_FEAS,
     TOL_KKT,
@@ -332,7 +331,7 @@ def test_bend_certifies_beyond_the_grid(monkeypatch, r, k):
     assert lower <= upper <= (1 + Fraction(1, 10**20)) * lower
     assert rep.diagnostics["fit"]["support"] == len(rep.kkt["active"]) <= r - 1
     assert rep.kkt["residual"] < TOL_KKT and rep.kkt["exact"] is False
-    probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, _max_evidence(rep))
+    probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, max_evidence(rep))
     passed, checks = verify_certificate(probe)
     assert passed, [check for check in checks if not check[1]]
 
@@ -354,7 +353,7 @@ def test_bend_bracket_certifies_the_grid():
         assert lower >= product_bound(r)
         if k < floor_r_over_e(r):
             assert lower > math.prod(counterexample_point(r, k).x), (r, k)
-        probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, _max_evidence(rep))
+        probe = Certificate("region-probe", "region-probe", {"r": r, "k": k}, max_evidence(rep))
         passed, checks = verify_certificate(probe)
         assert passed, (r, k, [check for check in checks if not check[1]])
 
