@@ -38,7 +38,7 @@ _EXPORTS = {
         "FeasiblePoint", "OptimizationReport", "RegionConstraints", "SegmentDecomposition",
         "bend_point", "check_feasible", "counterexample_point", "fprime_zero",
         "kkt_certificate", "maximize_product", "perturb", "quartic_inequality",
-        "segments", "upper_bound_gap",
+        "segments",
     ),
     "certificates": ("ANCHOR_INDEX", "Certificate", "verify_certificate"),
     "isomorphism": ("find_isomorphism", "is_isomorphic"),

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 import click
 
@@ -254,9 +255,12 @@ def region_counterexample(ctx, r, k, certificate, output):
 @click.argument("point", type=click.Path(exists=True))
 @click.pass_context
 def region_segments(ctx, point):
+    # each coordinate a JSON number, read by its decimal text, or a Fraction
+    # string ("1/6", as counterexample certificates store x_exact); a point
+    # outside the region, checked exactly, raises ValueError (exit 3)
     with open(point) as fh:
-        d = json.load(fh)
-    p = FeasiblePoint(r=d["r"], k=d["k"], x=tuple(d["x"]))
+        d = json.load(fh, parse_float=Fraction)
+    p = FeasiblePoint(r=d["r"], k=d["k"], x=tuple(Fraction(v) for v in d["x"]))
     dec = segments(p)
     _emit({
         "initial_length": dec.initial_length,
@@ -408,7 +412,7 @@ def report_counterexample_table(ctx, r_min, r_max, output):
                 "r": r,
                 "k": k,
                 "eps": str(eps),
-                "feasible_exact": point.is_exact,
+                "feasible_exact": True,  # every FeasiblePoint is checked exactly
                 "product": float(prod),
                 "bound": float(bound),
                 "margin": float(prod - bound),

@@ -531,7 +531,7 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     worst = math.inf
     failures = 0
     for rs in _ratio_sequences(H, W):
-        tent_slack = model.slack(rs.x)[: model.n_tent].min()
+        tent_slack = min(model.slack(rs.x)[: model.n_tent])
         worst = min(worst, tent_slack)
         failures += int(tent_slack < -1e-9)
     return {

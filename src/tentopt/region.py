@@ -13,19 +13,20 @@ the counterexample is the bend point at eps = 1/m, m read off the first
 Newton step in closed form.  Segment structure and the improving
 perturbation also live here.
 
-Rational points are checked exactly, as integer numerators over one common
-denominator.  ``kkt_certificate(model, eps)`` builds the multipliers of the
-bend at eps by one recursion, ``_stick_cuts``: mu on the tent row (i, j, s)
-is an amount of sticks of length s cut into pieces i and j, and r - 1
-sticks of length r are cut down to 1/x_n pieces of each length n < r,
-along the rows tight at the bend.  At eps = 0 it runs in Python ints and
-certifies exactly, in every case checked exactly when f'(0) <= 0; at
-eps > 0 it runs in floats.  ``dual_bound`` reads them as the certificate
-stores them, in the solver and the verifier alike.  The region code loads
-no scipy, and its exact path no numpy: row indices are Python lists and a
-rational point's slacks Python ints.  Only the float code (float slacks,
-``A``, ``as_floats``, ``minimize``, the float KKT residual, segments and
-the perturbation) imports numpy, when called.
+Every region point is exact: a ``FeasiblePoint`` holds Fractions (or
+ints) and is checked with no tolerance, as integer numerators over one
+common denominator.  ``kkt_certificate(model, eps)`` builds the
+multipliers of the bend at eps by one recursion, ``_stick_cuts``: mu on
+the tent row (i, j, s) is an amount of sticks of length s cut into pieces
+i and j, and r - 1 sticks of length r are cut down to 1/x_n pieces of
+each length n < r, along the rows tight at the bend.  At eps = 0 it runs
+in Python ints and certifies exactly, in every case checked exactly when
+f'(0) <= 0; at eps > 0 it runs in floats.  ``dual_bound`` reads them as
+the certificate stores them, in the solver and the verifier alike.  The
+module imports neither numpy nor scipy: row indices are Python lists, a
+rational point's slacks Python ints, and the floats (the bend's Newton
+solve, its KKT residual and the slacks of a float vector) plain Python
+floats.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
-TOL_FEAS = 1e-9
-TOL_SEG = 1e-7
-TOL_SYM = 1e-6  # mirror sums x_j + x_{r-j} = 1 at a point ``perturb`` accepts
+TOL_FEAS = 1e-9  # check_feasible's default, for float vectors
 TOL_KKT = 1e-8  # relative stationarity residual of an optimal float KKT fit
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
@@ -69,15 +69,15 @@ def tent_constraints(r: int, k: int) -> list[tuple[int, int, int]]:
 
 
 class RegionConstraints:
-    """The inequality rows A @ x <= 0 of the (r, k) region, over all r
+    """The inequality rows A_t . x <= 0 of the (r, k) region, over all r
     coordinates.  ``labels`` lists the tent rows ("tent", i, j, i+j), that
     is x_i + x_j - x_{i+j}, in ``tent_constraints`` order (the first
     ``n_tent`` rows), then the monotone rows ("monotone", i, i+1), that is
-    x_i - x_{i+1}; ``A`` holds their integer normals.  x_r = 1 is the one
-    equality row, with normal e_r; x_1 > 0 is left to ``check_feasible``.
-    ``slack``, ``scaled_slack`` and ``combine`` read the two or three
-    coordinates of each row; rational points go through ``scaled_slack``,
-    in Python ints, and only float points and ``A`` use numpy.
+    x_i - x_{i+1}; ``combine`` builds their integer normals A_t.  x_r = 1 is
+    the one equality row, with normal e_r; x_1 > 0 is left to
+    ``check_feasible``.  ``slack``, ``scaled_slack`` and ``combine`` read
+    the two or three coordinates of each row; rational points go through
+    ``scaled_slack``, in Python ints.
     """
 
     def __init__(self, r: int, k: int):
@@ -95,12 +95,6 @@ class RegionConstraints:
                 + [("monotone", i, i + 1) for i in range(1, self.r)])
 
     @cached_property
-    def A(self):
-        import numpy as np
-        E = np.eye(self.r, dtype=np.int64)
-        return np.vstack([E[self._i] + E[self._j] - E[self._s], E[:-1] - E[1:]])
-
-    @cached_property
     def _row_of(self) -> dict:
         return {label: t for t, label in enumerate(self.labels)}
 
@@ -112,19 +106,18 @@ class RegionConstraints:
             raise ValueError(
                 f"{label!r} is not a constraint of the ({self.r}, {self.k}) region") from None
 
-    def slack(self, x):
-        """-A @ x for every row, nonnegative on the region: a list of
-        Fractions for rational x, a float ndarray otherwise."""
+    def slack(self, x) -> list:
+        """-A_t . x for every row t, nonnegative on the region: Fractions
+        for rational x, floats otherwise."""
         if is_rational(x):
             N, D = self.scaled_slack(x)
             return [Fraction(n, D) for n in N]
-        import numpy as np
-        return np.array(self._rows([float(v) for v in x]))
+        return self._rows([float(v) for v in x])
 
     def scaled_slack(self, x) -> tuple[list[int], int]:
-        """(N, D) with -A @ x = N / D for rational x: D is the least common
-        denominator of x and N a list of Python ints, so a sign test on a
-        row builds no Fraction."""
+        """(N, D) with -A_t . x = N[t] / D for rational x: D is the least
+        common denominator of x and N a list of Python ints, so a sign test
+        on a row builds no Fraction."""
         D = math.lcm(*(v.denominator for v in x))
         return self._rows([v.numerator * (D // v.denominator) for v in x]), D
 
@@ -133,7 +126,7 @@ class RegionConstraints:
                 + [b - a for a, b in zip(x, x[1:])])
 
     def combine(self, rows, weights) -> list:
-        """sum_t weights[t] * A[rows[t]] as a list of r coordinates."""
+        """sum_t weights[t] * A_{rows[t]} as a list of r coordinates."""
         out = [0] * self.r
         for t, w in zip(rows, weights):
             if t < self.n_tent:
@@ -176,7 +169,7 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
         slacks = {row: Fraction(N[row], D) for row in bad}
     else:
         slacks = model.slack(x)
-        bad = (slacks < -tol).nonzero()[0]
+        bad = [row for row, s in enumerate(slacks) if s < -tol]
     for row in bad:
         violations.append((_describe(model.labels[row]), slacks[row]))
     return not violations, violations
@@ -184,11 +177,9 @@ def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
 
 @dataclass(frozen=True)
 class FeasiblePoint:
-    """A region member; coordinates may be floats or Fractions.
-
-    Construction checks feasibility and raises ValueError on a violation:
-    with no tolerance when every coordinate is rational (``is_exact``),
-    within TOL_FEAS otherwise.
+    """A region member in exact arithmetic: every coordinate a Fraction or
+    an int.  Construction raises ValueError on any other coordinate, and on
+    a violated row, checked with no tolerance.
     """
 
     r: int
@@ -197,35 +188,22 @@ class FeasiblePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
-        ok, bad = check_feasible(self.x, self.r, self.k,
-                                 0 if self.is_exact else TOL_FEAS)
+        if not is_rational(self.x):
+            raise ValueError(f"coordinates must be Fractions or ints: {self.x}")
+        ok, bad = check_feasible(self.x, self.r, self.k, 0)
         if not ok:
             raise ValueError(f"point is not feasible: {bad}")
 
-    @property
-    def is_exact(self) -> bool:
-        return is_rational(self.x)
-
-    def as_floats(self):
-        import numpy as np
-        return np.array([float(v) for v in self.x])
-
-    def product(self):
+    def product(self) -> Fraction:
         """prod x_i: one Fraction of the products of the numerators and of
-        the denominators, reduced once, when the point is exact."""
-        if not self.is_exact:
-            return math.prod(self.x)
+        the denominators, reduced once."""
         return Fraction(math.prod(v.numerator for v in self.x),
                         math.prod(v.denominator for v in self.x))
 
 
-def linear_point(r: int, k: int, exact: bool = False) -> FeasiblePoint:
-    """The conjectured-optimal point x_i = i/r."""
-    if exact:
-        xs = tuple(Fraction(i, r) for i in range(1, r + 1))
-    else:
-        xs = tuple(i / r for i in range(1, r + 1))
-    return FeasiblePoint(r=r, k=k, x=xs)
+def linear_point(r: int, k: int) -> FeasiblePoint:
+    """The conjectured-optimal point x_i = i/r, in Fractions."""
+    return FeasiblePoint(r=r, k=k, x=tuple(Fraction(i, r) for i in range(1, r + 1)))
 
 
 def product_bound(r: int) -> Fraction:
@@ -282,30 +260,31 @@ def minimize(r: int, k: int) -> BendSolve:
     prod_{i>k} (i + r u)/r, so the minimum solves
     g(u) = sum_{i>k} (r - i)/(i + r u) = k, where g(0) - k = f'(0).  g is
     convex and decreasing, so Newton's method from u = 0 climbs to the root
-    monotonically; u = 0 when f'(0) <= 0.  perfbench wraps this name as its
+    monotonically; u = 0 when f'(0) <= 0.  The sums are plain Python
+    floats, correctly rounded (``math.fsum``), so eps does not depend on
+    the order of summation.  perfbench wraps this name as its
     region-optimizer span (``region.slsqp``, named when SLSQP ran here) and
     reads the result's ``fun``, ``nit`` and ``success``.
     """
-    import numpy as np
-    i = np.arange(k + 1, r + 1, dtype=float)
     u, nit, done = 0.0, 0, False
     while not done and nit < 100:
-        t = (r - i) / (i + r * u)
-        h = t.sum() - k
+        d = [i + r * u for i in range(k + 1, r + 1)]
+        t = [(r - i) / di for i, di in zip(range(k + 1, r + 1), d)]
+        h = math.fsum(t) - k
         if h <= 0:
             break
-        step = h / (r * np.sum(t / (i + r * u)))
+        step = h / (r * math.fsum(ti / di for ti, di in zip(t, d)))
         u, nit = u + step, nit + 1
         done = step <= 1e-15 * u
     eps = u / (1 + u)
-    x = (1 - eps) * np.arange(1, r + 1) / r + eps * (np.arange(1, r + 1) > k)
-    return BendSolve(eps=Fraction(eps), fun=-float(np.sum(np.log(x))), nit=nit,
-                     success=nit < 100)
+    fun = -math.fsum(math.log((1 - eps) * i / r + (eps if i > k else 0.0))
+                     for i in range(1, r + 1))
+    return BendSolve(eps=Fraction(eps), fun=fun, nit=nit, success=nit < 100)
 
 
 def dual_bound(model: RegionConstraints, labels, mus) -> Fraction | None:
     """U >= prod x_i over the region, from multipliers mu >= 0 on the rows
-    ``labels``, as a KKT certificate stores them: with a = A^T mu,
+    ``labels``, as a KKT certificate stores them: with a = sum_t mu_t A_t,
     nu = -r a_r/(r - 1) and c = a + nu e_r > 0, every region point has
     c^T x <= nu, so AM-GM gives prod x_i <= (nu/r)^r / prod c_i = U, the
     geometric-programming dual (Duffin, Peterson & Zener, 1967; nu
@@ -447,7 +426,7 @@ def _stick_cuts(r: int, k: int, eps) -> dict:
 
 def kkt_certificate(model: RegionConstraints, eps) -> dict:
     """Express the log-product gradient 1/x at the bend point of ``eps``
-    (``bend_point``) as sum_t mu_t A[t] + nu e_r, with mu >= 0 on rows
+    (``bend_point``) as sum_t mu_t A_t + nu e_r, with mu >= 0 on rows
     tight there and nu on x_r = 1.
 
     mu, from ``_stick_cuts`` with no scipy, is fitted on coordinates
@@ -469,10 +448,8 @@ def kkt_certificate(model: RegionConstraints, eps) -> dict:
     if exact:  # 1/x_i = r/i at the linear point
         residual = 0.0 if combo == [Fraction(r, i) for i in range(1, r)] else None
     else:
-        import numpy as np
-        g = np.array([float(1 / v) for v in bend_coordinates(r, k, eps)])
-        residual = float(np.linalg.norm(np.array(combo) - g[: r - 1])
-                         / max(np.linalg.norm(g), 1.0))
+        g = [float(1 / v) for v in bend_coordinates(r, k, eps)]
+        residual = math.dist(combo, g[: r - 1]) / max(math.hypot(*g), 1.0)
     optimal = residual is not None and residual < TOL_KKT
     if not optimal:
         rows, mus = [], []
@@ -530,13 +507,6 @@ def fprime_zero(r: int, k: int) -> Fraction:
     return Fraction(N, L)
 
 
-def upper_bound_gap(r: int, k: int) -> float:
-    """r (log r - log k - 1); nonpositive exactly when r <= k e."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return r * (math.log(r) - math.log(k) - 1.0)
-
-
 def counterexample_point(r: int, k: int) -> FeasiblePoint:
     """Feasible point with product exceeding r!/r^r, for every
     1 <= k <= r/2 with f'(0) > 0 (``fprime_zero``): the ``bend_point`` at
@@ -565,15 +535,17 @@ def counterexample_point(r: int, k: int) -> FeasiblePoint:
 
 
 def quartic_inequality(a: float, b: float, eps: float):
-    """Compare (a+e)(b-e)(1-a-e)(1-b+e) against ab(1-a)(1-b).
+    """Compare (a+e)(b-e)(1-a-e)(1-b+e) against ab(1-a)(1-b), in Fractions
+    of the inputs.
 
-    Returns (holds, fprime0) where fprime0 = (b-a)((1-a)(1-b)+ab) is the
-    derivative of the difference at e = 0.
+    Returns (holds, fprime0) where fprime0 = (b-a)((1-a)(1-b)+ab), a
+    Fraction, is the derivative of the difference at e = 0.
     """
     if not 0 < a <= b < 0.5:
         raise ValueError("need 0 < a <= b < 1/2")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    a, b, eps = Fraction(a), Fraction(b), Fraction(eps)
     lhs = (a + eps) * (b - eps) * (1 - a - eps) * (1 - b + eps)
     rhs = a * b * (1 - a) * (1 - b)
     fprime0 = (b - a) * ((1 - a) * (1 - b) + a * b)
@@ -606,29 +578,23 @@ class SegmentDecomposition:
 
 def segments(point: FeasiblePoint) -> SegmentDecomposition:
     """All maximal intervals on which the coordinates advance in steps of
-    x_1 (with x_0 = 0 prepended), classified by position."""
-    import numpy as np
+    x_1 (with x_0 = 0 prepended), classified by position; every step is
+    compared with x_1 exactly."""
     r, k = point.r, point.k
-    x = np.concatenate([[0.0], point.as_floats()])
+    x = (0, *point.x)
     step = x[1]
-
-    def uniform(L: int, R: int) -> bool:
-        i = np.arange(L, R + 1)
-        return bool(np.all(np.abs(x[L:R + 1] - (x[L] + (i - L) * step)) <= TOL_SEG))
-
-    rmax = np.zeros(r + 1, dtype=int)
-    for L in range(r + 1):
-        R = L
-        while R + 1 <= r and uniform(L, R + 1):
-            R += 1
-        rmax[L] = R
+    # rmax[L]: the largest R with x_L, ..., x_R advancing in steps of x_1
+    rmax = list(range(r + 1))
+    for L in range(r - 1, -1, -1):
+        if x[L + 1] - x[L] == step:
+            rmax[L] = rmax[L + 1]
 
     segs = []
-    I = int(rmax[0])
+    I = rmax[0]
     for L in range(r + 1):
         if L > 0 and rmax[L - 1] >= rmax[L]:
             continue
-        R = int(rmax[L])
+        R = rmax[L]
         segs.append(Segment(
             L=L, R=R,
             central=(L >= k + 1 and R <= r - k - 1),
@@ -639,25 +605,26 @@ def segments(point: FeasiblePoint) -> SegmentDecomposition:
     return SegmentDecomposition(segments=tuple(segs), initial_length=I)
 
 
-def perturb(point: FeasiblePoint, eps: float):
+def perturb(point: FeasiblePoint, eps) -> tuple:
     """Apply the endpoint-shift perturbation rules to a symmetric point
-    whose initial segment is shorter than k; returns the shifted vector
-    (x_1..x_r), feasible and product-improving for small eps.
+    (x_j + x_{r-j} = 1 exactly for j in [k]) whose initial segment is
+    shorter than k; returns the shifted vector (x_1..x_r) for rational eps,
+    in Fractions, feasible and product-improving for small eps.
     """
-    import numpy as np
+    eps = Fraction(eps)
     r, k = point.r, point.k
-    x = np.concatenate([[0.0], point.as_floats()])
+    x = [0, *point.x]
     for j in range(1, k + 1):
-        if abs(x[j] + x[r - j] - 1.0) > TOL_SYM:
+        if x[j] + x[r - j] != 1:
             raise ValueError(f"symmetry x_{j} + x_{r - j} = 1 fails")
     dec = segments(point)
     I = dec.initial_length
     if I >= k:
         raise ValueError(f"rules require initial segment shorter than k; I={I}, k={k}")
 
-    delta: dict[int, float] = {}
+    delta: dict[int, Fraction] = {}
 
-    def shift(idx: int, amount: float):
+    def shift(idx: int, amount: Fraction):
         if idx in delta and delta[idx] != amount:
             raise RuntimeError(f"conflicting shifts at index {idx}")
         delta[idx] = amount
@@ -677,37 +644,22 @@ def perturb(point: FeasiblePoint, eps: float):
         if seg.right_crossing and not seg.left_crossing:
             shift(r - seg.R, -eps)
 
-    out = x.copy()
     for idx, amount in delta.items():
-        out[idx] += amount
-    return out[1:]
+        x[idx] += amount
+    return tuple(x[1:])
 
 
-def bisect_perturbation_eps(point: FeasiblePoint) -> float:
-    """Largest eps in [0, 0.1] (by at most 60 bisection steps) for which the
-    perturbed vector stays feasible and strictly beats the original
-    product."""
-    import numpy as np
-    base = float(np.prod(point.as_floats()))
-
-    def good(eps: float) -> bool:
+def perturbation_eps(point: FeasiblePoint) -> Fraction:
+    """The first eps = 2^-j, j = 4, ..., 60, at which the perturbed vector
+    lies in the region and its product strictly beats the point's, both
+    decided exactly; 0 if there is none."""
+    base = point.product()
+    for j in range(4, 61):
+        eps = Fraction(1, 2**j)
         y = perturb(point, eps)
-        # 1e-12 absorbs 1-ulp noise on exactly-tight mirror constraints
-        ok, _ = check_feasible(y, point.r, point.k, tol=1e-12)
-        return ok and float(np.prod(y)) > base
-
-    lo, hi = 0.0, 0.1
-    if not good(hi):
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if mid == lo or mid == hi:
-                break
-            if good(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-    return hi
+        if check_feasible(y, point.r, point.k, tol=0)[0] and math.prod(y) > base:
+            return eps
+    return Fraction(0)
 
 
 def random_symmetric_point(r: int, k: int, rng) -> FeasiblePoint:
@@ -715,43 +667,41 @@ def random_symmetric_point(r: int, k: int, rng) -> FeasiblePoint:
     initial segment of random length I <= k-1 and x_j + x_{r-j} = 1 for
     j in [k]; RuntimeError after 200 failed draws.
 
-    Built from mirrored coordinate gaps: gaps nondecreasing up to k with a
-    strict jump after position I, free middle mass at least the k-th gap,
-    and the top k gaps mirroring the bottom ones.
+    Built from mirrored coordinate gaps, each a ratio of ``rng.integers``
+    draws: gaps nondecreasing up to k with a strict jump after position I,
+    free middle mass at least the k-th gap, and the top k gaps mirroring
+    the bottom ones, so the gaps sum to 1 and the mirror sums hold exactly.
     """
-    import numpy as np
     if k < 2:
         raise ValueError("need k >= 2 so that I <= k-1 can hold with I >= 1")
+
+    def ratio(lo: int, hi: int, q: int) -> Fraction:  # p/q, p uniform in [lo, hi)
+        return Fraction(int(rng.integers(lo, hi)), q)
+
     I = int(rng.integers(1, k))
     for _ in range(200):
-        a = (0.3 + 0.5 * rng.random()) / r
+        a = ratio(300, 800, 1000 * r)
         gaps = [a] * I
         g = a
         for pos in range(I + 1, k + 1):
-            g = g * (1.1 + 0.3 * rng.random()) if pos == I + 1 else g * (1.0 + 0.2 * rng.random())
+            g *= ratio(1100, 1400, 1000) if pos == I + 1 else ratio(1000, 1200, 1000)
             gaps.append(g)
         low = sum(gaps)
         mid_count = r - 2 * k
         if mid_count > 0:
-            mass = 1.0 - 2.0 * low
+            mass = 1 - 2 * low
             if mass < mid_count * g:
                 continue
-            extra = rng.dirichlet(np.ones(mid_count)) * (mass - mid_count * g)
-            middle = list(g + extra)
+            w = [int(v) for v in rng.integers(1, 1000, size=mid_count)]
+            middle = [g + (mass - mid_count * g) * v / sum(w) for v in w]
         else:
             # r = 2k: no middle, so rescale the halves to sum to 1/2 each
-            gaps = [v * 0.5 / low for v in gaps]
+            gaps = [v / (2 * low) for v in gaps]
             middle = []
-        all_gaps = gaps + middle + gaps[::-1]
-        x = np.cumsum(all_gaps)
-        x[-1] = 1.0
-        for j in range(1, k + 1):
-            # force the mirror sums x_j + x_{r-j} = 1 to hold exactly
-            x[r - j - 1] = 1.0 - x[j - 1]
-        ok, _ = check_feasible(x, r, k, tol=1e-12)
-        if not ok:
+        try:
+            point = FeasiblePoint(r=r, k=k, x=tuple(accumulate(gaps + middle + gaps[::-1])))
+        except ValueError:
             continue
-        point = FeasiblePoint(r=r, k=k, x=tuple(x))
         if segments(point).initial_length == I:
             return point
     raise RuntimeError(f"could not sample a symmetric point for r={r}, k={k}, I={I}")

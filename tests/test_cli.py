@@ -128,6 +128,24 @@ def test_region_segments(tmp_path):
     assert len(d["segments"]) == 5
 
 
+def test_region_segments_reads_coordinates_exactly(tmp_path):
+    # Fraction strings, as counterexample certificates store x_exact, read
+    # as the same point as their decimals
+    p = tmp_path / "point.json"
+    p.write_text(json.dumps({"r": 6, "k": 2, "x": ["1/10", "1/4", "1/2", "3/4", "9/10", 1]}))
+    decimals = tmp_path / "decimals.json"
+    decimals.write_text(json.dumps({"r": 6, "k": 2, "x": [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]}))
+    assert invoke("region", "segments", str(p)).output \
+        == invoke("region", "segments", str(decimals)).output
+    # 0.1999999999 is read as its decimal text, so x_1 + x_1 <= x_2 fails by
+    # 1e-10 exactly, inside any float tolerance
+    p.write_text(json.dumps(
+        {"r": 6, "k": 2, "x": [0.1, 0.1999999999, 0.5, 0.75, 0.9, 1.0]}))
+    proc = run_main("region", "segments", str(p))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "x_1 + x_1 <= x_2" in proc.stderr and "Fraction(-1, 10000000000)" in proc.stderr
+
+
 def test_region_max_at_floor(tmp_path):
     # k = floor(6/e) = 2 is below ceil(6/e) = 3, but f'(0; 6, 2) = -3/10 <= 0:
     # the maximum is 6!/6^6 itself, and the certificate states the theorem
@@ -380,18 +398,23 @@ def test_theorem_table_loads_no_scipy(tmp_path):
 
 
 def test_certificate_commands_load_no_numpy(tmp_path):
-    # the certificate commands are exact integer and Fraction work, so each
-    # starts and runs without numpy or scipy; verify reads the certificates
-    # that the table and `region counterexample` wrote
+    # the certificate commands are exact integer and Fraction work, and a
+    # bend row's Newton solve and the segments of a point plain Python, so
+    # each starts and runs without numpy or scipy; verify reads the
+    # certificates that the table and `region counterexample` wrote
     certs = tmp_path / "certs"
     certs.mkdir()
     counter = tmp_path / "counter.json"
     invoke("region", "counterexample", "--r", "12", "--k", "2", "--certificate", str(counter))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"r": 6, "k": 2, "x": [0.1, 0.25, 0.5, 0.75, 0.9, 1.0]}))
     commands = [["--help"],
                 ["report", "theorem-table", "--r-max", "40", "--cert-dir", str(certs)],
                 ["report", "counterexample-table", "--r-max", "40"],
                 ["verify", str(certs / "region-max-r40.json")],
-                ["verify", str(counter)]]
+                ["verify", str(counter)],
+                ["region", "max", "--r", "31", "--k", "11"],
+                ["region", "segments", str(point)]]
     for args in commands:
         code = ("import sys\n"
                 "import tentopt.cli\n"

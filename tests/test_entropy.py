@@ -551,7 +551,7 @@ def test_worst_slack_is_min_of_model_tent_slacks(monkeypatch, host, k):
                                    assume_hom_free=True)
     assert rep["checked"] == len(checked) == 12
     model = RegionConstraints(host.r, k)
-    tents = model.A[: model.n_tent].astype(float)
+    tents = np.array([model.combine([t], [1]) for t in range(model.n_tent)], dtype=float)
     expected = min((-tents @ np.array(x)).min() for x in checked)
     assert rep["worst_slack"] == pytest.approx(expected, rel=0, abs=1e-15)
 

@@ -22,7 +22,7 @@ ALL = [
     "lagrangian", "make_general_tent", "make_partial_tent", "make_tent", "make_turan_graph",
     "maximize_product", "mixture", "mixture_bound_witness", "perturb", "quartic_inequality",
     "ratio_sequence", "region", "segments", "suffix_entropy_matrix",
-    "tent_family", "tree_sampler_entropy", "upper_bound_gap", "verify_certificate",
+    "tent_family", "tree_sampler_entropy", "verify_certificate",
     "verify_extension_equivalence", "verify_ratio_constraints",
 ]
 SUBMODULES = ["certificates", "entropy", "homs", "hypergraphs", "isomorphism", "lagrangian",

@@ -19,7 +19,6 @@ from tentopt.region import (
     FeasiblePoint,
     RegionConstraints,
     bend_point,
-    bisect_perturbation_eps,
     ceil_r_over_e,
     check_feasible,
     counterexample_point,
@@ -31,12 +30,19 @@ from tentopt.region import (
     maximize_product,
     minimize,
     perturb,
+    perturbation_eps,
     product_bound,
     quartic_inequality,
     random_symmetric_point,
     segments,
-    upper_bound_gap,
 )
+
+# the worked example of the segment and perturbation tests, read as decimals
+WORKED = tuple(Fraction(v) for v in ("0.1", "0.25", "0.5", "0.75", "0.9", "1"))
+
+
+def exact(x) -> bool:
+    return all(isinstance(v, Fraction) for v in x)
 
 
 def test_ceil_floor_r_over_e():
@@ -64,35 +70,46 @@ def test_check_feasible_exact_mode():
 
 
 def test_feasible_point_validation():
-    with pytest.raises(ValueError):
-        FeasiblePoint(r=4, k=2, x=(0.9, 0.9, 0.9, 1.0))
-    p = linear_point(6, 2)
-    assert p.product() == pytest.approx(720 / 6 ** 6)
+    # a float coordinate is refused even where the point is feasible; a
+    # rational point is checked exactly
+    for x in [(0.9, 0.9, 0.9, 1.0), (0.25, 0.5, 0.75, 1.0)]:
+        with pytest.raises(ValueError, match="Fractions"):
+            FeasiblePoint(r=4, k=2, x=x)
+    with pytest.raises(ValueError, match="not feasible"):
+        FeasiblePoint(r=4, k=2, x=(Fraction(9, 10),) * 3 + (1,))
+    assert linear_point(6, 2).product() == Fraction(720, 6 ** 6)
 
 
 def test_exact_product_is_one_fraction():
-    # an exact point's product is one Fraction, equal to the product of its
-    # coordinates; a float point's is the float product
+    # a point's product is one Fraction, equal to the product of its
+    # coordinates
     for r in range(4, 41):
         for k in range(1, r // 2 + 1):
             p = (counterexample_point(r, k) if fprime_zero(r, k) > 0
-                 else linear_point(r, k, exact=True))
+                 else linear_point(r, k))
             assert type(p.product()) is Fraction and p.product() == math.prod(p.x), (r, k)
-    p = linear_point(6, 2)
-    assert type(p.product()) is float and p.product() == math.prod(p.x)
     assert FeasiblePoint(r=4, k=1, x=(Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
                          ).product() == Fraction(3, 32)
 
 
 def test_exact_region_path_loads_no_numpy():
     # rational points, their slacks and the stick-cut multipliers are
-    # Python ints and Fractions: a theorem row and a counterexample need
-    # no numpy
+    # Python ints and Fractions, and the bend's floats plain Python floats:
+    # a theorem row, a bend row, a counterexample and the perturbation
+    # lemma need no numpy
     code = ("import sys\n"
-            "from tentopt.region import counterexample_point, maximize_product\n"
+            "from fractions import Fraction\n"
+            "from tentopt.region import (FeasiblePoint, counterexample_point,\n"
+            "    maximize_product, perturb, perturbation_eps, product_bound, segments)\n"
             "rep = maximize_product(40, 15)\n"
             "assert rep.kkt['exact'] and rep.bracket['lower'] == rep.bracket['upper']\n"
-            "assert counterexample_point(40, 5).is_exact\n"
+            "rep = maximize_product(40, 5)\n"
+            "assert rep.status == 'converged' and rep.diagnostics['path'] == 'bend'\n"
+            "assert counterexample_point(40, 5).product() > product_bound(40)\n"
+            f"p = FeasiblePoint(r=6, k=2, x={WORKED!r})\n"
+            "assert segments(p).initial_length == 1\n"
+            "eps = perturbation_eps(p)\n"
+            "assert eps > 0 and perturb(p, eps) != p.x\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
@@ -106,16 +123,16 @@ def test_optimum_at_threshold_k(r):
     rep = maximize_product(r, k)
     bound = float(product_bound(r))
     assert abs(rep.value - bound) / bound < 1e-6
-    assert np.abs(rep.argmax.as_floats() - np.arange(1, r + 1) / r).max() < 1e-4
+    assert rep.argmax.x == linear_point(r, k).x
     assert rep.status == "converged"
     assert rep.kkt["optimal"] and rep.kkt["residual"] < 1e-8
 
 
 def test_optimum_symmetry():
     for r, k in [(6, 3), (9, 4), (11, 5)]:
-        x = maximize_product(r, k).argmax.as_floats()
+        x = maximize_product(r, k).argmax.x
         for j in range(1, k + 1):
-            assert abs(x[j - 1] + x[r - j - 1] - 1) < 1e-6
+            assert x[j - 1] + x[r - j - 1] == 1
 
 
 @pytest.mark.parametrize("r, k, path", [(7, 3, "exact-linear-point"), (12, 2, "bend"),
@@ -151,24 +168,25 @@ def test_region_constraints_model(r):
         model = RegionConstraints(r, k)
         n_tent = sum(r - 2 * i + 1 for i in range(1, k + 1))
         assert model.n_tent == n_tent
-        assert len(model.labels) == model.A.shape[0] == n_tent + r - 1
-        assert model.A.shape[1] == r
-        assert model.A[:n_tent].sum(axis=1).tolist() == [1] * n_tent
-        assert model.A[n_tent:].sum(axis=1).tolist() == [0] * (r - 1)
+        normals = [model.combine([t], [1]) for t in range(len(model.labels))]
+        assert len(normals) == n_tent + r - 1
+        assert all(len(row) == r for row in normals)
+        assert [sum(row) for row in normals[:n_tent]] == [1] * n_tent
+        assert [sum(row) for row in normals[n_tent:]] == [0] * (r - 1)
         assert all(lab[0] == "tent" for lab in model.labels[:n_tent])
-        x = linear_point(r, k, exact=True).x
+        x = linear_point(r, k).x
         slack = model.slack(x)
-        assert list(slack[:n_tent]) == [0] * n_tent
-        assert list(slack[n_tent:]) == [Fraction(1, r)] * (r - 1)
-        # slack is -A @ x, in exact arithmetic
-        assert [-sum(int(a) * v for a, v in zip(row, x)) for row in model.A] == list(slack)
+        assert slack[:n_tent] == [0] * n_tent
+        assert slack[n_tent:] == [Fraction(1, r)] * (r - 1)
+        # slack is -A_t . x for the normal A_t of each row, in exact arithmetic
+        assert [-sum(a * v for a, v in zip(row, x)) for row in normals] == slack
         assert all(model.index(lab) == t for t, lab in enumerate(model.labels))
 
 
 def test_region_constraints_lookup():
     def normal(label, r, k):
         model = RegionConstraints(r, k)
-        return model.A[model.index(label)].tolist()
+        return model.combine([model.index(label)], [1])
 
     assert normal(("tent", 2, 2, 4), 5, 2) == [0, 2, 0, -1, 0]
     assert normal(["tent", 1, 3, 4], 4, 1) == [1, 0, 1, -1]
@@ -269,7 +287,7 @@ def test_maximize_product_certifies_linear_point_exactly(monkeypatch):
     rep = maximize_product(9, 4)
     assert rep.status == "converged"
     assert rep.value == float(product_bound(9))
-    assert rep.argmax.x == linear_point(9, 4, exact=True).x
+    assert rep.argmax.x == linear_point(9, 4).x
     kkt = rep.kkt
     assert kkt["residual"] == 0.0 and kkt["exact"] is True
     assert not any(_exact_residual(9, 4, kkt))
@@ -346,7 +364,7 @@ def test_bend_bracket_certifies_the_grid():
         rep = maximize_product(r, k)
         lower, upper = rep.bracket["lower"], rep.bracket["upper"]
         assert rep.status == "converged", (r, k)
-        assert rep.argmax.is_exact and check_feasible(rep.argmax.x, r, k, tol=0)[0], (r, k)
+        assert exact(rep.argmax.x) and check_feasible(rep.argmax.x, r, k, tol=0)[0], (r, k)
         assert rep.argmax.x == bend_point(r, k, rep.bracket["eps"]).x
         assert lower == math.prod(rep.argmax.x) and rep.value == float(lower)
         assert lower <= upper <= (1 + Fraction(1, 10**20)) * lower, (r, k)
@@ -387,7 +405,7 @@ def test_single_solve_certifies(r, k):
     # bend point's stick-cut multipliers must certify them too
     rep = maximize_product(r, k)
     assert rep.status == "converged" and rep.kkt["residual"] < TOL_KKT
-    assert RegionConstraints(r, k).slack(rep.argmax.as_floats()).min() >= -1e-12
+    assert min(RegionConstraints(r, k).slack(rep.argmax.x)) >= 0
     known = (counterexample_point(r, k) if k < floor_r_over_e(r) else linear_point(r, k)).product()
     assert rep.value >= (1 - TOL_REL) * float(known)
 
@@ -429,7 +447,7 @@ def test_counterexample_follows_fprime_sign():
     assert fprime_zero(7, 2) == Fraction(13, 20)
     for r, k in [(7, 2), (4, 1), (12, 4), (31, 11)]:
         point = counterexample_point(r, k)
-        assert point.is_exact and math.prod(point.x) > product_bound(r), (r, k)
+        assert exact(point.x) and math.prod(point.x) > product_bound(r), (r, k)
         assert point.x == bend_point(r, k, 1 - r * point.x[0]).x
     with pytest.raises(ValueError, match="f'"):
         counterexample_point(6, 2)  # f'(0; 6, 2) = -3/10
@@ -493,13 +511,6 @@ def test_fprime_sign_structure(r):
         assert fprime_zero(r, k) > 0
 
 
-def test_upper_bound_gap():
-    assert upper_bound_gap(4, 4) == pytest.approx(-4.0)
-    assert upper_bound_gap(6, 1) > 0
-    for r in range(4, 41):
-        assert upper_bound_gap(r, ceil_r_over_e(r)) < 0
-
-
 @given(st.floats(0.01, 0.24), st.floats(0.25, 0.49), st.floats(1e-6, 1e-3))
 @settings(max_examples=200, deadline=None)
 def test_quartic_inequality_small_eps(a, b, eps):
@@ -525,17 +536,14 @@ def test_segments_linear_point():
 
 
 def test_segments_counterexample_point():
-    p = bend_point(6, 1, Fraction(1, 100))
-    q = FeasiblePoint(r=6, k=1, x=tuple(float(v) for v in p.x))
-    dec = segments(q)
+    dec = segments(bend_point(6, 1, Fraction(1, 100)))
     assert dec.initial_length == 1
     assert {(s.L, s.R) for s in dec.segments} == {(0, 1), (2, 6)}
 
 
 def test_segments_flags():
     # x = (0.1, 0.25, 0.5, 0.75, 0.9, 1): segments [0,1],[2],[3],[4],[5,6]
-    p = FeasiblePoint(r=6, k=2, x=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
-    dec = segments(p)
+    dec = segments(FeasiblePoint(r=6, k=2, x=WORKED))
     spans = {(s.L, s.R): s for s in dec.segments}
     assert set(spans) == {(0, 1), (2, 2), (3, 3), (4, 4), (5, 6)}
     assert dec.initial_length == 1
@@ -557,23 +565,24 @@ def test_segment_length_cap_on_corpus():
 
 def test_perturb_preconditions():
     with pytest.raises(ValueError):
-        perturb(linear_point(6, 2), 1e-3)  # I = r >= k
-    asym = FeasiblePoint(r=6, k=2, x=(0.05, 0.2, 0.5, 0.75, 0.9, 1.0))
-    with pytest.raises(ValueError):
-        perturb(asym, 1e-3)
+        perturb(linear_point(6, 2), Fraction(1, 1000))  # I = r >= k
+    asym = tuple(Fraction(v) for v in ("0.05", "0.2", "0.5", "0.75", "0.9", "1"))
+    asym = FeasiblePoint(r=6, k=2, x=asym)
+    with pytest.raises(ValueError, match="symmetry"):
+        perturb(asym, Fraction(1, 1000))
 
 
 def test_perturb_eps_zero_is_identity():
-    p = FeasiblePoint(r=6, k=2, x=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
-    np.testing.assert_allclose(perturb(p, 0.0), p.as_floats())
+    p = FeasiblePoint(r=6, k=2, x=WORKED)
+    assert perturb(p, 0) == p.x
 
 
 def test_perturb_worked_example():
-    p = FeasiblePoint(r=6, k=2, x=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
-    y = perturb(p, 0.01)
-    np.testing.assert_allclose(y, [0.11, 0.25, 0.5, 0.75, 0.89, 1.0])
-    ok, _ = check_feasible(y, 6, 2, tol=0.0)
-    assert ok and np.prod(y) > p.product()
+    p = FeasiblePoint(r=6, k=2, x=WORKED)
+    y = perturb(p, Fraction(1, 100))
+    assert y == tuple(Fraction(v) for v in ("0.11", "0.25", "0.5", "0.75", "0.89", "1"))
+    ok, _ = check_feasible(y, 6, 2, tol=0)
+    assert ok and math.prod(y) > p.product()
 
 
 def test_perturbation_corpus_improves():
@@ -583,12 +592,13 @@ def test_perturbation_corpus_improves():
         r = int(rng.integers(6, 13))
         k = int(rng.integers(2, r // 2 + 1))
         p = random_symmetric_point(r, k, rng)
-        eps0 = bisect_perturbation_eps(p)
+        assert exact(p.x)
+        eps0 = perturbation_eps(p)
         assert eps0 > 0
         y = perturb(p, eps0 / 2)
-        ok, bad = check_feasible(y, p.r, p.k, tol=1e-12)
+        ok, bad = check_feasible(y, p.r, p.k, tol=0)
         assert ok, bad
-        assert float(np.prod(y)) > p.product()
+        assert math.prod(y) > p.product()
         improved += 1
     assert improved == 25
 
@@ -606,7 +616,8 @@ def test_infeasible_exact_point_raises():
     x[0] += Fraction(1, 100)  # x_1 + x_1 > x_2
     with pytest.raises(ValueError):
         FeasiblePoint(r=6, k=1, x=tuple(x))
-    assert FeasiblePoint(r=6, k=1, x=tuple(Fraction(i, 6) for i in range(1, 7))).is_exact
+    assert FeasiblePoint(r=6, k=1, x=tuple(Fraction(i, 6) for i in range(1, 7))).product() \
+        == product_bound(6)
 
 
 def test_counterexample_checks_each_candidate_once(monkeypatch):
@@ -651,7 +662,7 @@ def test_counterexample_at_the_largest_k_up_to_r_200():
         k = floor_r_over_e(r) - (fprime_zero(r, floor_r_over_e(r)) <= 0)
         assert fprime_zero(r, k) > 0 >= fprime_zero(r, k + 1), r
         point = counterexample_point(r, k)
-        assert point.is_exact and math.prod(point.x) > product_bound(r), (r, k)
+        assert exact(point.x) and math.prod(point.x) > product_bound(r), (r, k)
         with pytest.raises(ValueError, match="f'"):
             counterexample_point(r, k + 1)
 
@@ -660,11 +671,11 @@ def test_counterexample_at_the_largest_k_up_to_r_200():
 
 
 def _expected_violations(model, x, tol):
-    """(description, slack) of every row with -A @ x < -tol, from the dense
-    normals and plain Python sums."""
+    """(description, slack) of every row with -A_t . x < -tol, from the full
+    normals A_t and plain Python sums."""
     out = []
-    for label, row in zip(model.labels, model.A):
-        slack = -sum(int(a) * v for a, v in zip(row, x))
+    for t, label in enumerate(model.labels):
+        slack = -sum(a * v for a, v in zip(model.combine([t], [1]), x))
         if slack < -tol:
             if label[0] == "tent":
                 out.append((f"x_{label[1]} + x_{label[2]} <= x_{label[3]}", slack))
@@ -697,7 +708,7 @@ def test_check_feasible_reports_model_rows(r, k):
 
 
 def _fraction_slack(model, x):
-    """-A @ x row for row, one Fraction subtraction at a time."""
+    """-A_t . x row for row, one Fraction subtraction at a time."""
     return ([x[s - 1] - x[i - 1] - x[j - 1] for _, i, j, s in model.labels[:model.n_tent]]
             + [x[i] - x[i - 1] for i in range(1, model.r)])
 
