@@ -57,12 +57,20 @@ class Certificate:
     config: dict
     evidence: dict
 
+    def __post_init__(self):
+        for name, kind in (("claim", str), ("anchor", str), ("config", dict), ("evidence", dict)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"malformed certificate: {name} must be a JSON "
+                                 f"{'string' if kind is str else 'object'}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("malformed certificate: not a JSON object")
         try:
             return cls(claim=d["claim"], anchor=d["anchor"],
                        config=d["config"], evidence=d["evidence"])
@@ -96,7 +104,7 @@ def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
     kkt, bracket = ev["kkt"], ev["bracket"]
     x = [Fraction(v) for v in ev["x"]]
 
-    ok, bad = check_feasible(x, r, k, tol=0)
+    ok, bad = check_feasible(x, r, k)
     yield "point-feasible", ok, str(bad[:3]) if bad else ""
 
     prod = float(math.prod(x))
@@ -160,7 +168,7 @@ def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
     ev = cert.evidence
     r, k = int(ev["r"]), int(ev["k"])
     x = [Fraction(s) for s in ev["x_exact"]]
-    ok, bad = check_feasible(x, r, k, tol=0)
+    ok, bad = check_feasible(x, r, k)
     yield "point-feasible-exact", ok, str(bad[:3]) if bad else ""
     prod = math.prod(x)
     bound = product_bound(r)
@@ -180,9 +188,9 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[Check]]:
     """Re-check a certificate without re-optimizing.
 
     Returns (passed, checks); each check is (name, ok, detail).  Evidence
-    that cannot be read (a missing field, a label of the wrong shape, a
-    point of the wrong length) fails the check ``evidence-well-formed``,
-    after the checks made before it was reached.
+    that cannot be read (a missing field, a field of the wrong type, a
+    label of the wrong shape, a point of the wrong length) fails the check
+    ``evidence-well-formed``, after the checks made before it was reached.
     """
     checks = []
     anchored = cert.anchor in ANCHOR_INDEX
@@ -199,7 +207,7 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[Check]]:
         try:
             for check in checker(cert):
                 checks.append(check)
-        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError,
-                OverflowError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError,
+                ZeroDivisionError, OverflowError) as exc:
             checks.append(("evidence-well-formed", False, f"{type(exc).__name__}: {exc}"))
     return all(ok for _, ok, _ in checks), checks

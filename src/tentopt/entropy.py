@@ -513,10 +513,12 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     structural proof but whose search space is out of reach).
 
     Returns a report with the worst constraint slack seen.  Raises
-    ValueError when ``trials`` is negative.
+    ValueError when ``trials`` is negative or the uniformities differ.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
+    if family.r != H.r:
+        raise ValueError("uniformity mismatch between family and host")
     k = len(family.members)
     if not assume_hom_free and not is_hom_free(H, family, budget):
         raise ValueError("host is not hom-free against the family")

@@ -13,9 +13,9 @@ the counterexample is the bend point at eps = 1/m, m read off the first
 Newton step in closed form.  Segment structure and the improving
 perturbation also live here.
 
-Every region point is exact: a ``FeasiblePoint`` holds Fractions (or
-ints) and is checked with no tolerance, as integer numerators over one
-common denominator.  ``kkt_certificate(model, eps)`` builds the
+Membership is one exact test, ``check_feasible``: Fractions or ints
+only, each row's integer numerator over one common denominator, no
+tolerance.  ``kkt_certificate(model, eps)`` builds the
 multipliers of the bend at eps by one recursion, ``_stick_cuts``: mu on
 the tent row (i, j, s) is an amount of sticks of length s cut into pieces
 i and j, and r - 1 sticks of length r are cut down to 1/x_n pieces of
@@ -25,8 +25,8 @@ f'(0) <= 0; at eps > 0 it runs in floats.  ``dual_bound`` reads them as
 the certificate stores them, in the solver and the verifier alike.  The
 module imports neither numpy nor scipy: row indices are Python lists, a
 rational point's slacks Python ints, and the floats (the bend's Newton
-solve, its KKT residual and the slacks of a float vector) plain Python
-floats.
+solve, its KKT residual and ``slack``, for ``entropy``'s float ratio
+sequences) plain Python floats.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-TOL_FEAS = 1e-9  # check_feasible's default, for float vectors
 TOL_KKT = 1e-8  # relative stationarity residual of an optimal float KKT fit
 TOL_REL = 1e-9  # relative tolerance for comparing products and values
 
@@ -57,11 +56,6 @@ def ceil_r_over_e(r: int) -> int:
     return floor_r_over_e(r) + 1  # r/e is never an integer
 
 
-def is_rational(x) -> bool:
-    """Every coordinate a Fraction or an int: x is checked exactly."""
-    return all(isinstance(v, (Fraction, int)) for v in x)
-
-
 def tent_constraints(r: int, k: int) -> list[tuple[int, int, int]]:
     """Index triples (i, j, i+j) of the pairwise sum constraints, one row
     each: i in [k] ascending, then j from i to r - i."""
@@ -76,8 +70,8 @@ class RegionConstraints:
     x_i - x_{i+1}; ``combine`` builds their integer normals A_t.  x_r = 1 is
     the one equality row, with normal e_r; x_1 > 0 is left to
     ``check_feasible``.  ``slack``, ``scaled_slack`` and ``combine`` read
-    the two or three coordinates of each row; rational points go through
-    ``scaled_slack``, in Python ints.
+    the two or three coordinates of each row: ``scaled_slack`` is the exact
+    path, in Python ints, and ``slack`` the float path.
     """
 
     def __init__(self, r: int, k: int):
@@ -107,11 +101,8 @@ class RegionConstraints:
                 f"{label!r} is not a constraint of the ({self.r}, {self.k}) region") from None
 
     def slack(self, x) -> list:
-        """-A_t . x for every row t, nonnegative on the region: Fractions
-        for rational x, floats otherwise."""
-        if is_rational(x):
-            N, D = self.scaled_slack(x)
-            return [Fraction(n, D) for n in N]
+        """-A_t . x for every row t in floats, nonnegative on the region;
+        rational points go through ``scaled_slack``."""
         return self._rows([float(v) for v in x])
 
     def scaled_slack(self, x) -> tuple[list[int], int]:
@@ -145,41 +136,35 @@ def _describe(label) -> str:
     return "x_{} <= x_{}".format(*label[1:])
 
 
-def check_feasible(x: Sequence, r: int, k: int, tol=TOL_FEAS):
-    """Membership report for the region: (ok, list of violations).
+def check_feasible(x: Sequence, r: int, k: int):
+    """Exact membership report for the region: (ok, list of violations).
 
-    Works on floats or Fractions; pass tol=0 for exact checking.  Each
-    violation is (description, slack) with negative slack meaning violated.
-    A rational x is compared in integers (``scaled_slack``) against the
-    exact value of tol, and only the violated rows' slacks become Fractions.
+    A coordinate that is not a Fraction or an int raises ValueError.  A
+    row is violated when its ``scaled_slack`` numerator is negative, and
+    x_r = 1 is tested with ``!=``: no tolerance.  Each violation is
+    (description, slack), slack < 0, a Fraction for a violated row.
     """
     if len(x) != r:
         raise ValueError(f"expected {r} coordinates, got {len(x)}")
+    if not all(isinstance(v, (Fraction, int)) for v in x):
+        raise ValueError(f"coordinates must be Fractions or ints: {tuple(x)}")
     model = RegionConstraints(r, k)
     violations = []
     if x[0] <= 0:
         violations.append(("x_1 > 0", x[0]))
-    if abs(x[r - 1] - 1) > tol:
+    if x[r - 1] != 1:
         violations.append(("x_r = 1", -abs(x[r - 1] - 1)))
-    if is_rational(x):
-        N, D = model.scaled_slack(x)
-        t = Fraction(tol)  # N/D < -t, in integers
-        q, limit = t.denominator, -t.numerator * D
-        bad = [row for row, n in enumerate(N) if n * q < limit]
-        slacks = {row: Fraction(N[row], D) for row in bad}
-    else:
-        slacks = model.slack(x)
-        bad = [row for row, s in enumerate(slacks) if s < -tol]
-    for row in bad:
-        violations.append((_describe(model.labels[row]), slacks[row]))
+    N, D = model.scaled_slack(x)
+    violations += [(_describe(model.labels[row]), Fraction(n, D))
+                   for row, n in enumerate(N) if n < 0]
     return not violations, violations
 
 
 @dataclass(frozen=True)
 class FeasiblePoint:
     """A region member in exact arithmetic: every coordinate a Fraction or
-    an int.  Construction raises ValueError on any other coordinate, and on
-    a violated row, checked with no tolerance.
+    an int.  Construction raises ValueError on any other coordinate and on
+    a violated row, both from ``check_feasible``.
     """
 
     r: int
@@ -188,9 +173,7 @@ class FeasiblePoint:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(self.x))
-        if not is_rational(self.x):
-            raise ValueError(f"coordinates must be Fractions or ints: {self.x}")
-        ok, bad = check_feasible(self.x, self.r, self.k, 0)
+        ok, bad = check_feasible(self.x, self.r, self.k)
         if not ok:
             raise ValueError(f"point is not feasible: {bad}")
 
@@ -657,7 +640,7 @@ def perturbation_eps(point: FeasiblePoint) -> Fraction:
     for j in range(4, 61):
         eps = Fraction(1, 2**j)
         y = perturb(point, eps)
-        if check_feasible(y, point.r, point.k, tol=0)[0] and math.prod(y) > base:
+        if check_feasible(y, point.r, point.k)[0] and math.prod(y) > base:
             return eps
     return Fraction(0)
 

@@ -95,7 +95,7 @@ def test_counterexample():
     for r in range(4, 16):
         for k in range(1, floor_r_over_e(r)):
             p = counterexample_point(r, k)
-            ok, bad = check_feasible(p.x, r, k, tol=0)
+            ok, bad = check_feasible(p.x, r, k)
             assert ok, (r, k, bad)
             assert math.prod(p.x) > product_bound(r), (r, k)
             rep = maximize_product(r, k)
@@ -267,7 +267,7 @@ def test_perturbation_lemma():
         eps0 = perturbation_eps(p)
         assert eps0 > 0, (r, k)
         y = perturb(p, eps0 / 2)
-        ok, bad = check_feasible(y, p.r, p.k, tol=0)
+        ok, bad = check_feasible(y, p.r, p.k)
         assert ok, (r, k, bad)
         assert math.prod(y) > p.product(), (r, k)
         improved += 1

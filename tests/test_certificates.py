@@ -332,6 +332,11 @@ def test_unreadable_evidence_fails_instead_of_raising():
     ev["x"] = ev["x"][:-1]
     passed, v = verdicts(cert, ev)
     assert not passed and v["evidence-well-formed"] is False
+    # a nested field of the wrong JSON type fails the same check
+    for field, value in [("kkt", []), ("bracket", [1])]:
+        ev = evidence_copy(cert) | {field: value}
+        passed, v = verdicts(cert, ev)
+        assert not passed and v["evidence-well-formed"] is False, field
 
 
 def other_float(v):

@@ -486,6 +486,14 @@ def test_exit_code_bad_input(tmp_path):
     bad.write_text("not json")
     proc = run_main("lagrangian", str(bad))
     assert proc.returncode == 3
+    # certificates of the wrong JSON types are bad input, not failed checks
+    fields = {"claim": "region-probe", "anchor": "region-probe", "config": {}, "evidence": {}}
+    for doc in ([], fields | {"config": []}, fields | {"evidence": [1, 2]},
+                fields | {"claim": ["region-probe"]}, fields | {"anchor": 7}):
+        bad.write_text(json.dumps(doc))
+        proc = run_main("verify", str(bad))
+        assert proc.returncode == 3, (doc, proc.stderr)
+        assert "malformed certificate" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_entropy_verify_ratio_rejects_negative_trials(tmp_path):

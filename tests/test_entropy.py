@@ -33,7 +33,7 @@ from tentopt.hypergraphs import (
     tent_family,
 )
 from tentopt.lagrangian import blowup_density
-from tentopt.region import RegionConstraints, check_feasible
+from tentopt.region import RegionConstraints
 
 K3 = make_tent(2, 1)
 
@@ -517,6 +517,15 @@ def test_verify_ratio_constraints_rejects_negative_trials():
         verify_ratio_constraints(single_edge(4), tent_family(4, 2), trials=-1)
 
 
+def test_verify_ratio_constraints_rejects_a_family_of_other_uniformity():
+    # a 4-uniform family says nothing about a 5-uniform host's (5, 2) region,
+    # whether or not the caller vouches for hom-freeness
+    for assume in (True, False):
+        with pytest.raises(ValueError, match="uniformity"):
+            verify_ratio_constraints(make_turan_graph(5, 10), tent_family(4, 2),
+                                     trials=1, assume_hom_free=assume)
+
+
 def test_entropic_density_rejects_negative_restarts():
     with pytest.raises(ValueError, match="restarts"):
         entropic_density(single_edge(3), restarts=-1)
@@ -566,8 +575,10 @@ def test_hom_free_random_hosts_land_in_region():
         if not H.edges or not is_hom_free(H, fam):
             continue
         d = EdgeDistribution(H, tuple(rng.dirichlet(np.ones(len(H.edges)))))
-        ok, bad = check_feasible(ratio_sequence(d).x, 3, 1, tol=1e-9)
-        assert ok, bad
+        # RatioSequence refuses x_1 <= 0, a descent and x_r != 1; the rows
+        # are read as verify_ratio_constraints reads them
+        x = ratio_sequence(d).x
+        assert min(RegionConstraints(3, 1).slack(x)) >= -1e-9, x
         done += 1
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import tentopt.region as region
 from tentopt.certificates import Certificate, max_evidence, verify_certificate
 from tentopt.region import (
-    TOL_FEAS,
     TOL_KKT,
     TOL_REL,
     FeasiblePoint,
@@ -53,20 +52,31 @@ def test_ceil_floor_r_over_e():
 def test_linear_point_feasible_and_tight():
     for r in range(4, 13):
         for k in range(1, r // 2 + 1):
-            ok, _ = check_feasible([i / r for i in range(1, r + 1)], r, k)
+            ok, _ = check_feasible([Fraction(i, r) for i in range(1, r + 1)], r, k)
             assert ok
 
 
 def test_all_ones_infeasible():
-    ok, bad = check_feasible([1.0] * 5, 5, 2)
+    ok, bad = check_feasible([1] * 5, 5, 2)
     assert not ok
     assert any("x_1 + x_1 <= x_2" in name for name, _ in bad)
 
 
 def test_check_feasible_exact_mode():
     x = [Fraction(i, 6) for i in range(1, 7)]
-    ok, _ = check_feasible(x, 6, 3, tol=0)
+    ok, _ = check_feasible(x, 6, 3)
     assert ok
+
+
+def test_check_feasible_is_exact_only():
+    # a float coordinate is refused even where the point is feasible, and
+    # x_r = 1 is tested exactly: 1 + 10^-12 is not 1
+    for x in [[0.25, 0.5, 0.75, 1.0], [Fraction(1, 4), 0.5, Fraction(3, 4), 1]]:
+        with pytest.raises(ValueError, match="Fractions or ints"):
+            check_feasible(x, 4, 2)
+    x = [Fraction(i, 4) for i in range(1, 4)] + [1 + Fraction(1, 10**12)]
+    ok, bad = check_feasible(x, 4, 1)
+    assert not ok and bad[0] == ("x_r = 1", -Fraction(1, 10**12))
 
 
 def test_feasible_point_validation():
@@ -175,7 +185,8 @@ def test_region_constraints_model(r):
         assert [sum(row) for row in normals[n_tent:]] == [0] * (r - 1)
         assert all(lab[0] == "tent" for lab in model.labels[:n_tent])
         x = linear_point(r, k).x
-        slack = model.slack(x)
+        N, D = model.scaled_slack(x)
+        slack = [Fraction(n, D) for n in N]
         assert slack[:n_tent] == [0] * n_tent
         assert slack[n_tent:] == [Fraction(1, r)] * (r - 1)
         # slack is -A_t . x for the normal A_t of each row, in exact arithmetic
@@ -364,7 +375,7 @@ def test_bend_bracket_certifies_the_grid():
         rep = maximize_product(r, k)
         lower, upper = rep.bracket["lower"], rep.bracket["upper"]
         assert rep.status == "converged", (r, k)
-        assert exact(rep.argmax.x) and check_feasible(rep.argmax.x, r, k, tol=0)[0], (r, k)
+        assert exact(rep.argmax.x) and check_feasible(rep.argmax.x, r, k)[0], (r, k)
         assert rep.argmax.x == bend_point(r, k, rep.bracket["eps"]).x
         assert lower == math.prod(rep.argmax.x) and rep.value == float(lower)
         assert lower <= upper <= (1 + Fraction(1, 10**20)) * lower, (r, k)
@@ -405,7 +416,7 @@ def test_single_solve_certifies(r, k):
     # bend point's stick-cut multipliers must certify them too
     rep = maximize_product(r, k)
     assert rep.status == "converged" and rep.kkt["residual"] < TOL_KKT
-    assert min(RegionConstraints(r, k).slack(rep.argmax.x)) >= 0
+    assert min(RegionConstraints(r, k).scaled_slack(rep.argmax.x)[0]) >= 0
     known = (counterexample_point(r, k) if k < floor_r_over_e(r) else linear_point(r, k)).product()
     assert rep.value >= (1 - TOL_REL) * float(known)
 
@@ -429,7 +440,7 @@ def test_kkt_certificate_at_optimum():
 def test_counterexample_exact(r, k):
     p = counterexample_point(r, k)
     assert all(isinstance(v, Fraction) for v in p.x)
-    ok, _ = check_feasible(p.x, r, k, tol=0)
+    ok, _ = check_feasible(p.x, r, k)
     assert ok
     assert math.prod(p.x) > product_bound(r)
 
@@ -581,7 +592,7 @@ def test_perturb_worked_example():
     p = FeasiblePoint(r=6, k=2, x=WORKED)
     y = perturb(p, Fraction(1, 100))
     assert y == tuple(Fraction(v) for v in ("0.11", "0.25", "0.5", "0.75", "0.89", "1"))
-    ok, _ = check_feasible(y, 6, 2, tol=0)
+    ok, _ = check_feasible(y, 6, 2)
     assert ok and math.prod(y) > p.product()
 
 
@@ -596,7 +607,7 @@ def test_perturbation_corpus_improves():
         eps0 = perturbation_eps(p)
         assert eps0 > 0
         y = perturb(p, eps0 / 2)
-        ok, bad = check_feasible(y, p.r, p.k, tol=0)
+        ok, bad = check_feasible(y, p.r, p.k)
         assert ok, bad
         assert math.prod(y) > p.product()
         improved += 1
@@ -625,14 +636,14 @@ def test_counterexample_checks_each_candidate_once(monkeypatch):
     calls = []
     real = region.check_feasible
 
-    def spy(x, r, k, tol=region.TOL_FEAS):
-        calls.append(tol)
-        return real(x, r, k, tol)
+    def spy(x, r, k):
+        calls.append(x)
+        return real(x, r, k)
 
     monkeypatch.setattr(region, "check_feasible", spy)
     p = counterexample_point(9, 2)
     assert 1 - 9 * p.x[0] == Fraction(1, 5)
-    assert calls == [0]
+    assert calls == [p.x]
 
 
 def test_counterexample_eps_is_below_the_bend_optimum():
@@ -670,13 +681,13 @@ def test_counterexample_at_the_largest_k_up_to_r_200():
 # -- every consumer reads the same constraint rows ---------------------------
 
 
-def _expected_violations(model, x, tol):
-    """(description, slack) of every row with -A_t . x < -tol, from the full
+def _expected_violations(model, x):
+    """(description, slack) of every row with -A_t . x < 0, from the full
     normals A_t and plain Python sums."""
     out = []
     for t, label in enumerate(model.labels):
         slack = -sum(a * v for a, v in zip(model.combine([t], [1]), x))
-        if slack < -tol:
+        if slack < 0:
             if label[0] == "tent":
                 out.append((f"x_{label[1]} + x_{label[2]} <= x_{label[3]}", slack))
             else:
@@ -694,16 +705,10 @@ def test_check_feasible_reports_model_rows(r, k):
         if trial % 8 < 4:
             x = np.sort(x)  # only tent rows can fail
         x[0] = abs(x[0])
-        x[-1] = 1.0
-        if trial % 3 == 0:
-            x = [Fraction(v).limit_denominator(10**6) for v in x[:-1]] + [Fraction(1)]
-            tol = 0
-        else:
-            tol = TOL_FEAS
-        ok, bad = check_feasible(x, r, k, tol)
-        want = _expected_violations(model, x, tol)
-        assert [name for name, _ in bad] == [name for name, _ in want]
-        assert all(abs(got - exp) <= 1e-15 for (_, got), (_, exp) in zip(bad, want))
+        x = [Fraction(v).limit_denominator(10**6) for v in x[:-1]] + [Fraction(1)]
+        ok, bad = check_feasible(x, r, k)
+        want = _expected_violations(model, x)
+        assert bad == want
         assert ok == (not want)
 
 
@@ -729,18 +734,17 @@ def rational_points(draw):
     return r, k, x
 
 
-@given(rational_points(), st.sampled_from([0, TOL_FEAS, Fraction(1, 1000)]))
+@given(rational_points())
 @settings(max_examples=200, deadline=None)
-def test_integer_exact_slack_matches_fraction_slack(point, tol):
+def test_integer_exact_slack_matches_fraction_slack(point):
     r, k, x = point
     model = RegionConstraints(r, k)
     want = _fraction_slack(model, x)
     N, D = model.scaled_slack(x)
     assert type(N) is list and all(type(n) is int for n in N)
     assert D > 0 and [Fraction(n, D) for n in N] == want
-    assert model.slack(x) == want
-    ok, bad = check_feasible(x, r, k, tol)
+    ok, bad = check_feasible(x, r, k)
     rows = [(name, v) for name, v in bad if name not in ("x_1 > 0", "x_r = 1")]
-    expected = _expected_violations(model, x, tol)
+    expected = _expected_violations(model, x)
     assert rows == expected and all(type(v) is Fraction for _, v in rows)
-    assert ok == (not expected and x[0] > 0 and abs(x[-1] - 1) <= tol)
+    assert ok == (not expected and x[0] > 0 and x[-1] == 1)
