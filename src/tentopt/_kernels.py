@@ -8,13 +8,6 @@ products of each pair of slots of an edge onto its vertex pair, one sorted
 adds the transpose.  The benchmark's traced run (``perfbench/run.py --trace
 1``) times the kernels as the ``kernels.*`` layer.
 
-``replicator_batch`` has two callers.  ``lagrangian.lagrangian`` ascends
-the edge polynomial itself.  ``entropy.entropic_density`` ascends the vertex
-marginals m of its edge distributions: the concave-convex step
-w_e ∝ ∏_{v∈e} m_v has the marginal m_v ∂_v P(m) / (r P(m)), one replicator
-step.  Both summarise their starts with ``start_diagnostics`` and take their
-status from the best start's stop reason.
-
 Replicator ascent converges only linearly near a maximum, and like 1/t
 where a vanishing coordinate has ratio exactly 1, so every
 ``POLISH_EVERY`` iterations each running start is polished by Newton's

@@ -95,12 +95,22 @@ def counterexample_evidence(point) -> dict:
             "value": float(point.product())}
 
 
+def _r_and_k(ev: dict) -> tuple[int, int]:
+    """The evidence's r and k, which must be JSON integers: a float or a
+    bool raises ValueError and fails ``evidence-well-formed``, where
+    ``int()`` would truncate 9.7 to 9."""
+    r, k = ev["r"], ev["k"]
+    if type(r) is not int or type(k) is not int:
+        raise ValueError(f"r and k must be integers, got {r!r} and {k!r}")
+    return r, k
+
+
 def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
     """The point's exact feasibility, its product against the claimed value,
     the ``optimal`` flag and the exact bracket, all in Fractions with no
     tolerance."""
     ev = cert.evidence
-    r, k = int(ev["r"]), int(ev["k"])
+    r, k = _r_and_k(ev)
     kkt, bracket = ev["kkt"], ev["bracket"]
     x = [Fraction(v) for v in ev["x"]]
 
@@ -153,7 +163,7 @@ def _check_theorem_certificate(cert: Certificate) -> Iterator[Check]:
     its evidence no longer reads; then the optimality checks, exact KKT
     evidence, and a bracket closed at r!/r^r."""
     ev = cert.evidence
-    r, k = int(ev["r"]), int(ev["k"])
+    r, k = _r_and_k(ev)
     fprime = fprime_zero(r, k)
     yield "fprime-nonpositive", fprime <= 0, f"f'(0; {r}, {k}) = {fprime}"
     yield from _check_max_certificate(cert)
@@ -166,7 +176,7 @@ def _check_theorem_certificate(cert: Certificate) -> Iterator[Check]:
 
 def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
     ev = cert.evidence
-    r, k = int(ev["r"]), int(ev["k"])
+    r, k = _r_and_k(ev)
     x = [Fraction(s) for s in ev["x_exact"]]
     ok, bad = check_feasible(x, r, k)
     yield "point-feasible-exact", ok, str(bad[:3]) if bad else ""

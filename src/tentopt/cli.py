@@ -57,7 +57,7 @@ def _budget(ctx):
 
 @click.group()
 @click.option("--seed", default=_SEED, show_default=True,
-              help="Seed of the Lagrangian starts, entropic ascent and ratio-constraint sampler.")
+              help="Seed of the Lagrangian starts and the ratio-constraint sampler.")
 @click.option("--timeout", default=60.0, show_default=True, help="Search budget in seconds.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
@@ -283,7 +283,8 @@ def entropy_grp():
 
 @entropy_grp.command("density")
 @click.argument("hypergraph", type=click.Path(exists=True))
-@click.option("--restarts", default=100, show_default=True)
+@click.option("--restarts", default=200, show_default=True,
+              help="Random starts of the Lagrangian the density is read from.")
 @click.pass_context
 def entropy_density(ctx, hypergraph, restarts):
     from . import entropy as ent

@@ -14,11 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import CERTIFIED, POLISHED, replicator_batch, start_diagnostics
 from .homs import DEFAULT_BUDGET, SearchBudget, is_hom_free
 from .hypergraphs import Family, Hypergraph, PartialHypergraph
-from .lagrangian import _SEED, lagrangian
-from .region import RegionConstraints
+from .lagrangian import _SEED, DEFAULT_RESTARTS, lagrangian
+from .region import tent_constraints
 
 
 def _canon_law(outcomes, probs):
@@ -318,13 +317,11 @@ def ratio_sequence(d: EdgeDistribution) -> RatioSequence:
 class EntropicDensityResult:
     value: float
     witness: EdgeDistribution
-    # "converged" when the best start stopped ``certified`` or ``polished``:
-    # its replicator fixed-point residual fell below
-    # ``_kernels.CERTIFIED_RESIDUAL`` and its tangent Hessian is negative
-    # semidefinite, a local maximum of the ascent; "best-found" when it
-    # stopped ``cap``
+    # "converged" when the Lagrangian it is read from is "converged" (its
+    # witness passed the kernel's first- and second-order local tests),
+    # "best-found" when that is "budget-limited"
     status: str
-    # how the starts ran, in ``_kernels.start_diagnostics``' format
+    # the Lagrangian's diagnostics, in ``_kernels.start_diagnostics``' format
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __iter__(self):
@@ -338,45 +335,36 @@ def _log_density(B: np.ndarray, W: np.ndarray, r: int) -> np.ndarray:
     return math.lgamma(r + 1) - _plogp(W) + r * _plogp(B @ W / r)
 
 
-def entropic_density(H: Hypergraph, restarts: int = 100,
+def entropic_density(H: Hypergraph, restarts: int = DEFAULT_RESTARTS,
                      seed: int = _SEED) -> EntropicDensityResult:
-    """Maximum of 2^{H(X_1..X_r) - r H(X_1)} over edge distributions.
+    """Maximum of 2^{H(X_1..X_r) - r H(X_1)} over edge distributions, read
+    from the Lagrangian: ``lagrangian(H, restarts, seed)`` gives the
+    witness m, the edge distribution is w_e = ∏_{v∈e} m_v / P(m), P the
+    edge polynomial, and the value is the objective at that w.
 
-    The objective is H(w) plus the convex r sum_v m_v ln m_v, m = B w / r.
-    Its concave-convex step (Yuille & Rangarajan, Neural Computation 2003)
-    w_e ∝ ∏_{v∈e} m_v never lowers it, and its marginal is one replicator
-    step on m, so the ascent is ``replicator_batch`` on the marginals.  The
-    starts are the Lagrangian witness, then the marginals of the uniform and
-    ``restarts`` Dirichlet edge distributions; ``seed`` drives both the
-    Dirichlet starts and the Lagrangian.  Each start stops ``certified``,
-    ``polished`` or ``cap`` (see ``_kernels``).  Each end point m gives the
-    edge distribution w_e ∝ ∏_{v∈e} m_v, and the best of these is the witness.
-    ValueError when ``restarts`` is negative.
+    Why no search over w is needed: for any edge distribution w with vertex
+    marginal m = B w / r, Jensen's inequality for ln over the support of w
+    gives sum_e w_e ln(∏_{v∈e} m_v / w_e) <= ln sum_e ∏_{v∈e} m_v = ln P(m).
+    The left side is H(w) + sum_v ln m_v sum_{e∋v} w_e = H(w) - r H(m) in
+    nats, so no edge distribution beats r! P(m) <= r! λ(H).  Equality holds
+    in Jensen at w(m), whose marginal m_v ∂_v P(m) / (r P(m)) is m itself
+    when m is a KKT point of P on the simplex, so the value there is
+    r! P(m).  The entropic density is therefore the blowup density r! λ(H),
+    and more starts in w could only find a better local maximum of P, which
+    is the Lagrangian's search.  ``status`` is "converged" when the
+    Lagrangian is, else "best-found"; ``diagnostics`` are its diagnostics.
+    ValueError when ``restarts`` is negative or H has no edge.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not H.edges:
         raise ValueError("entropic density needs at least one edge")
-    edges = np.array(H.sorted_edges, dtype=np.int64)
-    n, r = H.n, H.r
-    m_edges = len(edges)
-    B = _incidence(H)
-
-    lag = lagrangian(H, seed=seed)
-    rng = np.random.default_rng(seed)
-    W0 = np.column_stack([np.full(m_edges, 1.0 / m_edges),
-                          rng.dirichlet(np.ones(m_edges), size=restarts).T])
-    starts = np.vstack([lag.witness.as_array(), (B @ W0 / r).T])
-    P, M, steps, stops = replicator_batch(edges, n, starts)
-    # the columns of products over each edge sum to the edge polynomial P
-    W = M[:, edges].prod(axis=2).T / P
-    values = _log_density(B, W, r)
-    best = int(np.argmax(values))
+    lag = lagrangian(H, restarts=restarts, seed=seed)
+    W = lag.witness.as_array()[np.array(H.sorted_edges)].prod(axis=1)[:, None]
+    W /= W.sum()
     return EntropicDensityResult(
-        value=math.exp(values[best]),
-        witness=EdgeDistribution(H, tuple(W[:, best])),
-        status="converged" if stops[best] in (CERTIFIED, POLISHED) else "best-found",
-        diagnostics=start_diagnostics(np.exp(values), steps, stops))
+        value=math.exp(_log_density(_incidence(H), W, H.r)[0]),
+        witness=EdgeDistribution(H, tuple(W[:, 0])),
+        status="converged" if lag.status == "converged" else "best-found",
+        diagnostics=lag.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +492,26 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     suffix entropies of every column, over a subset index built once for H.
     Each column then builds its own ``RatioSequence``, which rejects
     x_1 <= 0, |x_r - 1| > 1e-9, a descent beyond 1e-9 and a broken product
-    identity, so only the tent rows are left to check: one ``slack`` of
-    the one region model gives the column's smallest tent-row slack, and
-    the column fails when that is below -1e-9.
+    identity, so only the tent rows are left to check: one numpy gather
+    over the (columns, r) ratio matrix gives x_{i+j} - x_i - x_j for every
+    row (i, j, i+j) of ``tent_constraints(r, k)`` and every column, and a
+    column fails when some row is below -1e-9 x_{i+j}.
 
     Hom-freeness is certified by exhaustive search unless the caller vouches
     for it with assume_hom_free (useful for hosts whose freeness has a
     structural proof but whose search space is out of reach).
 
-    Returns a report with the worst constraint slack seen.  Raises
-    ValueError when ``trials`` is negative or the uniformities differ.
+    Returns a report with the worst (absolute) tent slack seen.  Raises
+    ValueError when ``trials`` is negative, the uniformities differ or k
+    lies outside [1, r // 2].
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if family.r != H.r:
         raise ValueError("uniformity mismatch between family and host")
     k = len(family.members)
+    if not 1 <= k <= H.r // 2:
+        raise ValueError(f"k must lie in [1, {H.r // 2}]")
     if not assume_hom_free and not is_hom_free(H, family, budget):
         raise ValueError("host is not hom-free against the family")
     rng = np.random.default_rng(seed)
@@ -529,18 +521,15 @@ def verify_ratio_constraints(H: Hypergraph, family: Family, trials: int = 100,
     W = np.column_stack([np.full(m, 1.0 / m),
                          rng.dirichlet(np.ones(m), size=trials).T,
                          entropic_density(H, restarts=20, seed=seed).witness.w])
-    model = RegionConstraints(H.r, k)
-    worst = math.inf
-    failures = 0
-    for rs in _ratio_sequences(H, W):
-        tent_slack = min(model.slack(rs.x)[: model.n_tent])
-        worst = min(worst, tent_slack)
-        failures += int(tent_slack < -1e-9)
+    i, j, s = (np.array(col) - 1 for col in zip(*tent_constraints(H.r, k)))
+    X = np.array([rs.x for rs in _ratio_sequences(H, W)])
+    slack = X[:, s] - X[:, i] - X[:, j]
+    failures = int((slack < -1e-9 * X[:, s]).any(axis=1).sum())
     return {
         "r": H.r,
         "k": k,
         "checked": W.shape[1],
         "failures": failures,
-        "worst_slack": worst,
+        "worst_slack": float(slack.min()),
         "all_feasible": failures == 0,
     }

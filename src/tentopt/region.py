@@ -25,8 +25,8 @@ f'(0) <= 0; at eps > 0 it runs in floats.  ``dual_bound`` reads them as
 the certificate stores them, in the solver and the verifier alike.  The
 module imports neither numpy nor scipy: row indices are Python lists, a
 rational point's slacks Python ints, and the floats (the bend's Newton
-solve, its KKT residual and ``slack``, for ``entropy``'s float ratio
-sequences) plain Python floats.
+solve and its KKT residual) plain Python floats.  Float ratio sequences
+are checked against the rows of ``tent_constraints`` in ``entropy``.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class RegionConstraints:
     ``n_tent`` rows), then the monotone rows ("monotone", i, i+1), that is
     x_i - x_{i+1}; ``combine`` builds their integer normals A_t.  x_r = 1 is
     the one equality row, with normal e_r; x_1 > 0 is left to
-    ``check_feasible``.  ``slack``, ``scaled_slack`` and ``combine`` read
-    the two or three coordinates of each row: ``scaled_slack`` is the exact
-    path, in Python ints, and ``slack`` the float path.
+    ``check_feasible``.  ``scaled_slack`` and ``combine`` read the two or
+    three coordinates of each row, ``scaled_slack`` in Python ints.
     """
 
     def __init__(self, r: int, k: int):
@@ -100,21 +99,14 @@ class RegionConstraints:
             raise ValueError(
                 f"{label!r} is not a constraint of the ({self.r}, {self.k}) region") from None
 
-    def slack(self, x) -> list:
-        """-A_t . x for every row t in floats, nonnegative on the region;
-        rational points go through ``scaled_slack``."""
-        return self._rows([float(v) for v in x])
-
     def scaled_slack(self, x) -> tuple[list[int], int]:
         """(N, D) with -A_t . x = N[t] / D for rational x: D is the least
         common denominator of x and N a list of Python ints, so a sign test
         on a row builds no Fraction."""
         D = math.lcm(*(v.denominator for v in x))
-        return self._rows([v.numerator * (D // v.denominator) for v in x]), D
-
-    def _rows(self, x: list) -> list:
+        x = [v.numerator * (D // v.denominator) for v in x]
         return ([x[s] - x[i] - x[j] for i, j, s in zip(self._i, self._j, self._s)]
-                + [b - a for a, b in zip(x, x[1:])])
+                + [b - a for a, b in zip(x, x[1:])]), D
 
     def combine(self, rows, weights) -> list:
         """sum_t weights[t] * A_{rows[t]} as a list of r coordinates."""

@@ -326,6 +326,24 @@ def test_config_must_match_evidence():
         assert ("config-matches-evidence", False) in [(n, ok) for n, ok, _ in checks]
 
 
+@pytest.mark.parametrize("claim, field, value", [
+    ("region-counterexample", "r", 9.7), ("region-counterexample", "k", True),
+    ("region-product-maximum", "r", 6.5), ("region-product-maximum", "k", 3.0),
+    ("region-probe", "r", 12.0), ("region-probe", "k", "2")])
+def test_r_and_k_must_be_json_integers(claim, field, value):
+    # int() read 9.7 as 9 and 6.5 as 6, and those certificates verified
+    cert = {"region-counterexample": lambda: counterexample_certificate(9, 1),
+            "region-product-maximum": lambda: theorem_certificate(6),
+            "region-probe": lambda: probe_certificate(12, 2)}[claim]()
+    assert verify_certificate(cert)[0]
+    ev = evidence_copy(cert) | {field: value}
+    tampered = Certificate(cert.claim, cert.anchor, cert.config | {field: value}, ev)
+    passed, checks = verify_certificate(tampered)
+    v = {n: ok for n, ok, _ in checks}
+    assert not passed and v["config-matches-evidence"] is True
+    assert v["evidence-well-formed"] is False
+
+
 def test_unreadable_evidence_fails_instead_of_raising():
     cert = theorem_certificate(9)
     ev = evidence_copy(cert)

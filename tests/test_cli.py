@@ -168,7 +168,7 @@ def test_entropy_density(tmp_path):
     d = json.loads(res.output)
     assert d["value"] == pytest.approx(2 / 3, abs=1e-6)
     diag = d["diagnostics"]
-    assert sum(diag["stopped"].values()) == 20 + 2
+    assert sum(diag["stopped"].values()) == 20 + 1
     assert diag["iterations_max"] <= 2000
     assert diag["reached_best"] >= 1
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tentopt.entropy import (
     verify_ratio_constraints,
 )
 from tentopt.hypergraphs import (
+    Family,
     Hypergraph,
     PartialHypergraph,
     make_tent,
@@ -32,8 +34,8 @@ from tentopt.hypergraphs import (
     random_hypergraph,
     tent_family,
 )
-from tentopt.lagrangian import blowup_density
-from tentopt.region import RegionConstraints
+from tentopt.lagrangian import blowup_density, lagrangian
+from tentopt.region import RegionConstraints, tent_constraints
 
 K3 = make_tent(2, 1)
 
@@ -386,6 +388,45 @@ def test_log_density_matches_ratio_sequence():
     assert math.exp(got) == pytest.approx(math.prod(rs.x), rel=1e-12)
 
 
+def test_log_density_is_at_most_the_edge_polynomial_of_its_marginal():
+    # Jensen: H(w) - r H(m) <= ln P(m) for every edge distribution w with
+    # marginal m = B w / r, so no w beats r! P(m)
+    rng = np.random.default_rng(5)
+    hosts = 0
+    while hosts < 20:
+        r = int(rng.integers(2, 6))
+        H = random_hypergraph(r, int(rng.integers(r, 11)), 0.4, rng)
+        if not H.edges:
+            continue
+        hosts += 1
+        B = incidence(H)
+        # dense Dirichlet(1) and sparse Dirichlet(0.05) columns
+        W = np.column_stack([rng.dirichlet(np.full(len(H.edges), a))
+                             for a in (1.0, 1.0, 1.0, 0.05, 0.05, 0.05)])
+        # P(m) for each column m of the marginals
+        P = (B @ W / r)[np.array(H.sorted_edges)].prod(axis=1).sum(axis=0)
+        bound = math.lgamma(r + 1) + np.log(P)
+        assert (ent._log_density(B, W, r) <= bound + 1e-12).all(), H.to_json()
+
+
+def test_log_density_at_the_lagrangian_witness_is_the_blowup_density():
+    # equality in Jensen at w(m), m the Lagrangian witness
+    rng = np.random.default_rng(6)
+    hosts = 0
+    while hosts < 12:
+        r = int(rng.integers(2, 5))
+        H = random_hypergraph(r, int(rng.integers(r, 9)), 0.5, rng)
+        if not H.edges:
+            continue
+        hosts += 1
+        lag = lagrangian(H, restarts=20)
+        m = lag.witness.as_array()
+        w = m[np.array(H.sorted_edges)].prod(axis=1)
+        w /= w.sum()
+        got = math.exp(ent._log_density(incidence(H), w[:, None], r)[0])
+        assert got == pytest.approx(math.factorial(r) * lag.value, rel=1e-9), H.to_json()
+
+
 def test_entropic_density_is_deterministic_for_a_seed():
     H = random_hypergraph(3, 7, 0.4, np.random.default_rng(11))
     a = entropic_density(H, restarts=20, seed=5)
@@ -393,7 +434,7 @@ def test_entropic_density_is_deterministic_for_a_seed():
     assert a == b
     assert a.witness.w == b.witness.w
     assert a.diagnostics == b.diagnostics
-    assert sum(a.diagnostics["stopped"].values()) == 20 + 2
+    assert sum(a.diagnostics["stopped"].values()) == 20 + 1
     assert a.diagnostics["iterations_max"] <= MAX_ITERS
     assert a.diagnostics["reached_best"] >= 1
 
@@ -549,13 +590,14 @@ def test_verify_ratio_constraints_makes_one_suffix_entropy_call(monkeypatch):
                                      (make_turan_graph(3, 6), 1)])
 def test_worst_slack_is_min_of_model_tent_slacks(monkeypatch, host, k):
     checked = []
-    real = RegionConstraints.slack
+    real = ent._ratio_sequences
 
-    def spy(model, x):
-        checked.append(list(x))
-        return real(model, x)
+    def spy(H, W):
+        out = real(H, W)
+        checked.extend(rs.x for rs in out)
+        return out
 
-    monkeypatch.setattr(RegionConstraints, "slack", spy)
+    monkeypatch.setattr(ent, "_ratio_sequences", spy)
     rep = verify_ratio_constraints(host, tent_family(host.r, k), trials=10,
                                    assume_hom_free=True)
     assert rep["checked"] == len(checked) == 12
@@ -563,6 +605,13 @@ def test_worst_slack_is_min_of_model_tent_slacks(monkeypatch, host, k):
     tents = np.array([model.combine([t], [1]) for t in range(model.n_tent)], dtype=float)
     expected = min((-tents @ np.array(x)).min() for x in checked)
     assert rep["worst_slack"] == pytest.approx(expected, rel=0, abs=1e-15)
+
+
+def test_verify_ratio_constraints_rejects_k_outside_the_region():
+    # three members at r = 4: k = 3 > r // 2, a region with no rows
+    fam = Family((single_edge(4),) * 3)
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 2\]"):
+        verify_ratio_constraints(single_edge(4), fam, trials=1, assume_hom_free=True)
 
 
 def test_hom_free_random_hosts_land_in_region():
@@ -575,10 +624,11 @@ def test_hom_free_random_hosts_land_in_region():
         if not H.edges or not is_hom_free(H, fam):
             continue
         d = EdgeDistribution(H, tuple(rng.dirichlet(np.ones(len(H.edges)))))
-        # RatioSequence refuses x_1 <= 0, a descent and x_r != 1; the rows
-        # are read as verify_ratio_constraints reads them
+        # RatioSequence refuses x_1 <= 0, a descent and x_r != 1; the tent
+        # rows are read as verify_ratio_constraints reads them
         x = ratio_sequence(d).x
-        assert min(RegionConstraints(3, 1).slack(x)) >= -1e-9, x
+        for i, j, s in tent_constraints(3, 1):
+            assert x[s - 1] - x[i - 1] - x[j - 1] >= -1e-9 * x[s - 1], (x, i, j)
         done += 1
 
 
@@ -593,3 +643,26 @@ def test_entropic_density_passes_seed_to_lagrangian(monkeypatch):
     monkeypatch.setattr(ent, "lagrangian", spy)
     entropic_density(K3, restarts=3, seed=123)
     assert seeds == [123]
+
+
+def test_entropic_density_is_one_lagrangian_and_one_kernel_run(monkeypatch):
+    calls = {"lagrangian": [], "replicator_batch": 0}
+    real_lagrangian = ent.lagrangian
+
+    def lagrangian_spy(H, *args, **kwargs):
+        calls["lagrangian"].append(kwargs)
+        return real_lagrangian(H, *args, **kwargs)
+
+    def kernel_spy(*args, **kwargs):
+        calls["replicator_batch"] += 1
+        return replicator_batch(*args, **kwargs)
+
+    monkeypatch.setattr(ent, "lagrangian", lagrangian_spy)
+    # every tentopt module that holds the kernel, as the benchmark's tracer
+    # patches it
+    for module in [m for name, m in sys.modules.items() if name.startswith("tentopt")]:
+        if getattr(module, "replicator_batch", None) is replicator_batch:
+            monkeypatch.setattr(module, "replicator_batch", kernel_spy)
+    res = entropic_density(make_turan_graph(3, 6), restarts=7, seed=3)
+    assert calls == {"lagrangian": [{"restarts": 7, "seed": 3}], "replicator_batch": 1}
+    assert sum(res.diagnostics["stopped"].values()) == 7 + 1
