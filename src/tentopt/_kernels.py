@@ -302,7 +302,9 @@ def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray, iters: int =
     """Run replicator ascent from each start.
 
     Returns (values, end points, iterations run per start, stop reason per
-    start as an index into ``STOP_REASONS``).
+    start as an index into ``STOP_REASONS``).  A start whose edge polynomial
+    underflows (<= 1e-300) restarts from the uniform point; ValueError if
+    it underflows to 0.0 there too (a single r-edge, r >= 149).
     """
     edges = np.ascontiguousarray(edges, dtype=np.int64)
     X = np.array(starts, dtype=np.float64)
@@ -324,6 +326,9 @@ def replicator_batch(edges: np.ndarray, n: int, starts: np.ndarray, iters: int =
             # ascent direction vanished; restart from uniform
             Xt[:, dead] = 1.0 / n
             P, grad = edge_gradient(edges, S, Xt)
+            if not P[dead].all():
+                raise ValueError(f"the edge polynomial underflows to 0.0 at the uniform "
+                                 f"point (n = {n}, r = {r}), so no start can ascend")
         ratio = grad / (r * P)
         if it and it % POLISH_EVERY == 0:
             ok, Y, Q = face_newton(edges, S, index, Xt, P, ratio)

@@ -3,10 +3,11 @@
 A certificate records a machine-readable claim, an anchor into the claim
 index below, the run configuration, and enough evidence to be re-checked
 without re-running any optimizer.  For a region maximum that evidence is
-the exact point, its value, the KKT multipliers and the exact bracket
-L = prod x <= max <= U: the verifier recomputes U in Fractions with
-``region.dual_bound``, the same call the solver makes, from the stored
-labels and multipliers, and the bracket is the one proof it checks.
+the exact point, its value, the KKT multipliers and the bracket's ``eps``;
+the verifier derives the exact bracket L = prod x <= max <= U, U with
+``region.dual_bound`` (the solver's call) from the stored labels and
+multipliers, and the bracket is the one proof it checks.  L and U are not
+stored: past r ~ 250 their digits pass Python's int-to-string limit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .region import (
     RegionConstraints,
@@ -81,11 +82,10 @@ class Certificate:
 def max_evidence(rep) -> dict:
     """Evidence of a region maximum from its ``OptimizationReport``: the
     exact argmax as Fraction strings, the value, the KKT certificate and the
-    exact bracket."""
+    bracket's ``eps``, from which the verifier derives the bracket."""
     p = rep.argmax
-    bracket = {key: None if v is None else str(v) for key, v in rep.bracket.items()}
     return {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
-            "kkt": rep.kkt, "bracket": bracket}
+            "kkt": rep.kkt, "bracket": {"eps": str(rep.bracket["eps"])}}
 
 
 def counterexample_evidence(point) -> dict:
@@ -105,13 +105,13 @@ def _r_and_k(ev: dict) -> tuple[int, int]:
     return r, k
 
 
-def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
+def _check_max_certificate(cert: Certificate) -> Generator[Check, None, tuple]:
     """The point's exact feasibility, its product against the claimed value,
     the ``optimal`` flag and the exact bracket, all in Fractions with no
-    tolerance."""
+    tolerance.  Returns the derived bracket (lower, upper)."""
     ev = cert.evidence
     r, k = _r_and_k(ev)
-    kkt, bracket = ev["kkt"], ev["bracket"]
+    kkt = ev["kkt"]
     x = [Fraction(v) for v in ev["x"]]
 
     ok, bad = check_feasible(x, r, k)
@@ -122,19 +122,19 @@ def _check_max_certificate(cert: Certificate) -> Iterator[Check]:
     yield "value-matches-point", prod == value, f"prod={prod}, claimed={value}"
 
     yield "kkt-payload-present", kkt.get("optimal") is True, "optimal must be true"
-    yield from _check_bracket(RegionConstraints(r, k), x, kkt, bracket)
+    return (yield from _check_bracket(RegionConstraints(r, k), x, kkt, ev["bracket"]))
 
 
 def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
-                   bracket: dict) -> Iterator[Check]:
-    """The bracket lower <= max prod x <= upper: x has the bend
-    coordinates at ``eps`` (their feasibility is ``point-feasible``'s
-    check), ``lower`` is prod x, and ``upper`` is the dual bound
-    recomputed from the stored multipliers, which must be nonnegative and
-    give c > 0; ``dual_bound`` reads them as stored.  ``exact`` must hold
-    exactly when upper == lower, so the bracket proves the maximum.  A label
-    outside the region raises in ``dual_bound``, since its row has no
-    normal, and fails ``evidence-well-formed``."""
+                   bracket: dict) -> Generator[Check, None, tuple]:
+    """The bracket lower <= max prod x <= upper, derived and returned: x
+    has the bend coordinates at ``eps`` (their feasibility is
+    ``point-feasible``'s check), ``lower`` is prod x, and ``upper`` the dual
+    bound of the stored multipliers, which must be nonnegative and give
+    c > 0 (else upper is None); ``dual_bound`` reads them as stored.
+    ``exact`` must hold exactly when upper == lower, so the bracket proves
+    the maximum.  A label outside the region raises in ``dual_bound``, since
+    its row has no normal, and fails ``evidence-well-formed``."""
     r, k = model.r, model.k
     eps = Fraction(bracket["eps"])
     ok = 0 <= eps < 1 and x == list(bend_coordinates(r, k, eps))
@@ -145,33 +145,29 @@ def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
     upper = dual_bound(model, labels, mus) if ok else None
     yield "bracket-dual-feasible", upper is not None, "c = A^T mu + nu e_r > 0"
     lower = math.prod(x)
-    yield "bracket-lower-is-product", Fraction(bracket["lower"]) == lower, ""
-    stored = bracket["upper"]
-    yield ("bracket-upper-matches",
-           upper is not None and stored is not None and Fraction(stored) == upper, "")
     ok = upper is not None and lower <= upper
     gap = float((upper - lower) / lower) if ok else None
     yield "bracket-ordered", ok, f"(upper - lower)/lower={gap}"
     closed = upper == lower
     yield ("bracket-closed-iff-exact", (kkt.get("exact") is True) == closed,
            f"exact={kkt.get('exact')!r}, upper == lower: {closed}")
+    return lower, upper
 
 
 def _check_theorem_certificate(cert: Certificate) -> Iterator[Check]:
     """The claim's hypothesis f'(0; r, k) <= 0 in Fractions, first, so that
     a certificate moved to a k with f'(0) > 0 fails it by name even where
     its evidence no longer reads; then the optimality checks, exact KKT
-    evidence, and a bracket closed at r!/r^r."""
+    evidence, and a derived bracket closed at r!/r^r."""
     ev = cert.evidence
     r, k = _r_and_k(ev)
     fprime = fprime_zero(r, k)
     yield "fprime-nonpositive", fprime <= 0, f"f'(0; {r}, {k}) = {fprime}"
-    yield from _check_max_certificate(cert)
+    lower, upper = yield from _check_max_certificate(cert)
     yield "kkt-exact", ev["kkt"].get("exact") is True, ""
-    bracket, bound = ev["bracket"], product_bound(r)
-    upper = None if bracket["upper"] is None else Fraction(bracket["upper"])
-    ok = Fraction(bracket["lower"]) == upper == bound
-    yield "value-equals-bound", ok, f"value={ev['value']}, bound={float(bound)}"
+    bound = product_bound(r)
+    yield ("value-equals-bound", lower == upper == bound,
+           f"value={ev['value']}, bound={float(bound)}")
 
 
 def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
@@ -182,7 +178,8 @@ def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
     yield "point-feasible-exact", ok, str(bad[:3]) if bad else ""
     prod = math.prod(x)
     bound = product_bound(r)
-    yield "product-exceeds-bound-exact", prod > bound, f"prod={prod}, bound={bound}"
+    yield ("product-exceeds-bound-exact", prod > bound,
+           f"prod={float(prod)}, bound={float(bound)}")
     value = float(ev["value"])
     yield "value-matches-point", float(prod) == value, f"prod={float(prod)}, claimed={value}"
 

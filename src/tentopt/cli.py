@@ -199,7 +199,7 @@ def _report_payload(rep) -> dict:
         "argmax": {"r": rep.argmax.r, "k": rep.argmax.k,
                    "x": [float(v) for v in rep.argmax.x]},
         "kkt": rep.kkt,
-        # the exact bounds run to thousands of digits; certificates keep them
+        # the exact bounds run to thousands of digits; verify derives them
         "bracket": {"eps": str(rep.bracket["eps"]),
                     "gap": None if upper is None else float((upper - lower) / lower)},
         "status": rep.status,
@@ -242,8 +242,10 @@ def region_counterexample(ctx, r, k, certificate, output):
         "r": r, "k": k,
         "x": [float(v) for v in point.x],
         "x_exact": evidence["x_exact"],
-        "product": str(prod),
-        "bound": str(bound),
+        # floats, as in counterexample-table: past r ~ 250 the exact
+        # product passes Python's int-to-string limit
+        "product": float(prod),
+        "bound": float(bound),
         "margin": float(prod - bound),
         "exceeds_bound": prod > bound,
     }, output)

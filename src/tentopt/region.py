@@ -303,7 +303,8 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
     ``dual_bound``.  ``bracket`` holds ``eps``, the exact ``lower`` = prod x
     and ``dual_bound``'s ``upper``; ``value`` is float(lower).  ``status``
     is "converged" exactly when ``upper`` exists and
-    (upper - lower)/lower <= TOL_REL; exact KKT multipliers give
+    (upper - lower)/lower <= TOL_REL, compared in Fractions, since lower
+    underflows a float past r ~ 720; exact KKT multipliers give
     upper = lower.  ``diagnostics``: the path, read off eps
     ("exact-linear-point" at eps = 0, else "bend" with the Newton steps
     ``nit``), the multipliers' ``support`` size (``fit``), wall seconds per
@@ -332,7 +333,7 @@ def maximize_product(r: int, k: int, seed=None) -> OptimizationReport:
         bound=float(product_bound(r)),
         kkt=cert,
         bracket=bracket,
-        status="converged" if upper is not None and upper - lower <= TOL_REL * lower
+        status="converged" if upper is not None and upper - lower <= Fraction(TOL_REL) * lower
         else "best-found",
         diagnostics=diagnostics | {"fit": {"support": len(cert["active"])},
                                    "seconds": seconds},

@@ -88,11 +88,13 @@ def test_max_certificate_verifies():
     assert passed, checks
     names = {n for n, _, _ in checks}
     assert {"anchor-resolves", "point-feasible", "value-matches-point",
-            "bracket-multipliers-nonnegative", "bracket-dual-feasible",
-            "bracket-upper-matches", "bracket-closed-iff-exact",
+            "bracket-point-is-bend", "bracket-multipliers-nonnegative",
+            "bracket-dual-feasible", "bracket-ordered", "bracket-closed-iff-exact",
             "kkt-exact", "fprime-nonpositive", "value-equals-bound"} <= names
-    # (5, 2) is a theorem row, so its point and multipliers are exact
+    # (5, 2) is a theorem row, so its point and multipliers are exact; the
+    # bracket stores only eps, and the verifier derives lower and upper
     assert cert.evidence["kkt"]["exact"] is True
+    assert cert.evidence["bracket"] == {"eps": "0"}
     assert cert.evidence["x"] == ["1/5", "2/5", "3/5", "4/5", "1"]
 
 
@@ -199,26 +201,27 @@ def test_tampered_exact_multiplier_fails_named_check():
     ev["kkt"]["multipliers"][0] = str(Fraction(ev["kkt"]["multipliers"][0]) + 1)
     passed, v = verdicts(cert, ev)
     assert not passed
-    assert v["bracket-upper-matches"] is False
-    assert v["bracket-multipliers-nonnegative"] is True
+    # the derived upper bound no longer closes on the product
+    assert v["bracket-closed-iff-exact"] is False and v["value-equals-bound"] is False
+    assert v["bracket-multipliers-nonnegative"] is True and v["bracket-ordered"] is True
 
 
 @pytest.mark.parametrize("r", [4, 9, 17, 30, 40])
 def test_forged_dual_fails_the_bracket(r):
-    # a multiplier raised by 0.1% is still dual feasible, and its recomputed
-    # U is stored, so only the bracket's failure to close at r!/r^r shows it
+    # a multiplier raised by 0.1% is still dual feasible, so its U is a
+    # sound bound above prod x, and only the bracket's failure to close at
+    # r!/r^r shows it
     cert = theorem_certificate(r)
     ev = evidence_copy(cert)
     kkt = ev["kkt"]
     kkt["multipliers"][0] = str(Fraction(1001, 1000) * Fraction(kkt["multipliers"][0]))
     upper = dual_bound(RegionConstraints(r, ev["k"]), kkt["active"], kkt["multipliers"])
-    assert upper > Fraction(ev["bracket"]["lower"])
-    ev["bracket"]["upper"] = str(upper)
+    assert upper > math.prod(Fraction(v) for v in ev["x"])
     passed, v = verdicts(cert, ev)
     assert not passed
     assert v["value-equals-bound"] is False
     assert v["bracket-closed-iff-exact"] is False
-    assert v["bracket-upper-matches"] is True and v["bracket-ordered"] is True
+    assert v["bracket-dual-feasible"] is True and v["bracket-ordered"] is True
 
 
 @pytest.mark.parametrize("label", [["tent", 1, 1, 99], ["tent", 9, 9, 18], ["sum", 1, 2],
@@ -279,7 +282,7 @@ def test_theorem_hypotheses_checked_without_exact():
     assert v["value-equals-bound"] is False
     assert v["kkt-exact"] is False
     # the bracket itself is sound: the point is a fine optimum
-    assert v["bracket-upper-matches"] is True and v["bracket-closed-iff-exact"] is True
+    assert v["bracket-ordered"] is True and v["bracket-closed-iff-exact"] is True
     probe = Certificate("region-probe", "region-probe", config, evidence)
     assert verify_certificate(probe)[0]
     # without its bracket no certificate proves anything
@@ -388,17 +391,20 @@ def test_probe_certificate_stores_an_exact_bracket():
     cert = probe_certificate(12, 2)
     assert verify_certificate(cert)[0]
     ev = cert.evidence
-    bracket = {key: Fraction(v) for key, v in ev["bracket"].items()}
-    assert 0 < bracket["eps"] < 1 and ev["kkt"]["exact"] is False
-    assert bracket["lower"] == math.prod(Fraction(v) for v in ev["x"])
-    assert bracket["lower"] < bracket["upper"] <= (1 + Fraction(1, 10**20)) * bracket["lower"]
+    # the bracket stores its exact eps only; lower and upper are derived
+    assert set(ev["bracket"]) == {"eps"}
+    assert 0 < Fraction(ev["bracket"]["eps"]) < 1 and ev["kkt"]["exact"] is False
+    lower = math.prod(Fraction(v) for v in ev["x"])
+    kkt = ev["kkt"]
+    upper = dual_bound(RegionConstraints(12, 2), kkt["active"], kkt["multipliers"])
+    assert lower < upper <= (1 + Fraction(1, 10**20)) * lower
     names = {n for n, _, _ in verify_certificate(cert)[1]}
     assert {"bracket-point-is-bend", "bracket-multipliers-nonnegative", "bracket-dual-feasible",
-            "bracket-lower-is-product", "bracket-upper-matches", "bracket-ordered"} <= names
+            "bracket-ordered", "bracket-closed-iff-exact"} <= names
 
 
 EVIDENCE_FIELDS = ("x", "value", "r", "k", "multipliers", "active", "exact", "optimal")
-BRACKET_FIELDS = ("lower", "upper", "eps")
+BRACKET_FIELDS = ("eps",)
 # theorem rows (exact KKT, bracket U = L) and bend-point probes (float KKT fit,
 # exact bracket)
 CERTIFICATES = [("theorem", r) for r in (4, 9, 17, 30, 40)] + [
@@ -436,4 +442,24 @@ def test_tampering_any_evidence_field_fails(which, name, data):
         else:
             kkt[name][i] = data.draw(other_label(old, r))
     passed, v = verdicts(cert, ev)
-    assert not passed, (name, v)
+    if kind == "probe" and name in ("multipliers", "active"):
+        # another dual point: a probe claims only the bracket its evidence
+        # derives, and every dual feasible point bounds the maximum
+        assert passed == (v.get("bracket-dual-feasible") is True), (name, v)
+    else:
+        assert not passed, (name, v)
+
+
+def test_probe_with_another_dual_point_proves_a_wider_bracket():
+    cert = probe_certificate(12, 2)
+    ev = evidence_copy(cert)
+    mus = ev["kkt"]["multipliers"]
+    mus[0] = str(Fraction(1001, 1000) * Fraction(mus[0]))
+    gaps = []
+    for evidence in (cert.evidence, ev):
+        passed, checks = verify_certificate(Certificate(cert.claim, cert.anchor, cert.config,
+                                                        evidence))
+        detail = {n: d for n, _, d in checks}["bracket-ordered"]
+        assert passed
+        gaps.append(float(detail.removeprefix("(upper - lower)/lower=")))
+    assert 0 < gaps[0] <= 1e-20 and gaps[1] > 1e-9

@@ -270,11 +270,39 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     assert d["config"]["seed"] == _SEED  # the library's default seed
     assert "diagnostics" not in d["evidence"]
     bracket = d["evidence"]["bracket"]
-    assert set(bracket) == {"lower", "upper", "eps"}
+    assert set(bracket) == {"eps"}
     assert Fraction(bracket["eps"]) == Fraction(out["bracket"]["eps"]) > 0
-    assert Fraction(bracket["lower"]) < Fraction(bracket["upper"])
     vres = invoke("verify", str(cert))
-    assert json.loads(vres.output)["passed"] is True
+    v = json.loads(vres.output)
+    checks = {c["name"]: c["detail"] for c in v["checks"]}
+    assert v["passed"] is True
+    # the verifier derives lower < upper, at the gap the report prints
+    assert checks["bracket-ordered"] == f"(upper - lower)/lower={out['bracket']['gap']}"
+    assert checks["bracket-closed-iff-exact"] == "exact=False, upper == lower: False"
+
+
+def test_region_max_probe_past_the_digit_limit_verifies(tmp_path):
+    # at r = 300 the exact bracket runs past Python's 4300-digit
+    # int-to-string limit; the certificate stores eps only
+    cert = tmp_path / "cert.json"
+    res = invoke("region", "max", "--r", "300", "--k", "1", "--certificate", str(cert))
+    assert res.exit_code == 0 and json.loads(res.output)["status"] == "converged"
+    assert json.loads(cert.read_text())["claim"] == "region-probe"
+    vres = invoke("verify", str(cert))
+    assert vres.exit_code == 0 and json.loads(vres.output)["passed"] is True
+
+
+def test_region_counterexample_at_r_1000(tmp_path):
+    # (1000, 367) is (r, k* - 1): the exact product has thousands of digits,
+    # so the command prints floats and verify's details print floats
+    cert = tmp_path / "cert.json"
+    res = invoke("region", "counterexample", "--r", "1000", "--k", "367",
+                 "--certificate", str(cert))
+    assert res.exit_code == 0
+    d = json.loads(res.output)
+    assert d["exceeds_bound"] is True and isinstance(d["product"], float)
+    vres = invoke("verify", str(cert))
+    assert vres.exit_code == 0 and json.loads(vres.output)["passed"] is True
 
 
 def test_region_max_exceeds_bound_is_relative():

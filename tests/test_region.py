@@ -399,6 +399,15 @@ def test_dual_bound_needs_nonnegative_multipliers_and_positive_c():
         == product_bound(6)
 
 
+def test_status_is_exact_past_float_underflow():
+    # r!/r^r underflows a float past r ~ 720, so TOL_REL * lower read 0.0
+    # there and a bracket 1.6e-25 wide was reported "best-found"
+    rep = maximize_product(730, 268)
+    lower, upper = rep.bracket["lower"], rep.bracket["upper"]
+    assert TOL_REL * rep.value == 0.0 and 0 < upper - lower <= Fraction(TOL_REL) * lower
+    assert rep.status == "converged" and rep.diagnostics["path"] == "bend"
+
+
 @pytest.mark.parametrize("r", range(4, 17))
 def test_status_agrees_with_kkt(r):
     for k in range(1, r // 2 + 1):
