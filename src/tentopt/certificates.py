@@ -3,11 +3,12 @@
 A certificate records a machine-readable claim, an anchor into the claim
 index below, the run configuration, and enough evidence to be re-checked
 without re-running any optimizer.  For a region maximum that evidence is
-the exact point, its value, the KKT multipliers and the bracket's ``eps``;
-the verifier derives the exact bracket L = prod x <= max <= U, U with
-``region.dual_bound`` (the solver's call) from the stored labels and
-multipliers, and the bracket is the one proof it checks.  L and U are not
-stored: past r ~ 250 their digits pass Python's int-to-string limit.
+the exact point, its value, the KKT multipliers, the bracket's ``eps`` and,
+for an open bracket, its float width ``gap``; the verifier derives the
+exact bracket L = prod x <= max <= U, U with ``region.dual_bound`` (the
+solver's call) from the stored labels and multipliers, and the bracket is
+the one proof it checks.  L and U are not stored: past r ~ 250 their
+digits pass Python's int-to-string limit.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ ANCHOR_INDEX = {
     "region-probe": (
         "For the stated (r, k), the maximum of prod x_i over the region lies "
         "in the exact bracket [lower, upper]: lower is prod x_i at the stored "
-        "feasible point, upper the dual bound of the stored multipliers."
+        "feasible point, upper the dual bound of the stored multipliers, and "
+        "(upper - lower)/lower is the stated gap, to float precision."
     ),
 }
 
@@ -82,10 +84,14 @@ class Certificate:
 def max_evidence(rep) -> dict:
     """Evidence of a region maximum from its ``OptimizationReport``: the
     exact argmax as Fraction strings, the value, the KKT certificate and the
-    bracket's ``eps``, from which the verifier derives the bracket."""
-    p = rep.argmax
-    return {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
-            "kkt": rep.kkt, "bracket": {"eps": str(rep.bracket["eps"])}}
+    bracket's ``eps``, from which the verifier derives the bracket; an open
+    bracket (a probe's) also its width ``gap``, which a closed one omits."""
+    p, b = rep.argmax, rep.bracket
+    ev = {"r": p.r, "k": p.k, "x": [str(v) for v in p.x], "value": rep.value,
+          "kkt": rep.kkt, "bracket": {"eps": str(b["eps"])}}
+    if b["upper"] is not None and b["upper"] != b["lower"]:
+        ev["gap"] = float((b["upper"] - b["lower"]) / b["lower"])
+    return ev
 
 
 def counterexample_evidence(point) -> dict:
@@ -113,31 +119,27 @@ def _check_max_certificate(cert: Certificate) -> Generator[Check, None, tuple]:
     r, k = _r_and_k(ev)
     kkt = ev["kkt"]
     x = [Fraction(v) for v in ev["x"]]
-
     ok, bad = check_feasible(x, r, k)
     yield "point-feasible", ok, str(bad[:3]) if bad else ""
-
     prod = float(math.prod(x))
     value = float(ev["value"])
     yield "value-matches-point", prod == value, f"prod={prod}, claimed={value}"
-
     yield "kkt-payload-present", kkt.get("optimal") is True, "optimal must be true"
-    return (yield from _check_bracket(RegionConstraints(r, k), x, kkt, ev["bracket"]))
+    gap = float(ev.get("gap", 0)) if cert.claim == "region-probe" else None
+    return (yield from _check_bracket(RegionConstraints(r, k), x, kkt, ev["bracket"], gap))
 
 
-def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
-                   bracket: dict) -> Generator[Check, None, tuple]:
+def _check_bracket(model: RegionConstraints, x: list, kkt: dict, bracket: dict,
+                   stated_gap: float | None) -> Generator[Check, None, tuple]:
     """The bracket lower <= max prod x <= upper, derived and returned: x
-    has the bend coordinates at ``eps`` (their feasibility is
-    ``point-feasible``'s check), ``lower`` is prod x, and ``upper`` the dual
-    bound of the stored multipliers, which must be nonnegative and give
-    c > 0 (else upper is None); ``dual_bound`` reads them as stored.
-    ``exact`` must hold exactly when upper == lower, so the bracket proves
-    the maximum.  A label outside the region raises in ``dual_bound``, since
-    its row has no normal, and fails ``evidence-well-formed``."""
-    r, k = model.r, model.k
+    has the bend coordinates at ``eps`` (``point-feasible`` checks them),
+    ``lower`` is prod x, ``upper`` the dual bound of the stored multipliers
+    (nonnegative, giving c > 0; else None).  Any dual point bounds the
+    maximum, so a probe's ``stated_gap`` (0 if none is stored) pins its own
+    as float((upper - lower)/lower).  ``exact`` must hold exactly when
+    upper == lower; a label outside the region raises in ``dual_bound``."""
     eps = Fraction(bracket["eps"])
-    ok = 0 <= eps < 1 and x == list(bend_coordinates(r, k, eps))
+    ok = 0 <= eps < 1 and x == list(bend_coordinates(model.r, model.k, eps))
     yield "bracket-point-is-bend", ok, f"eps={eps}"
     labels, mus = kkt.get("active", []), kkt.get("multipliers", [])
     ok = len(mus) == len(labels) and all(Fraction(mu) >= 0 for mu in mus)
@@ -147,7 +149,8 @@ def _check_bracket(model: RegionConstraints, x: list, kkt: dict,
     lower = math.prod(x)
     ok = upper is not None and lower <= upper
     gap = float((upper - lower) / lower) if ok else None
-    yield "bracket-ordered", ok, f"(upper - lower)/lower={gap}"
+    yield ("bracket-ordered", ok and stated_gap in (None, gap),
+           f"(upper - lower)/lower={gap}, stated={stated_gap}")
     closed = upper == lower
     yield ("bracket-closed-iff-exact", (kkt.get("exact") is True) == closed,
            f"exact={kkt.get('exact')!r}, upper == lower: {closed}")
@@ -176,8 +179,7 @@ def _check_counterexample_certificate(cert: Certificate) -> Iterator[Check]:
     x = [Fraction(s) for s in ev["x_exact"]]
     ok, bad = check_feasible(x, r, k)
     yield "point-feasible-exact", ok, str(bad[:3]) if bad else ""
-    prod = math.prod(x)
-    bound = product_bound(r)
+    prod, bound = math.prod(x), product_bound(r)
     yield ("product-exceeds-bound-exact", prod > bound,
            f"prod={float(prod)}, bound={float(bound)}")
     value = float(ev["value"])

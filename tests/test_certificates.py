@@ -398,6 +398,7 @@ def test_probe_certificate_stores_an_exact_bracket():
     kkt = ev["kkt"]
     upper = dual_bound(RegionConstraints(12, 2), kkt["active"], kkt["multipliers"])
     assert lower < upper <= (1 + Fraction(1, 10**20)) * lower
+    assert ev["gap"] == float((upper - lower) / lower)
     names = {n for n, _, _ in verify_certificate(cert)[1]}
     assert {"bracket-point-is-bend", "bracket-multipliers-nonnegative", "bracket-dual-feasible",
             "bracket-ordered", "bracket-closed-iff-exact"} <= names
@@ -442,24 +443,30 @@ def test_tampering_any_evidence_field_fails(which, name, data):
         else:
             kkt[name][i] = data.draw(other_label(old, r))
     passed, v = verdicts(cert, ev)
-    if kind == "probe" and name in ("multipliers", "active"):
-        # another dual point: a probe claims only the bracket its evidence
-        # derives, and every dual feasible point bounds the maximum
-        assert passed == (v.get("bracket-dual-feasible") is True), (name, v)
-    else:
-        assert not passed, (name, v)
+    assert not passed, (name, v)
 
 
-def test_probe_with_another_dual_point_proves_a_wider_bracket():
-    cert = probe_certificate(12, 2)
+@pytest.mark.parametrize("rk", [(9, 2), (12, 2), (31, 11), (40, 1)])
+def test_probe_gap_pins_its_dual_point(rk):
+    # any dual feasible multipliers bound the maximum, so a probe states the
+    # width of its bracket; a raised multiplier proves a wider one and fails
+    cert = probe_certificate(*rk)
+    gap = cert.evidence["gap"]
+    assert 0 < gap <= 1e-20
     ev = evidence_copy(cert)
     mus = ev["kkt"]["multipliers"]
     mus[0] = str(Fraction(1001, 1000) * Fraction(mus[0]))
-    gaps = []
-    for evidence in (cert.evidence, ev):
-        passed, checks = verify_certificate(Certificate(cert.claim, cert.anchor, cert.config,
-                                                        evidence))
-        detail = {n: d for n, _, d in checks}["bracket-ordered"]
-        assert passed
-        gaps.append(float(detail.removeprefix("(upper - lower)/lower=")))
-    assert 0 < gaps[0] <= 1e-20 and gaps[1] > 1e-9
+    passed, v = verdicts(cert, ev)
+    assert not passed and v["bracket-ordered"] is False
+    assert v["bracket-dual-feasible"] is True and v["bracket-closed-iff-exact"] is True
+    # the stated gap is the float of the derived one, to the last bit
+    for stated in (math.nextafter(gap, 0), math.nextafter(gap, 1), 0.0, None, "wide"):
+        ev = evidence_copy(cert)
+        ev["gap"] = stated
+        passed, v = verdicts(cert, ev)
+        assert not passed and False in (v.get("bracket-ordered"), v.get("evidence-well-formed"))
+    # a probe with no gap states a closed bracket
+    ev = evidence_copy(cert)
+    del ev["gap"]
+    passed, v = verdicts(cert, ev)
+    assert not passed and v["bracket-ordered"] is False

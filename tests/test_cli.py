@@ -276,8 +276,11 @@ def test_region_max_below_threshold_writes_probe(tmp_path):
     v = json.loads(vres.output)
     checks = {c["name"]: c["detail"] for c in v["checks"]}
     assert v["passed"] is True
-    # the verifier derives lower < upper, at the gap the report prints
-    assert checks["bracket-ordered"] == f"(upper - lower)/lower={out['bracket']['gap']}"
+    # the verifier derives lower < upper, at the gap the report prints and
+    # the certificate states
+    gap = out["bracket"]["gap"]
+    assert d["evidence"]["gap"] == gap
+    assert checks["bracket-ordered"] == f"(upper - lower)/lower={gap}, stated={gap}"
     assert checks["bracket-closed-iff-exact"] == "exact=False, upper == lower: False"
 
 
