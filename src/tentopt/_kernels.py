@@ -15,8 +15,14 @@ method (``face_newton``) on two faces: its coordinates above
 ``POLISH_FACE`` times its largest, and, where that fails, the same face
 without its lowest-ratio coordinate, which certifies a start crawling
 toward a degenerate maximum on the smaller face.  Replicator ascent finds
-the face, Newton's method finishes it.  Each start stops on its own, for
-the first of three reasons (``STOP_REASONS``):
+the face, Newton's method finishes it.  Factorisations do the linear
+algebra, and a decomposition runs only where they cannot decide: each
+Newton step is an LU solve of the symmetric bordered face system
+(``face_step``), with the pseudo-inverse's minimum-norm step on singular
+faces, and the second-order test is one Cholesky factorisation of the
+stack, with eigenvalues only when it fails (``negative_semidefinite``).
+Each start stops on its own, for the first of three reasons
+(``STOP_REASONS``):
 
 * ``certified``: the fixed-point (KKT) residual at the current point is
   below ``CERTIFIED_RESIDUAL`` and the tangent Hessian on its support is
@@ -182,10 +188,49 @@ def tangent_hessian(edges: np.ndarray, index: list, Xt: np.ndarray, on: np.ndarr
 
 
 def negative_semidefinite(M: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack M: whether its largest eigenvalue is at most
-    ``NSD_REL`` times its largest eigenvalue magnitude."""
-    lam = np.linalg.eigvalsh(M)
-    return lam[:, -1] <= NSD_REL * np.abs(lam).max(axis=1)
+    """Per matrix of the stack M (shape (R, n, n), symmetric): whether its
+    largest eigenvalue is at most ``NSD_REL`` times its largest eigenvalue
+    magnitude.
+
+    One batched Cholesky factorisation of s I - M, with s = ``NSD_REL``
+    ||M||_F / sqrt(n), decides the common case: s is at most ``NSD_REL``
+    ||M||_2, so a factorisation that succeeds shows every matrix passes.
+    Where it fails (a saddle among them, or an all-zero M, where s = 0) the
+    eigenvalues of the stack decide.  For a matrix that fails the rule by a
+    small positive eigenvalue, ||M||_F^2 is at most (n - 1 + NSD_REL^2)
+    ||M||_2^2, so s stays below that eigenvalue by about ``NSD_REL``
+    ||M||_2 / (2 n), far more than the factorisation's rounding."""
+    n = M.shape[-1]
+    shift = NSD_REL * np.linalg.norm(M, axis=(1, 2)) / np.sqrt(n)
+    try:
+        np.linalg.cholesky(shift[:, None, None] * np.eye(n) - M)
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(M)
+        return lam[:, -1] <= NSD_REL * np.abs(lam).max(axis=1)
+    return np.ones(len(M), dtype=bool)
+
+
+def face_step(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each symmetric bordered system A d = b of the stack (A shape
+    (R, n + 1, n + 1), b shape (R, n + 1)) by LU.  A system that is singular,
+    or whose step is not finite or moves a coordinate (d[:n]) by more than
+    1, takes the minimum-norm step of its pseudo-inverse instead; for a
+    nonsingular system the two steps agree."""
+    n = A.shape[1] - 1
+    try:
+        d = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # one exactly singular system fails the whole batch: find them by
+        # the same LU, which slogdet reports as sign 0 without raising
+        bad = np.linalg.slogdet(A)[0] == 0
+        d = np.zeros_like(b)
+        d[~bad] = np.linalg.solve(A[~bad], b[~bad, :, None])[:, :, 0]
+    else:
+        bad = np.zeros(len(A), dtype=bool)
+    bad |= ~(np.abs(d[:, :n]).max(axis=1) <= 1.0) | ~np.isfinite(d[:, n])
+    if bad.any():
+        d[bad] = (np.linalg.pinv(A[bad], hermitian=True) @ b[bad, :, None])[:, :, 0]
+    return d
 
 
 def _newton_on_face(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarray,
@@ -197,10 +242,10 @@ def _newton_on_face(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarra
     on = face.T  # (R, n)
     Y = np.where(face, Xt, 0.0)
     mu = r * P
-    # the bordered system [[H_FF, -1], [1^T, 0]]; off-face rows are identity
+    # the symmetric bordered system [[H_FF, 1], [1^T, 0]] in (d, -dmu);
+    # off-face rows are identity
     A = np.zeros((R, n + 1, n + 1))
-    A[:, n, :n] = on
-    A[:, :n, n] = -A[:, n, :n]
+    A[:, n, :n] = A[:, :n, n] = on
     both = on[:, :, None] & on[:, None, :]
     diag = np.arange(n)
     b = np.zeros((R, n + 1))
@@ -211,12 +256,12 @@ def _newton_on_face(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarra
         A[:, diag, diag] += ~on
         b[:, :n] = np.where(on, mu[:, None] - grad.T, 0.0)
         b[:, n] = 1.0 - Y.sum(axis=0)
-        d = (np.linalg.pinv(A) @ b[:, :, None])[:, :, 0]
+        d = face_step(A, b)
         # a step longer than the simplex left the face's basin: stop there
         sane &= np.abs(d[:, :n]).max(axis=1) <= 1.0
         d[~sane] = 0.0
         Y += d[:, :n].T
-        mu += d[:, n]
+        mu -= d[:, n]
     Y[np.abs(Y) <= SUPPORT_TOL] = 0.0
     Y /= Y.sum(axis=0)
     Q, grad = edge_gradient(edges, S, Y)
@@ -242,17 +287,17 @@ def face_newton(edges: np.ndarray, S: np.ndarray, index: list, Xt: np.ndarray,
 
     On a face, ``POLISH_STEPS`` Newton steps solve the KKT system
     grad_F P = mu, sum x_F = 1 from mu = r P, with the other coordinates
-    pinned to 0; all columns are one stacked bordered system, solved by
-    pseudo-inverse, so a singular face Hessian (a segment of maximisers)
-    takes the minimum-norm step.  A column whose step moves a coordinate by
-    more than 1 stops moving and is rejected.  Coordinates that end within
-    ``SUPPORT_TOL`` of 0 are set to 0, as the residual counts them off the
-    support, and the point is renormalised.  A column is accepted when that
-    point is nonnegative, has ``fixed_point_residual`` below
-    ``CERTIFIED_RESIDUAL``, a value at least P and a tangent Hessian on the
-    face (``tangent_hessian``) that is ``negative_semidefinite``.
-    Returns (accepted, points as columns, values); a column rejected on both
-    faces keeps its first face's point.
+    pinned to 0; all columns are one stacked symmetric bordered system in
+    (d, -dmu), solved by LU (``face_step``), and a singular face Hessian (a
+    segment of maximisers) takes the pseudo-inverse's minimum-norm step.  A
+    column whose step moves a coordinate by more than 1 stops moving and is
+    rejected.  Coordinates that end within ``SUPPORT_TOL`` of 0 are set to
+    0, as the residual counts them off the support, and the point is
+    renormalised.  A column is accepted when that point is nonnegative, has
+    ``fixed_point_residual`` below ``CERTIFIED_RESIDUAL``, a value at least
+    P and a tangent Hessian on the face (``tangent_hessian``) that is
+    ``negative_semidefinite``.  Returns (accepted, points as columns,
+    values); a column rejected on both faces keeps its first face's point.
     """
     face = Xt > POLISH_FACE * Xt.max(axis=0)
     leaving = ((Xt > SUPPORT_TOL) & ~face & (ratio > 1.0)).any(axis=0)
@@ -279,10 +324,12 @@ def saddle_escape(edges: np.ndarray, index: list, Xt: np.ndarray, P: np.ndarray)
     x ± t v over t = t_max 2^-k, k = 1..``ESCAPE_HALVINGS``, where t_max
     takes x ± t v to the boundary of the simplex.  Returns (passed, the
     failed columns' escape points, whether each escape point's value is
-    above P)."""
+    above P); when every column passes, nothing else runs."""
     M = tangent_hessian(edges, index, Xt, (Xt > SUPPORT_TOL).T)
     nsd = negative_semidefinite(M)
     x = Xt[:, ~nsd]
+    if nsd.all():
+        return nsd, x, np.zeros(0, dtype=bool)
     v = np.linalg.eigh(M[~nsd])[1][:, :, -1].T  # (n, columns)
     halvings = 2.0 ** -np.arange(1, ESCAPE_HALVINGS + 1)
     tries = []

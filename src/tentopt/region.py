@@ -288,7 +288,9 @@ class OptimizationReport:
     argmax: FeasiblePoint
     bound: float
     kkt: dict
-    bracket: dict
+    # left out of the repr: its exact bounds pass Python's 4 300-digit
+    # int-to-string limit from r ~ 250
+    bracket: dict = field(repr=False)
     status: str
     diagnostics: dict = field(default_factory=dict, compare=False)
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tentopt import _kernels
 from tentopt.hypergraphs import Hypergraph, make_tent, make_turan_graph, random_hypergraph
@@ -356,6 +358,139 @@ def test_saddle_escape_leaves_a_saddle():
     assert Z.shape == (4, 1) and up.tolist() == [True]
     assert (Z >= 0).all() and Z.sum() == pytest.approx(1.0, abs=1e-15)
     assert _kernels.edge_poly_batch(edges, Z.T)[0] > P[0]
+
+
+def eigenvalue_rule(M):
+    """The second-order rule ``negative_semidefinite`` decides: the largest
+    eigenvalue is at most NSD_REL times the largest magnitude."""
+    lam = np.linalg.eigvalsh(M)
+    return lam[:, -1] <= _kernels.NSD_REL * np.abs(lam).max(axis=1)
+
+
+def count_calls(monkeypatch, name):
+    """Record, per call of np.linalg.<name>, how many matrices it got."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def spy(A, *args, **kwargs):
+        calls.append(len(A))
+        return original(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+# eigenvalues of the random stacks: negative ones, zeros, and positive ones
+# on either side of the rule's threshold (NSD_REL times the largest magnitude)
+EIGENVALUES = st.one_of(st.floats(-1.0, -1e-3), st.just(0.0),
+                        st.floats(0.0, 3.0).map(lambda c: c * _kernels.NSD_REL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 7), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_second_order_test_is_the_eigenvalue_rule(n, count, seed, data):
+    """On random symmetric stacks Q diag(lam) Q^T (with -1 among each lam)
+    the test never accepts a matrix the eigenvalue rule rejects: a
+    successful Cholesky factorisation accepts only stacks the rule accepts,
+    and any other stack is decided by the rule itself."""
+    rng = np.random.default_rng(seed)
+    M = np.empty((count, n, n))
+    for i in range(count):
+        lam = data.draw(st.lists(EIGENVALUES, min_size=n - 1, max_size=n - 1)) + [-1.0]
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        M[i] = (Q * lam) @ Q.T
+        M[i] = (M[i] + M[i].T) / 2
+    M *= 10.0 ** rng.uniform(-6, 3)
+    assert _kernels.negative_semidefinite(M).tolist() == eigenvalue_rule(M).tolist()
+
+
+def test_second_order_test_on_fixed_stacks(monkeypatch):
+    """The empty stack gives an empty answer; an all-zero M (where the
+    Cholesky shift is 0) and a stack with one saddle go to the eigenvalue
+    rule; the tangent Hessian at ``DEGENERATE_HOST``'s maximum (singular:
+    zero, up to rounding, on the sum direction and on the vertices off the
+    support) passes by Cholesky alone."""
+    edges = np.array(DEGENERATE_HOST, dtype=np.int64)
+    x = np.array([[0.25, 0.25, 0.0, 0.25, 0.0, 0.25]]).T
+    degenerate = _kernels.tangent_hessian(edges, _kernels.pair_index(edges, 6), x,
+                                          (x > _kernels.SUPPORT_TOL).T)
+    lam = np.linalg.eigvalsh(degenerate[0])
+    assert (np.abs(lam) < 1e-15).sum() == 3 and lam[-1] < 1e-15
+
+    eigvalsh = count_calls(monkeypatch, "eigvalsh")
+    assert _kernels.negative_semidefinite(np.zeros((0, 3, 3))).shape == (0,)
+    assert _kernels.negative_semidefinite(np.zeros((1, 3, 3))).tolist() == [True]
+    assert eigvalsh == [1]
+    assert _kernels.negative_semidefinite(degenerate).tolist() == [True]
+    assert eigvalsh == [1]
+
+    # the uniform point of two disjoint edges is a saddle (eigenvalue +1)
+    pair = np.array([(0, 1), (2, 3)], dtype=np.int64)
+    saddle = _kernels.tangent_hessian(pair, _kernels.pair_index(pair, 4),
+                                      np.full((4, 1), 0.25), np.ones((1, 4), dtype=bool))
+    peak = _kernels.tangent_hessian(pair, _kernels.pair_index(pair, 4),
+                                    np.array([[0.5, 0.5, 0.0, 0.0]]).T,
+                                    np.array([[True, True, False, False]]))
+    stack = np.concatenate([peak, -np.eye(4)[None], saddle, peak])
+    assert _kernels.negative_semidefinite(stack).tolist() == [True, True, False, True]
+    assert eigvalsh == [1, 4]
+
+
+def test_saddle_escape_stops_when_every_column_passes(monkeypatch):
+    """With no saddle among the columns, no eigenvectors are computed and
+    no escape is tried."""
+    edges = np.array([(0, 1), (2, 3)], dtype=np.int64)
+    Xt = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]).T
+    P = _kernels.edge_poly_batch(edges, Xt.T)
+    eigh, polys = count_calls(monkeypatch, "eigh"), []
+    monkeypatch.setattr(_kernels, "edge_poly_batch", lambda *args: polys.append(args))
+    nsd, Z, up = _kernels.saddle_escape(edges, _kernels.pair_index(edges, 4), Xt, P)
+    assert nsd.tolist() == [True, True] and Z.shape == (4, 0) and up.shape == (0,)
+    assert eigh == [] and polys == []
+
+
+def bordered(H, on, sign):
+    """The polish's bordered face system [[H_FF, sign 1], [1^T, 0]] with
+    identity rows off the face."""
+    n = len(on)
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = np.where(np.outer(on, on), H, 0.0) + np.diag(~on)
+    A[n, :n] = on
+    A[:n, n] = sign * on
+    return A
+
+
+def test_polish_step_is_the_minimum_norm_step(monkeypatch):
+    """``face_step`` on the symmetric system (unknowns d and -dmu) gives the
+    pseudo-inverse step of the unsymmetric system (d and dmu) the polish
+    solved before, to 1e-12 relative, and only the columns LU cannot take
+    reach the pseudo-inverse: an exactly singular r = 2 face (a path, whose
+    two ends are twins with equal integer rows) and a nonsingular face whose
+    step moves a coordinate by more than 1.  Without them, LU does all."""
+    rng = np.random.default_rng(3)
+    edges = np.array(DEGENERATE_HOST, dtype=np.int64)
+    Xt = rng.dirichlet(np.ones(6), size=3).T
+    hess = _kernels.edge_hessian(edges, _kernels.pair_index(edges, 6), Xt).transpose(2, 0, 1)
+    faces = np.ones((3, 6), dtype=bool)
+    faces[1, 4] = faces[2, [2, 4]] = False
+    systems = [(hess[i], faces[i], rng.standard_normal(7) * 1e-3) for i in range(3)]
+    path = np.zeros((6, 6))
+    path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = 1.0
+    twins = (path, np.arange(6) < 3, np.array([0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0]))
+    long = (hess[0], faces[0], systems[0][2] * 1e4)
+    assert np.linalg.slogdet(bordered(*twins[:2], 1.0))[0] == 0
+    assert np.abs(np.linalg.solve(bordered(*long[:2], 1.0), long[2])[:6]).max() > 1.0
+    for stack, fallback in ((systems + [twins, long], [2]), (systems, [])):
+        A = np.array([bordered(H, on, 1.0) for H, on, _ in stack])
+        b = np.array([rhs for _, _, rhs in stack])
+        ref = np.array([np.linalg.pinv(bordered(H, on, -1.0)) @ rhs for H, on, rhs in stack])
+        ref[:, 6] *= -1.0
+        pinv = count_calls(monkeypatch, "pinv")
+        d = _kernels.face_step(A, b)
+        monkeypatch.undo()
+        np.testing.assert_allclose(d, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert pinv == fallback
 
 
 def test_lagrangian_polishes_crawling_starts():

@@ -408,6 +408,17 @@ def test_status_is_exact_past_float_underflow():
     assert rep.status == "converged" and rep.diagnostics["path"] == "bend"
 
 
+def test_report_repr_leaves_out_the_exact_bracket():
+    # the exact bounds of a bracket past r ~ 250 have more digits than
+    # Python converts to a string, so a repr that printed them raised
+    huge = Fraction(10**5000 + 1, 3)
+    rep = region.OptimizationReport(value=0.0, argmax=linear_point(4, 1), bound=0.0, kkt={},
+                                    bracket={"eps": Fraction(0), "lower": huge, "upper": huge},
+                                    status="converged")
+    text = repr(rep)
+    assert "bracket" not in text and "status='converged'" in text
+
+
 @pytest.mark.parametrize("r", range(4, 17))
 def test_status_agrees_with_kkt(r):
     for k in range(1, r // 2 + 1):
